@@ -2,14 +2,15 @@
 //!
 //! These back the figure binaries with statistically robust timings of the individual
 //! building blocks: the Walsh–Hadamard transform, the phase separator, each mixer's
-//! evolution, and the Clique-mixer eigendecomposition (the dominant pre-computation for
-//! constrained problems).
+//! evolution, and the matrix-free Clique/Ring mixers' build and apply (the build used to
+//! be a dense eigendecomposition, the dominant pre-computation for constrained
+//! problems).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use juliqaoa_bench::instances::paper_maxcut_instance;
 use juliqaoa_core::{Angles, Simulator};
 use juliqaoa_linalg::{vector, walsh, Complex64};
-use juliqaoa_mixers::{clique_mixer, Mixer};
+use juliqaoa_mixers::Mixer;
 use juliqaoa_problems::{precompute_full, MaxCut};
 use std::hint::black_box;
 use std::time::Duration;
@@ -92,17 +93,27 @@ fn bench_full_qaoa_round(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_clique_eigendecomposition(c: &mut Criterion) {
-    let mut group = c.benchmark_group("clique_mixer_precompute");
+fn bench_xy_mixer(c: &mut Criterion) {
+    let mut group = c.benchmark_group("xy_mixer");
     group.sample_size(10);
-    for (n, k) in [(10usize, 5usize), (12, 6)] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{n}_{k}")),
-            &(n, k),
-            |b, &(n, k)| {
-                b.iter(|| black_box(clique_mixer(n, k)));
-            },
-        );
+    for (n, k) in [(10usize, 5usize), (12, 6), (16, 8)] {
+        for (name, build) in [
+            ("clique", Mixer::clique as fn(usize, usize) -> Mixer),
+            ("ring", Mixer::ring),
+        ] {
+            group.bench_function(format!("{name}_build_{n}_{k}"), |b| {
+                b.iter(|| black_box(build(n, k)));
+            });
+            let mixer = build(n, k);
+            let mut psi = vec![Complex64::ZERO; mixer.dim()];
+            vector::fill_uniform(&mut psi);
+            psi[0] += Complex64::ONE;
+            vector::normalize(&mut psi);
+            let mut scratch = vec![Complex64::ZERO; mixer.dim()];
+            group.bench_function(format!("{name}_apply_{n}_{k}"), |b| {
+                b.iter(|| mixer.apply_evolution(0.53, black_box(&mut psi), &mut scratch));
+            });
+        }
     }
     group.finish();
 }
@@ -111,6 +122,6 @@ criterion_group! {
     name = benches;
     config = configured();
     targets = bench_walsh_hadamard, bench_phase_separator, bench_mixer_evolution,
-              bench_full_qaoa_round, bench_clique_eigendecomposition
+              bench_full_qaoa_round, bench_xy_mixer
 }
 criterion_main!(benches);

@@ -1,5 +1,7 @@
-//! Kernel performance snapshot: dense vs table-driven phase separator and fused vs
-//! unfused Grover rounds, written to `BENCH_kernels.json`.
+//! Kernel performance snapshot: dense vs table-driven phase separator, fused vs
+//! unfused Grover rounds, and the matrix-free Clique/Ring mixers (build, evolution at
+//! two angles, Hamiltonian apply; against the dense eigendecomposition where that is
+//! affordable), written to `BENCH_kernels.json` with the git revision and CPU count.
 //!
 //! This is the machine-readable counterpart of `benches/phase_table.rs`, meant to seed
 //! the repo's performance trajectory: run it on a quiet machine and commit the JSON to
@@ -9,9 +11,10 @@
 
 use juliqaoa_bench::harness::BenchTimer;
 use juliqaoa_bench::instances::paper_maxcut_instance;
+use juliqaoa_combinatorics::DickeSubspace;
 use juliqaoa_core::{Angles, Simulator};
 use juliqaoa_linalg::{vector, Complex64};
-use juliqaoa_mixers::Mixer;
+use juliqaoa_mixers::{build_xy_hamiltonian, CustomMixer, Mixer, XYCoupling};
 use juliqaoa_problems::{precompute_full, MaxCut, PhaseClasses};
 use serde::Serialize;
 use std::hint::black_box;
@@ -35,12 +38,128 @@ struct GroverRoundRow {
 }
 
 #[derive(Serialize)]
+struct XyMixerRow {
+    coupling: String,
+    n: usize,
+    k: usize,
+    dim: usize,
+    /// `Mixer::bytes()`: the hop tables the mixer keeps.
+    bytes: usize,
+    build_ms: f64,
+    apply_us_beta_0_3: f64,
+    apply_us_beta_3_0: f64,
+    hamiltonian_us: f64,
+    /// The dense eigendecomposition it replaces, where that still fits in seconds.
+    dense_build_ms: Option<f64>,
+    dense_apply_us: Option<f64>,
+    max_abs_diff_vs_dense: Option<f64>,
+}
+
+#[derive(Serialize)]
 struct Snapshot {
     description: String,
+    git: String,
+    cpus: usize,
     threads: usize,
     par_threshold: usize,
     phase_separator: Vec<PhaseSeparatorRow>,
     grover_round: Vec<GroverRoundRow>,
+    xy_mixer: Vec<XyMixerRow>,
+}
+
+fn git_describe() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--tags", "--always", "--dirty"])
+        .stderr(std::process::Stdio::null())
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "none".into())
+}
+
+fn ms(d: std::time::Duration) -> f64 {
+    d.as_secs_f64() * 1e3
+}
+
+fn us(d: std::time::Duration) -> f64 {
+    d.as_secs_f64() * 1e6
+}
+
+/// A normalised state with weight in every eigenspace (the uniform Dicke state would
+/// be a single Clique eigenvector).
+fn generic_state(dim: usize) -> Vec<Complex64> {
+    let mut v: Vec<Complex64> = (0..dim)
+        .map(|i| Complex64::new((i as f64 * 0.61).sin(), (i as f64 * 0.37).cos()))
+        .collect();
+    vector::normalize(&mut v);
+    v
+}
+
+fn xy_mixer_row(coupling: XYCoupling, n: usize, k: usize) -> XyMixerRow {
+    let reps = if n >= 16 { 3 } else { 7 };
+    let timer = BenchTimer::new(reps);
+    let build = || match coupling {
+        XYCoupling::Clique => Mixer::clique(n, k),
+        XYCoupling::Ring => Mixer::ring(n, k),
+    };
+    let (build_min, _) = timer.measure(|| drop(black_box(build())));
+    let mixer = build();
+    let dim = mixer.dim();
+    let mut psi = generic_state(dim);
+    let mut scratch = vec![Complex64::ZERO; dim];
+    let mut apply = |beta: f64| {
+        timer
+            .measure(|| mixer.apply_evolution(beta, black_box(&mut psi), &mut scratch))
+            .0
+    };
+    let (small, large) = (apply(0.3), apply(3.0));
+    let (hamiltonian, _) = timer.measure(|| {
+        mixer.apply_hamiltonian(black_box(&mut psi), &mut scratch);
+        vector::normalize(&mut psi);
+    });
+    let mut row = XyMixerRow {
+        coupling: format!("{coupling:?}").to_lowercase(),
+        n,
+        k,
+        dim,
+        bytes: mixer.bytes(),
+        build_ms: ms(build_min),
+        apply_us_beta_0_3: us(small),
+        apply_us_beta_3_0: us(large),
+        hamiltonian_us: us(hamiltonian),
+        dense_build_ms: None,
+        dense_apply_us: None,
+        max_abs_diff_vs_dense: None,
+    };
+    if n <= 12 {
+        let dense_timer = BenchTimer::new(1);
+        let h = build_xy_hamiltonian(&DickeSubspace::new(n, k), coupling);
+        let mut dense = None;
+        let (dense_build, _) = dense_timer.measure(|| {
+            dense = Some(Mixer::Subspace(CustomMixer::from_symmetric("dense", &h)));
+        });
+        let dense = dense.expect("the dense reference was built");
+        let (dense_apply, _) = timer.measure(|| {
+            dense.apply_evolution(0.3, black_box(&mut psi), &mut scratch);
+        });
+        let mut worst = 0.0f64;
+        for beta in [0.3, 3.0, -7.9] {
+            let orig = generic_state(dim);
+            let (mut a, mut b) = (orig.clone(), orig);
+            mixer.apply_evolution(beta, &mut a, &mut scratch);
+            dense.apply_evolution(beta, &mut b, &mut scratch);
+            worst = worst.max(vector::max_abs_diff(&a, &b));
+        }
+        assert!(
+            worst <= 1e-12,
+            "{coupling:?}({n},{k}) departs from the dense reference by {worst:e}"
+        );
+        row.dense_build_ms = Some(ms(dense_build));
+        row.dense_apply_us = Some(us(dense_apply));
+        row.max_abs_diff_vs_dense = Some(worst);
+    }
+    row
 }
 
 fn main() {
@@ -113,15 +232,41 @@ fn main() {
         });
     }
 
+    let mut xy_rows = Vec::new();
+    for (n, k) in [(10usize, 5usize), (12, 6), (16, 8), (20, 10)] {
+        for coupling in [XYCoupling::Clique, XYCoupling::Ring] {
+            let row = xy_mixer_row(coupling, n, k);
+            println!(
+                "xy mixer {:>6}({n:2},{k:2})  build {:>9.3} ms   apply β=0.3 {:>11.1} µs   \
+                 β=3.0 {:>11.1} µs   H {:>11.1} µs{}",
+                row.coupling,
+                row.build_ms,
+                row.apply_us_beta_0_3,
+                row.apply_us_beta_3_0,
+                row.hamiltonian_us,
+                match (row.dense_build_ms, row.dense_apply_us) {
+                    (Some(b), Some(a)) => format!("   dense: build {b:.1} ms, apply {a:.1} µs"),
+                    _ => String::new(),
+                }
+            );
+            xy_rows.push(row);
+        }
+    }
+
     let snapshot = Snapshot {
         description: "juliqaoa kernel snapshot: dense vs table-driven phase separator \
-                      (MaxCut G(n,0.5)) and unfused vs fused GM-QAOA rounds; times are \
-                      minimum over repetitions, nanoseconds per call"
+                      (MaxCut G(n,0.5)), unfused vs fused GM-QAOA rounds (nanoseconds per \
+                      call), and matrix-free Clique/Ring XY mixers (build ms, apply µs) \
+                      against the dense eigendecomposition at n <= 12; times are minimum \
+                      over repetitions"
             .to_string(),
+        git: git_describe(),
+        cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
         threads: rayon::current_num_threads(),
         par_threshold: juliqaoa_linalg::par_threshold(),
         phase_separator: phase_rows,
         grover_round: grover_rows,
+        xy_mixer: xy_rows,
     };
     let json = serde_json::to_string_pretty(&snapshot).expect("snapshot serialises");
     std::fs::write(&output, json).expect("snapshot file is writable");

@@ -1,16 +1,19 @@
 //! Dense symmetric eigensolver.
 //!
-//! Constrained-problem mixers (Clique, Ring) do not diagonalise with single-qubit gates,
-//! so JuliQAOA pre-computes the eigendecomposition `H_M = V D Vᵀ` once and re-uses it in
-//! every simulation.  This module provides that decomposition for real symmetric matrices
-//! using the classic two-stage approach:
+//! A user-supplied custom mixer has no structure to exploit, so JuliQAOA pre-computes
+//! its eigendecomposition `H_M = V D Vᵀ` once and re-uses it in every simulation
+//! (`mixers::CustomMixer`; the dense path also serves as the test reference for the
+//! matrix-free Clique and Ring mixers, which never call it).  This module provides that
+//! decomposition for real symmetric matrices using the classic two-stage approach:
 //!
 //! 1. Householder reduction to tridiagonal form (`tred2`),
 //! 2. implicit-shift QL iteration with eigenvector accumulation (`tql2`).
 //!
 //! The implementation follows the public-domain EISPACK/JAMA formulation, translated to
-//! 0-based row-major Rust.  The cost is `O(m³)` for an `m×m` matrix — exactly the
-//! "costly but done once" pre-computation the paper describes.
+//! 0-based row-major Rust.  The cost is `O(m³)` for an `m×m` matrix — the "costly but
+//! done once" pre-computation the paper describes.  The second stage alone is exposed as
+//! [`tridiagonal_eigen`], which works in caller-provided storage so that small
+//! per-call problems (the Lanczos tridiagonals of the Clique mixer) allocate nothing.
 
 use crate::matrix::RealMatrix;
 
@@ -89,13 +92,40 @@ pub fn symmetric_eigen(a: &RealMatrix) -> SymmetricEigen {
     let mut e = vec![0.0; n];
 
     tred2(&mut v, &mut d, &mut e);
-    tql2(&mut v, &mut d, &mut e);
+    // tred2 leaves the coupling of rows i-1 and i in e[i]; tql2 wants it in e[i-1].
+    e.copy_within(1.., 0);
+    e[n - 1] = 0.0;
+    let mut z = v.concat();
+    tql2(&mut z, &mut d, &mut e);
 
-    let eigenvectors = RealMatrix::from_fn(n, n, |i, j| v[i][j]);
     SymmetricEigen {
         eigenvalues: d,
-        eigenvectors,
+        eigenvectors: RealMatrix::from_vec(n, n, z),
     }
+}
+
+/// Eigendecomposition of a real symmetric tridiagonal matrix, in place.
+///
+/// On entry `d` holds the diagonal and `e[i]` the coupling of rows `i` and `i + 1`
+/// (`e[n-1]` is ignored).  On exit `d` holds the eigenvalues in ascending order and the
+/// columns of the row-major `n×n` matrix `z` the matching orthonormal eigenvectors; `e`
+/// is clobbered.  Allocation-free.
+///
+/// # Panics
+/// Panics if `e` or `z` do not match `d` in size.
+pub fn tridiagonal_eigen(d: &mut [f64], e: &mut [f64], z: &mut [f64]) {
+    let n = d.len();
+    assert_eq!(e.len(), n, "tridiagonal coupling length mismatch");
+    assert_eq!(z.len(), n * n, "eigenvector storage must be n×n");
+    if n == 0 {
+        return;
+    }
+    z.fill(0.0);
+    for i in 0..n {
+        z[i * n + i] = 1.0;
+    }
+    e[n - 1] = 0.0;
+    tql2(z, d, e);
 }
 
 /// Householder reduction of a real symmetric matrix to tridiagonal form.
@@ -204,16 +234,12 @@ fn tred2(v: &mut [Vec<f64>], d: &mut [f64], e: &mut [f64]) {
     e[0] = 0.0;
 }
 
-/// Implicit-shift QL iteration on a symmetric tridiagonal matrix with eigenvector
-/// accumulation, plus a final ascending sort of the eigenpairs.
+/// Implicit-shift QL iteration on a symmetric tridiagonal matrix (`e[i]` couples rows
+/// `i` and `i + 1`, `e[n-1] = 0`) with eigenvector accumulation into the row-major `v`,
+/// plus a final ascending sort of the eigenpairs.
 #[allow(clippy::needless_range_loop)] // index-coupled EISPACK loops, kept close to the reference
-fn tql2(v: &mut [Vec<f64>], d: &mut [f64], e: &mut [f64]) {
+fn tql2(v: &mut [f64], d: &mut [f64], e: &mut [f64]) {
     let n = d.len();
-    for i in 1..n {
-        e[i - 1] = e[i];
-    }
-    e[n - 1] = 0.0;
-
     let mut f = 0.0;
     let mut tst1: f64 = 0.0;
     let eps = f64::EPSILON;
@@ -279,7 +305,7 @@ fn tql2(v: &mut [Vec<f64>], d: &mut [f64], e: &mut [f64]) {
                     d[i + 1] = h + s * (c * g + s * d[i]);
 
                     // Accumulate the rotation into the eigenvector matrix.
-                    for row in v.iter_mut().take(n) {
+                    for row in v.chunks_exact_mut(n) {
                         h = row[i + 1];
                         row[i + 1] = s * row[i] + c * h;
                         row[i] = c * row[i] - s * h;
@@ -312,7 +338,7 @@ fn tql2(v: &mut [Vec<f64>], d: &mut [f64], e: &mut [f64]) {
         if k != i {
             d[k] = d[i];
             d[i] = p;
-            for row in v.iter_mut().take(n) {
+            for row in v.chunks_exact_mut(n) {
                 row.swap(i, k);
             }
         }
@@ -474,6 +500,36 @@ mod tests {
         }
         assert!(eig.orthogonality_defect() < 1e-9);
         assert!(m.frobenius_diff(&eig.reconstruct()) < 1e-9);
+    }
+
+    #[test]
+    fn tridiagonal_entry_point_matches_the_dense_solver() {
+        let n = 9;
+        let diag: Vec<f64> = (0..n).map(|i| ((i * 5) % 7) as f64 - 2.5).collect();
+        let off: Vec<f64> = (0..n).map(|i| 0.3 + ((i * 3) % 4) as f64).collect();
+        let m = RealMatrix::from_fn(n, n, |i, j| {
+            if i == j {
+                diag[i]
+            } else if j == i + 1 {
+                off[i]
+            } else if i == j + 1 {
+                off[j]
+            } else {
+                0.0
+            }
+        });
+        let dense = symmetric_eigen(&m);
+        let (mut d, mut e, mut z) = (diag.clone(), off.clone(), vec![7.0; n * n]);
+        tridiagonal_eigen(&mut d, &mut e, &mut z);
+        for (a, b) in d.iter().zip(dense.eigenvalues.iter()) {
+            assert!((a - b).abs() < 1e-12);
+        }
+        let tri = SymmetricEigen {
+            eigenvalues: d,
+            eigenvectors: RealMatrix::from_vec(n, n, z),
+        };
+        assert!(m.frobenius_diff(&tri.reconstruct()) < 1e-12);
+        assert!(tri.orthogonality_defect() < 1e-13);
     }
 
     #[test]

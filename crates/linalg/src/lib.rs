@@ -10,10 +10,11 @@
 //!   complex slices, with parallel variants for large statevectors.
 //! * [`matrix::RealMatrix`] / [`matrix::ComplexMatrix`] — dense row-major matrices with
 //!   (parallel) matrix–vector products against complex vectors; used to apply the
-//!   eigendecomposition `V e^{-iβD} Vᵀ` of constrained mixers.
+//!   eigendecomposition `V e^{-iβD} Vᵀ` of custom mixers.
 //! * [`eigen`] — a self-contained symmetric eigensolver (Householder tridiagonalisation
-//!   followed by the implicit-shift QL algorithm), used to pre-compute Clique/Ring mixer
-//!   diagonalisations.
+//!   followed by the implicit-shift QL algorithm), used to pre-compute custom mixer
+//!   diagonalisations and, through its allocation-free tridiagonal stage, the small
+//!   Lanczos problems of the matrix-free Clique mixer.
 //! * [`walsh`] — in-place fast Walsh–Hadamard transforms (`H^{⊗n}`), the diagonalising
 //!   change of basis for every Pauli-X product mixer.
 //!
@@ -29,7 +30,7 @@ pub mod vector;
 pub mod walsh;
 
 pub use complex::Complex64;
-pub use eigen::{symmetric_eigen, SymmetricEigen};
+pub use eigen::{symmetric_eigen, tridiagonal_eigen, SymmetricEigen};
 pub use matrix::{ComplexMatrix, RealMatrix};
 pub use parallel::{
     enter_outer_parallelism, in_outer_parallelism, par_threshold, parallel_kernels_enabled,

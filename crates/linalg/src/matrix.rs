@@ -139,7 +139,7 @@ impl RealMatrix {
 
     /// Real matrix × complex vector: `out = self · x`.
     ///
-    /// This is the hot kernel when applying the eigendecomposition of a constrained
+    /// This is the hot kernel when applying the eigendecomposition of a custom
     /// mixer (`V e^{-iβD} Vᵀ ψ`), so it is parallelised over output rows.
     ///
     /// # Panics

@@ -4,23 +4,56 @@
 //! inner products (expectation values, Grover-mixer overlaps) and axpy updates.  Every
 //! kernel has a serial and a rayon-parallel path chosen by
 //! [`crate::parallel_kernels_enabled`] (size threshold plus the outer-parallelism
-//! guard), and none of them allocate.
+//! guard), and no serial path allocates.
 //!
 //! The *indexed* phase kernels ([`build_phase_table`], [`apply_phases_indexed`],
 //! [`apply_phases_indexed_sum`]) are the table-driven fast path for objectives with few
 //! distinct values: one `cis` evaluation per distinct value instead of one per
 //! amplitude, with the per-amplitude sweep reduced to a gather-and-multiply.
+//!
+//! Reductions (sums, norms, inner products) add up fixed [`REDUCTION_CHUNK`]-element
+//! chunks and combine the partial sums in index order on both paths, so their bits
+//! depend only on the input — never on the core count, `JULIQAOA_PAR_THRESHOLD` or an
+//! outer-parallelism guard.
 
 use crate::{parallel_kernels_enabled, Complex64};
 use rayon::prelude::*;
+use std::ops::{Add, Range};
+
+/// Elements per partial sum of every reduction kernel.  A vector of at most one chunk
+/// is summed by a single serial loop from its first element to its last.
+pub const REDUCTION_CHUNK: usize = 1 << 16;
+
+/// Sums `partial` over `0..len` cut into [`REDUCTION_CHUNK`]-element ranges, combining
+/// the per-range results in index order (in parallel when the kernel size allows).
+fn chunked_sum<S, F>(len: usize, partial: F) -> S
+where
+    S: Add<Output = S> + Send,
+    F: Fn(Range<usize>) -> S + Sync + Send + Clone,
+{
+    if len <= REDUCTION_CHUNK {
+        return partial(0..len);
+    }
+    let chunk = move |c: usize| c * REDUCTION_CHUNK..len.min((c + 1) * REDUCTION_CHUNK);
+    let chunks = 0..len.div_ceil(REDUCTION_CHUNK);
+    if parallel_kernels_enabled(len) {
+        let partials: Vec<S> = chunks.into_par_iter().map(|c| partial(chunk(c))).collect();
+        sum_in_order(partials.into_iter())
+    } else {
+        sum_in_order(chunks.map(|c| partial(chunk(c))))
+    }
+}
+
+/// `((p₀ + p₁) + p₂) + …` over the partial sums of a vector longer than one chunk.
+fn sum_in_order<S: Add<Output = S>>(partials: impl Iterator<Item = S>) -> S {
+    partials
+        .reduce(|a, b| a + b)
+        .expect("a vector longer than one chunk has at least two partial sums")
+}
 
 /// Squared 2-norm `Σ |ψ_x|²` of a complex vector.
 pub fn norm_sqr(v: &[Complex64]) -> f64 {
-    if parallel_kernels_enabled(v.len()) {
-        v.par_iter().map(|z| z.norm_sqr()).sum()
-    } else {
-        v.iter().map(|z| z.norm_sqr()).sum()
-    }
+    chunked_sum(v.len(), |r| v[r].iter().map(|z| z.norm_sqr()).sum::<f64>())
 }
 
 /// 2-norm of a complex vector.
@@ -55,14 +88,13 @@ pub fn scale(v: &mut [Complex64], s: f64) {
 /// Panics if the slices have different lengths.
 pub fn inner(a: &[Complex64], b: &[Complex64]) -> Complex64 {
     assert_eq!(a.len(), b.len(), "inner product of mismatched lengths");
-    if parallel_kernels_enabled(a.len()) {
-        a.par_iter()
-            .zip(b.par_iter())
+    chunked_sum(a.len(), |r| {
+        a[r.clone()]
+            .iter()
+            .zip(b[r].iter())
             .map(|(x, y)| x.conj() * *y)
-            .sum()
-    } else {
-        a.iter().zip(b.iter()).map(|(x, y)| x.conj() * *y).sum()
-    }
+            .sum::<Complex64>()
+    })
 }
 
 /// `y += alpha * x` (complex axpy).
@@ -167,22 +199,33 @@ pub fn apply_phases_indexed_sum(
         class_idx.len(),
         "phase kernel: state and class-index vectors must match"
     );
-    if parallel_kernels_enabled(state.len()) {
-        state
-            .par_iter_mut()
-            .zip(class_idx.par_iter())
-            .map(|(z, &k)| {
-                *z *= table[k as usize];
-                *z
-            })
-            .sum()
-    } else {
+    let fused = |state: &mut [Complex64], class_idx: &[u16]| {
         let mut sum = Complex64::ZERO;
         for (z, &k) in state.iter_mut().zip(class_idx.iter()) {
             *z *= table[k as usize];
             sum += *z;
         }
         sum
+    };
+    // The same fixed chunks and index-order combination as `chunked_sum`, over a
+    // mutable sweep.
+    if state.len() <= REDUCTION_CHUNK {
+        return fused(state, class_idx);
+    }
+    if parallel_kernels_enabled(state.len()) {
+        let partials: Vec<Complex64> = state
+            .par_chunks_mut(REDUCTION_CHUNK)
+            .zip(class_idx.par_chunks(REDUCTION_CHUNK))
+            .map(|(s, c)| fused(s, c))
+            .collect();
+        sum_in_order(partials.into_iter())
+    } else {
+        let chunks = state.chunks_mut(REDUCTION_CHUNK);
+        sum_in_order(
+            chunks
+                .zip(class_idx.chunks(REDUCTION_CHUNK))
+                .map(|(s, c)| fused(s, c)),
+        )
     }
 }
 
@@ -216,28 +259,18 @@ pub fn apply_neg_i_diag(state: &mut [Complex64], values: &[f64]) {
 /// `⟨β,γ|C(x)|β,γ⟩`.
 pub fn diagonal_expectation(state: &[Complex64], values: &[f64]) -> f64 {
     assert_eq!(state.len(), values.len());
-    if parallel_kernels_enabled(state.len()) {
-        state
-            .par_iter()
-            .zip(values.par_iter())
-            .map(|(z, &c)| z.norm_sqr() * c)
-            .sum()
-    } else {
-        state
+    chunked_sum(state.len(), |r| {
+        state[r.clone()]
             .iter()
-            .zip(values.iter())
+            .zip(values[r].iter())
             .map(|(z, &c)| z.norm_sqr() * c)
-            .sum()
-    }
+            .sum::<f64>()
+    })
 }
 
 /// Sum of all amplitudes `Σ ψ_x` (the un-normalised overlap with the uniform state).
 pub fn amplitude_sum(state: &[Complex64]) -> Complex64 {
-    if parallel_kernels_enabled(state.len()) {
-        state.par_iter().copied().sum()
-    } else {
-        state.iter().copied().sum()
-    }
+    chunked_sum(state.len(), |r| state[r].iter().copied().sum::<Complex64>())
 }
 
 /// Elementwise copy `dst ← src`.
@@ -450,6 +483,50 @@ mod tests {
             .sum();
         let par_exp = diagonal_expectation(&v, &costs);
         assert!((par_exp - serial_exp).abs() < 1e-6 * serial_exp.abs().max(1.0));
+    }
+
+    #[test]
+    fn reductions_are_bit_identical_with_and_without_outer_parallelism() {
+        // Four chunks: the unguarded call takes the parallel path (at the default
+        // threshold), the guarded one the serial path; both must agree to the bit.
+        let n = 4 * REDUCTION_CHUNK;
+        let v = vec_of(n, |i| {
+            Complex64::new(
+                ((i * 37) % 101) as f64 * 0.013 - 0.6,
+                ((i * 11) % 29) as f64 * 0.07 - 1.0,
+            )
+        });
+        let w = vec_of(n, |i| {
+            Complex64::new(((i * 5) % 17) as f64 * 0.1, -(((i * 3) % 7) as f64))
+        });
+        let costs: Vec<f64> = (0..n).map(|i| ((i * 31) % 23) as f64 - 11.5).collect();
+        let class_idx: Vec<u16> = (0..n).map(|i| (i % 5) as u16).collect();
+        let mut table = Vec::new();
+        build_phase_table(&[0.0, 1.0, -2.0, 3.5, 7.0], 0.37, &mut table);
+        let bits = |z: Complex64| (z.re.to_bits(), z.im.to_bits());
+        let run = || {
+            let mut phased = v.clone();
+            (
+                norm_sqr(&v).to_bits(),
+                bits(inner(&v, &w)),
+                diagonal_expectation(&v, &costs).to_bits(),
+                bits(amplitude_sum(&v)),
+                bits(apply_phases_indexed_sum(&mut phased, &class_idx, &table)),
+            )
+        };
+        let unguarded = run();
+        let guarded = {
+            let _outer = crate::enter_outer_parallelism();
+            run()
+        };
+        assert_eq!(unguarded, guarded);
+        // Both equal the index-order sum of per-chunk serial partials.
+        let by_chunks = v
+            .chunks(REDUCTION_CHUNK)
+            .map(|c| c.iter().map(|z| z.norm_sqr()).sum::<f64>())
+            .reduce(|a, b| a + b)
+            .unwrap();
+        assert_eq!(unguarded.0, by_chunks.to_bits());
     }
 
     #[test]

@@ -1,25 +1,27 @@
 //! The unified mixer type consumed by the simulator.
 //!
-//! [`Mixer`] wraps the three pre-computed mixer families behind one interface:
+//! [`Mixer`] wraps the mixer families behind one interface:
 //! `apply_evolution` applies `e^{-iβ H_M}` in place and `apply_hamiltonian` applies
 //! `H_M` itself (needed by the adjoint gradient).  Both take a caller-provided scratch
 //! buffer so repeated simulation rounds never allocate — the "pre-allocate and re-use
 //! memory, allowing for functionally zero overhead" point of §2.2.
 
+use crate::custom::SubspaceMixer;
 use crate::grover::GroverMixer;
 use crate::pauli_x::PauliXMixer;
-use crate::xy::SubspaceMixer;
+use crate::xy::XYMixer;
 use juliqaoa_linalg::{walsh, Complex64};
 
-/// A pre-computed mixer Hamiltonian, ready to apply to a statevector.
+/// A mixer Hamiltonian, ready to apply to a statevector.
 #[derive(Clone, Debug)]
 pub enum Mixer {
     /// Sum of Pauli-X strings on the full `2ⁿ` space, diagonalised by `H^{⊗n}`.
     PauliX(PauliXMixer),
     /// The Grover mixer `|ψ₀⟩⟨ψ₀|` on a feasible set of any dimension.
     Grover(GroverMixer),
-    /// A mixer on a feasible subspace applied through its eigendecomposition
-    /// (Clique, Ring, or custom).
+    /// The Clique or Ring XY mixer on the weight-k subspace, applied matrix-free.
+    XY(XYMixer),
+    /// A custom mixer on a feasible subspace applied through its eigendecomposition.
     Subspace(SubspaceMixer),
 }
 
@@ -41,12 +43,12 @@ impl Mixer {
 
     /// The Clique mixer on the weight-k subspace (Listing 2's `mixer_clique(n, k)`).
     pub fn clique(n: usize, k: usize) -> Self {
-        Mixer::Subspace(crate::xy::clique_mixer(n, k))
+        Mixer::XY(XYMixer::clique(n, k))
     }
 
     /// The Ring mixer on the weight-k subspace.
     pub fn ring(n: usize, k: usize) -> Self {
-        Mixer::Subspace(crate::xy::ring_mixer(n, k))
+        Mixer::XY(XYMixer::ring(n, k))
     }
 
     /// Dimension of the space the mixer acts on (and of the statevectors it accepts).
@@ -54,7 +56,19 @@ impl Mixer {
         match self {
             Mixer::PauliX(m) => m.dim(),
             Mixer::Grover(m) => m.dim(),
+            Mixer::XY(m) => m.dim(),
             Mixer::Subspace(m) => m.dim(),
+        }
+    }
+
+    /// Heap bytes the mixer holds (per-thread apply buffers excluded) — what a cache
+    /// of built mixers should charge for one.
+    pub fn bytes(&self) -> usize {
+        match self {
+            Mixer::PauliX(m) => m.bytes(),
+            Mixer::Grover(_) => 0,
+            Mixer::XY(m) => m.bytes(),
+            Mixer::Subspace(m) => m.bytes(),
         }
     }
 
@@ -63,13 +77,14 @@ impl Mixer {
         match self {
             Mixer::PauliX(m) => format!("pauli_x({} terms, n={})", m.terms().len(), m.n()),
             Mixer::Grover(m) => format!("grover(dim={})", m.dim()),
+            Mixer::XY(m) => m.name().to_string(),
             Mixer::Subspace(m) => m.name().to_string(),
         }
     }
 
     /// Applies `e^{-iβ H_M}` to the state in place.  `scratch` must have the same length
-    /// as `state`; it is only written to for subspace mixers but is always required so
-    /// callers can use a single uniform loop.
+    /// as `state`; it is only written to for XY and custom subspace mixers but is always
+    /// required so callers can use a single uniform loop.
     ///
     /// # Panics
     /// Panics on dimension mismatches.
@@ -83,10 +98,8 @@ impl Mixer {
                 self.evolve_from_eigenbasis(beta, state);
             }
             Mixer::Grover(m) => m.apply_evolution(beta, state),
-            Mixer::Subspace(m) => {
-                assert_eq!(scratch.len(), m.dim(), "scratch dimension mismatch");
-                m.apply_evolution(beta, state, scratch);
-            }
+            Mixer::XY(m) => m.apply_evolution(beta, state, scratch),
+            Mixer::Subspace(m) => m.apply_evolution(beta, state, scratch),
         }
     }
 
@@ -144,10 +157,8 @@ impl Mixer {
                 walsh::walsh_hadamard(state);
             }
             Mixer::Grover(m) => m.apply_hamiltonian(state),
-            Mixer::Subspace(m) => {
-                assert_eq!(scratch.len(), m.dim(), "scratch dimension mismatch");
-                m.apply_hamiltonian(state, scratch);
-            }
+            Mixer::XY(m) => m.apply_hamiltonian(state, scratch),
+            Mixer::Subspace(m) => m.apply_hamiltonian(state, scratch),
         }
     }
 

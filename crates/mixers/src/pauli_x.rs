@@ -164,6 +164,17 @@ impl PauliXMixer {
         self.diag_classes.as_ref().map(|c| c.distinct.len())
     }
 
+    /// Heap bytes of the terms, the `2ⁿ` diagonal and its compression.
+    pub fn bytes(&self) -> usize {
+        let classes = self
+            .diag_classes
+            .as_ref()
+            .map_or(0, |c| 8 * c.distinct.capacity() + 2 * c.index.capacity());
+        std::mem::size_of::<XTerm>() * self.terms.capacity()
+            + 8 * self.eigenvalues.capacity()
+            + classes
+    }
+
     /// Applies `e^{-iβ·diag(λ)}` in the Hadamard basis.
     ///
     /// Table-driven when the spectrum compresses (one `cis` per distinct eigenvalue,

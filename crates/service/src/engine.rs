@@ -47,6 +47,7 @@ use crate::spec::{
 };
 use juliqaoa_combinatorics::DickeSubspace;
 use juliqaoa_core::{Angles, PrefixCache, QaoaError, Simulator};
+use juliqaoa_mixers::Mixer;
 use juliqaoa_optim::{
     basinhopping_with_control, grid_search_ordered, qaoa_axis_order, random_restart_with_control,
     BasinHoppingOptions, Objective, OptimizeResult, PrefixCacheHome, QaoaObjective,
@@ -252,6 +253,17 @@ impl EngineTelemetry {
 struct SimSlot {
     sim: Arc<Simulator>,
     pool: Vec<PrefixCache>,
+}
+
+impl SimSlot {
+    /// The slot's LRU weight: the simulator's copy of the prepared data, its mixers'
+    /// own memory (hop tables or a custom eigendecomposition) and the caches parked in
+    /// the pool right now.
+    fn weight(&self, prepared_bytes: u64) -> u64 {
+        let mixers: usize = self.sim.mixers().iter().map(Mixer::bytes).sum();
+        let pooled: usize = self.pool.iter().map(|cache| cache.bytes()).sum();
+        prepared_bytes + (mixers + pooled) as u64
+    }
 }
 
 /// The simulator-slot cache: shared, individually locked slots per `(instance, mixer)`.
@@ -521,23 +533,24 @@ impl Engine {
             prepared.classes.clone(),
             vec![mixer],
         )?;
-        let slot = Arc::new(Mutex::new(SimSlot {
+        let slot = SimSlot {
             sim: Arc::new(sim),
             pool: Vec::new(),
-        }));
-        // A fresh slot weighs only the simulator's copy of the prepared data; the
-        // checkpoint pool's bytes are charged as they are actually parked (see
-        // `update_slot_weight`), so an idle slot never pays for warmth it does not
-        // hold — charging the whole-pool worst case up front would cut co-resident
-        // slots ~4× at larger `n` for no resident memory at all.
+        };
+        // A fresh slot weighs the simulator's copy of the prepared data plus its
+        // mixer; the checkpoint pool's bytes are charged as they are actually parked
+        // (see `update_slot_weight`), so an idle slot never pays for warmth it does
+        // not hold — charging the whole-pool worst case up front would cut
+        // co-resident slots ~4× at larger `n` for no resident memory at all.
+        let weight = slot.weight(prepared.approx_bytes());
         Ok(self
             .sims
-            .get_or_insert_weighted(key, slot, prepared.approx_bytes()))
+            .get_or_insert_weighted(key, Arc::new(Mutex::new(slot)), weight))
     }
 
-    /// Re-prices a slot in the LRU as the sum of its prepared data and the bytes its
-    /// pool *actually* parks right now.  Called after every checkout (weight drops)
-    /// and park (weight grows).  Uses `update_weight`, never an insert: if the LRU
+    /// Re-prices a slot in the LRU as the sum of its prepared data, its mixer and the
+    /// bytes its pool *actually* parks right now.  Called after every checkout (weight
+    /// drops) and park (weight grows).  Uses `update_weight`, never an insert: if the LRU
     /// has already evicted this slot, a job still holding its `Arc` must not
     /// resurrect it and evict a live slot in its place — the orphaned pool simply
     /// dies with the last `Arc`.  Concurrent jobs may briefly leave the recorded
@@ -548,12 +561,11 @@ impl Engine {
         slot: &Arc<Mutex<SimSlot>>,
         prepared_bytes: u64,
     ) {
-        let pooled: usize = {
-            let slot = slot.lock().expect("sim slot poisoned");
-            slot.pool.iter().map(|cache| cache.bytes()).sum()
-        };
-        self.sims
-            .update_weight(&key, prepared_bytes + pooled as u64);
+        let weight = slot
+            .lock()
+            .expect("sim slot poisoned")
+            .weight(prepared_bytes);
+        self.sims.update_weight(&key, weight);
     }
 
     /// Fetches (or computes and caches) the pre-computation for a built problem.
@@ -1232,6 +1244,34 @@ mod tests {
         assert_eq!(a.expectation.to_bits(), a2.expectation.to_bits());
         assert_eq!(a.angles, a2.angles);
         drop(b);
+    }
+
+    #[test]
+    fn slot_weight_charges_the_mixer_memory() {
+        // A Clique job's slot must weigh at least its prepared data plus the mixer's
+        // hop tables, so the byte budget sees the mixer memory.
+        let engine = Engine::new(8);
+        let job = JobSpec {
+            id: "clique".into(),
+            problem: ProblemSpec::DensestKSubgraphGnp {
+                n: 8,
+                k: 4,
+                instance: 0,
+            },
+            mixer: MixerSpec::Clique,
+            ..quick_job("clique", 0, 1)
+        };
+        engine.run_job(&job, &RunControl::new()).unwrap();
+        let problem = job.problem.build().unwrap();
+        let mixer_bytes = job.mixer.build(&problem).unwrap().bytes() as u64;
+        let prepared_bytes = engine.prepare(&problem).0.approx_bytes();
+        assert!(mixer_bytes > 0);
+        assert_eq!(engine.cached_simulators(), 1);
+        assert!(
+            engine.sims.total_weight() >= prepared_bytes + mixer_bytes,
+            "slot weight {} misses the mixer's {mixer_bytes} bytes",
+            engine.sims.total_weight()
+        );
     }
 
     #[test]

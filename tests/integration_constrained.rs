@@ -2,7 +2,7 @@
 //! k-Subgraph with the Clique mixer and Max k-Vertex-Cover with the Ring mixer, the two
 //! constrained problem/mixer pairs of Figure 2.
 
-use juliqaoa::mixers::{cache, clique_mixer, ring_mixer, GroverMixer, Mixer};
+use juliqaoa::mixers::{build_xy_hamiltonian, CustomMixer, GroverMixer, Mixer, XYCoupling};
 use juliqaoa::prelude::*;
 use juliqaoa::problems::degeneracies_dicke;
 use rand::rngs::StdRng;
@@ -117,34 +117,24 @@ fn clique_and_ring_mixers_agree_at_zero_angles_and_differ_otherwise() {
 }
 
 #[test]
-fn cached_clique_mixer_reproduces_fresh_computation() {
+fn matrix_free_clique_mixer_reproduces_the_dense_eigendecomposition() {
+    // The Clique mixer never forms its matrix; inside a simulation it must agree with
+    // the dense eigendecomposition JuliQAOA computes.
     let n = 7;
     let k = 3;
-    let path = std::env::temp_dir().join(format!(
-        "juliqaoa_integration_clique_{}_{}.json",
-        std::process::id(),
-        7
-    ));
-    let _ = std::fs::remove_file(&path);
-    let fresh = clique_mixer(n, k);
-    let cached_first = cache::clique_mixer_cached(n, k, &path).unwrap();
-    let cached_second = cache::clique_mixer_cached(n, k, &path).unwrap();
-    assert_eq!(fresh.eigenvalues(), cached_first.eigenvalues());
-    assert_eq!(cached_first.eigenvalues(), cached_second.eigenvalues());
-
-    // The loaded mixer must behave identically inside a simulation.
+    let h = build_xy_hamiltonian(&DickeSubspace::new(n, k), XYCoupling::Clique);
+    let dense = CustomMixer::from_symmetric("clique-dense", &h);
     let (obj, _) = densest_setup(n, k, 44);
     let angles = Angles::random(3, &mut StdRng::seed_from_u64(5));
-    let a = Simulator::new(obj.clone(), Mixer::Subspace(fresh))
+    let a = Simulator::new(obj.clone(), Mixer::clique(n, k))
         .unwrap()
         .expectation(&angles)
         .unwrap();
-    let b = Simulator::new(obj, Mixer::Subspace(cached_second))
+    let b = Simulator::new(obj, Mixer::Subspace(dense))
         .unwrap()
         .expectation(&angles)
         .unwrap();
-    assert!((a - b).abs() < 1e-9);
-    std::fs::remove_file(&path).unwrap();
+    assert!((a - b).abs() < 1e-10);
 }
 
 #[test]
@@ -172,7 +162,7 @@ fn adjoint_gradient_matches_finite_differences_for_ring_mixer() {
     let n = 7;
     let k = 3;
     let (obj, _) = densest_setup(n, k, 55);
-    let sim = Simulator::new(obj, Mixer::Subspace(ring_mixer(n, k))).unwrap();
+    let sim = Simulator::new(obj, Mixer::ring(n, k)).unwrap();
     let angles = Angles::random(3, &mut StdRng::seed_from_u64(6));
     let mut ws = sim.workspace();
     let grad = adjoint_gradient(&sim, &angles, &mut ws).unwrap();
