@@ -24,7 +24,9 @@
 use crate::engine::{Engine, ServiceError};
 use crate::journal::{self, FsyncPolicy, Journal, LineCheck};
 use crate::retry::RetryPolicy;
-use crate::spans::{format_trace_parent, parse_trace_parent, TRACE_PARENT_ENV};
+use crate::spans::{
+    default_trace_cap, format_trace_parent, parse_trace_parent, trace_collector, TRACE_PARENT_ENV,
+};
 use crate::spec::{JobFile, JobSpec};
 use juliqaoa_combinatorics::seeding::fold_bits;
 use juliqaoa_linalg::enter_outer_parallelism;
@@ -34,9 +36,9 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashSet;
 use std::fs::File;
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{BufRead, BufReader};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Summary of a batch run.
@@ -158,25 +160,11 @@ pub fn run_batch(
     )
 }
 
-/// Builds the span collector a batch run records into — per-job root spans and
-/// the engine's per-stage children — mirroring every span to `trace_path` as
-/// JSONL when set.
+/// The span collector a batch run records into — per-job root spans and the
+/// engine's per-stage children — mirrored to `--trace-out` when set.
 fn batch_span_collector(trace_path: Option<&Path>) -> Result<Arc<SpanCollector>, ServiceError> {
-    let spans = Arc::new(SpanCollector::new(
-        crate::spans::default_trace_cap(),
-        crate::spans::collector_salt(),
-    ));
-    if let Some(path) = trace_path {
-        let file = File::create(path)
-            .map_err(|e| ServiceError::Io(format!("creating {}: {e}", path.display())))?;
-        let out = Arc::new(Mutex::new(std::io::BufWriter::new(file)));
-        spans.set_sink(Box::new(move |span: &Span| {
-            let mut w = out.lock().expect("trace out lock");
-            let _ = writeln!(w, "{}", span.to_json_line());
-            let _ = w.flush();
-        }));
-    }
-    Ok(spans)
+    trace_collector(trace_path, default_trace_cap())
+        .map_err(|e| ServiceError::Io(format!("creating trace file: {e}")))
 }
 
 /// [`run_batch`] with explicit fault-tolerance options.
@@ -871,15 +859,24 @@ mod tests {
 
     #[test]
     fn a_panicking_job_fails_structured_and_the_batch_continues() {
-        // The engine's chaos hook panics the job whose id matches; the id is unique
-        // to this test, so concurrently running tests are unaffected.
-        crate::engine::set_test_panic_job_id(Some("batch-boom"));
+        // A fault plan panics every attempt of the job whose id matches; the id
+        // is unique to this test, so concurrently running tests are unaffected.
+        let _plan = crate::fault::tests::PLAN_TEST_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        crate::fault::install(crate::fault::FaultPlan {
+            panic_jobs: vec![crate::fault::PanicFault {
+                id: "batch-boom".into(),
+                times: u32::MAX,
+            }],
+            ..Default::default()
+        });
         let out = temp_path("panic");
         let mut jobs = tiny_jobs(3);
         jobs[1].id = "batch-boom".into();
         let engine = Engine::new(8);
         let summary = run_batch(&engine, &jobs, &out, true).unwrap();
-        crate::engine::set_test_panic_job_id(None);
+        crate::fault::clear();
         assert_eq!(summary.executed, 3);
         assert_eq!(summary.failed, 1, "the panic becomes a structured failure");
         let text = std::fs::read_to_string(&out).unwrap();

@@ -334,31 +334,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// In-process override for the panic chaos hook (see [`set_test_panic_job_id`]).
-static TEST_PANIC_JOB_ID: Mutex<Option<String>> = Mutex::new(None);
-
-/// Test-only: makes the next job whose id equals `id` panic mid-run, exercising
-/// worker-pool panic isolation.  Tests must use this setter rather than mutating
-/// the `JULIQAOA_TEST_PANIC_JOB_ID` environment variable — `std::env::set_var`
-/// racing another thread's `getenv` is undefined behaviour on glibc.  The
-/// environment variable remains the hook for *spawned* processes (CI smoke),
-/// where it is set before the process starts and never mutated at runtime.
-#[doc(hidden)]
-pub fn set_test_panic_job_id(id: Option<&str>) {
-    *TEST_PANIC_JOB_ID.lock().expect("panic hook lock poisoned") = id.map(str::to_string);
-}
-
-fn test_panic_job_id_matches(job_id: &str) -> bool {
-    if let Some(target) = TEST_PANIC_JOB_ID
-        .lock()
-        .expect("panic hook lock poisoned")
-        .as_deref()
-    {
-        return target == job_id;
-    }
-    std::env::var("JULIQAOA_TEST_PANIC_JOB_ID").is_ok_and(|target| target == job_id)
-}
-
 /// The shared execution engine: instance cache, simulator slots and counters.
 pub struct Engine {
     cache: ShardedLru<InstanceId, Arc<PreparedObjective>>,
@@ -826,15 +801,9 @@ impl Engine {
                     .into(),
             ));
         }
-        // Chaos hooks for tests and CI smoke: a matching job id panics mid-run,
-        // exercising the worker pool's panic isolation end-to-end.  The legacy
-        // single-id hook panics unconditionally; a [`crate::fault::FaultPlan`]
-        // budgets its panics per attempt, so retry tests can watch a job fail
-        // deterministically `times` times and then succeed.
-        if test_panic_job_id_matches(&spec.id) {
-            // lint:allow(R3, intentional fault-injection hook - the panic is the feature under test)
-            panic!("test hook: job {:?} panicked mid-run", spec.id);
-        }
+        // Chaos hook for tests and CI smoke: a [`crate::fault::FaultPlan`] panics
+        // a named job mid-run for its first `times` attempts, exercising the
+        // worker pool's panic isolation (and, with a retry policy, recovery).
         if crate::fault::job_should_panic(&spec.id) {
             // lint:allow(R3, intentional fault-injection hook - the panic is the feature under test)
             panic!("fault injection: job {:?} panicked mid-run", spec.id);
@@ -1552,6 +1521,9 @@ mod tests {
 
     #[test]
     fn transient_panics_are_retried_under_a_policy_and_tallied() {
+        let _plan = crate::fault::tests::PLAN_TEST_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let engine = Engine::new(8);
         // The job panics on its first attempt only; the retry must then succeed.
         crate::fault::install(crate::fault::FaultPlan {

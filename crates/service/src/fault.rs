@@ -1,12 +1,11 @@
 //! Deterministic fault injection: a seeded, replayable chaos plan.
 //!
-//! The engine's original chaos hook was a single hard-coded environment variable
-//! (`JULIQAOA_TEST_PANIC_JOB_ID`) that could do exactly one thing: panic one job,
-//! every time it ran.  A [`FaultPlan`] generalises it into a small declarative plan
-//! covering the failure surface the service actually has:
+//! A [`FaultPlan`] is a small declarative plan covering the failure surface the
+//! service actually has:
 //!
 //! * **`panic_jobs`** — panic a named job mid-run, for its first `times` attempts
-//!   (so `times: 1` + a retry policy exercises *recovery*, not just isolation);
+//!   (so `times: 1` + a retry policy exercises *recovery*, not just isolation, and
+//!   `times: 4294967295` panics every attempt — the CI panic-isolation smoke);
 //! * **`fail_writes`** — inject an I/O error on the `k`-th journal write (0-based,
 //!   counted process-wide), exercising the batch writer's retry path;
 //! * **`torn_write_at`** — on the `k`-th journal write, write only a prefix of the
@@ -47,7 +46,7 @@ pub struct PanicFault {
     /// The job id to hit.
     pub id: String,
     /// How many attempts panic before the job is allowed to succeed
-    /// (`u32::MAX` ⇒ every attempt, the legacy env-hook behaviour).
+    /// (`u32::MAX` ⇒ every attempt: a job that always panics).
     pub times: u32,
 }
 
@@ -339,8 +338,12 @@ pub fn next_write_fault() -> WriteFault {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Serialises the unit tests that install a plan: they share one test
+    /// binary, and each [`install`] replaces the process-global plan.
+    pub(crate) static PLAN_TEST_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn plans_round_trip_and_tolerate_missing_fields() {

@@ -52,11 +52,6 @@ impl HttpError {
     }
 }
 
-/// Reads one request from the stream at the default body-size limit.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
-    read_request_limited(stream, DEFAULT_MAX_BODY_BYTES)
-}
-
 /// Reads one request from the stream, rejecting bodies larger than
 /// `max_body_bytes` with a structured `413` *before* allocating for them — an
 /// unbounded `Content-Length` must never translate into an unbounded
@@ -176,22 +171,13 @@ fn reason(status: u16) -> &'static str {
 
 /// Writes a JSON response and flushes; errors are ignored (the client is gone).
 pub fn write_json(stream: &mut TcpStream, status: u16, json: &str) {
-    write_json_with_headers(stream, status, &[], json);
-}
-
-/// [`write_json`] with extra response headers (e.g. `Retry-After` on a 503).
-pub fn write_json_with_headers(
-    stream: &mut TcpStream,
-    status: u16,
-    headers: &[(&str, String)],
-    json: &str,
-) {
-    write_body(stream, status, "application/json", headers, json);
+    write_body(stream, status, "application/json", &[], json);
 }
 
 /// Writes a response with a caller-chosen `Content-Type` (the Prometheus
-/// `/metrics` endpoint serves `text/plain; version=0.0.4`) and flushes; errors
-/// are ignored (the client is gone).
+/// `/metrics` endpoint serves `text/plain; version=0.0.4`) and extra headers
+/// (`Retry-After` on a 503), and flushes; errors are ignored (the client is
+/// gone).
 pub fn write_body(
     stream: &mut TcpStream,
     status: u16,
@@ -321,7 +307,7 @@ mod tests {
             s.write_all(&raw).unwrap();
         });
         let (mut stream, _) = listener.accept().unwrap();
-        let out = read_request(&mut stream);
+        let out = read_request_limited(&mut stream, DEFAULT_MAX_BODY_BYTES);
         writer.join().unwrap();
         out
     }
@@ -362,7 +348,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            let req = read_request(&mut stream).unwrap();
+            let req = read_request_limited(&mut stream, DEFAULT_MAX_BODY_BYTES).unwrap();
             assert_eq!(req.trace.as_deref(), Some("deadbeef00000001"));
             write_json(&mut stream, 200, "{}");
         });
@@ -421,7 +407,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            let req = read_request(&mut stream).unwrap();
+            let req = read_request_limited(&mut stream, DEFAULT_MAX_BODY_BYTES).unwrap();
             assert_eq!(req.method, "POST");
             assert_eq!(req.path, "/echo");
             write_json(&mut stream, 200, &String::from_utf8_lossy(&req.body));

@@ -15,17 +15,21 @@
 //!                    [--probe-interval-ms N] [--probe-timeout-ms N] [--trip-after N]
 //!                    [--backend-timeout-ms N] [--hedge-after-ms N] [--retries N]
 //!                    [--max-body-bytes N] [--trace-out trace.jsonl] [--trace-ring-cap N]
+//!                    [--read-timeout-ms N] [--write-timeout-ms N]
 //! qaoa-service example-jobs <path> [--count N] [--n QUBITS]
 //! ```
 //!
-//! `serve` and `route` install a SIGTERM handler: on receipt the process stops
-//! accepting connections and drains (in-flight jobs under the `--drain-ms`
-//! budget for serve; the prober thread for route).
+//! `serve` and `route` share the listener and trace flags (`--addr`,
+//! `--read-timeout-ms`, `--write-timeout-ms`, `--max-body-bytes`, `--trace-out`,
+//! `--trace-ring-cap`), and both list their endpoints at `GET /`.  They install a
+//! SIGTERM handler: on receipt the process stops accepting connections and drains
+//! (in-flight jobs under the `--drain-ms` budget for serve; the prober thread for
+//! route).
 
 use juliqaoa_service::{
     load_job_file, run_batch_sharded, run_batch_with, BatchOptions, Engine, FsyncPolicy, JobFile,
-    JobSpec, MixerSpec, OptimizerSpec, ProblemSpec, RetryPolicy, Router, RouterConfig, Server,
-    ServerConfig,
+    JobSpec, MixerSpec, OpsConfig, OptimizerSpec, ProblemSpec, RetryPolicy, Router, RouterConfig,
+    Server, ServerConfig,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -74,6 +78,7 @@ const USAGE: &str = "usage:
                      [--probe-interval-ms N] [--probe-timeout-ms N] [--trip-after N]
                      [--backend-timeout-ms N] [--hedge-after-ms N] [--retries N]
                      [--max-body-bytes N] [--trace-out trace.jsonl] [--trace-ring-cap N]
+                     [--read-timeout-ms N] [--write-timeout-ms N]
   qaoa-service example-jobs <path> [--count N] [--n QUBITS]";
 
 /// Pulls the value after a `--flag`, parsing it with `parse`.
@@ -88,6 +93,33 @@ fn flag_value<T>(
         .get(*i)
         .ok_or_else(|| format!("{flag} requires a value"))?;
     parse(raw).ok_or_else(|| format!("invalid value {raw:?} for {flag}"))
+}
+
+/// Applies `args[*i]` when it is one of the listener/trace flags `serve` and
+/// `route` share; `Ok(false)` when it is not.
+fn ops_flag(ops: &mut OpsConfig, args: &[String], i: &mut usize) -> Result<bool, String> {
+    match args[*i].as_str() {
+        "--addr" => ops.addr = flag_value(args, i, "--addr", |s| Some(s.to_string()))?,
+        "--read-timeout-ms" => {
+            ops.read_timeout_ms = flag_value(args, i, "--read-timeout-ms", |s| s.parse().ok())?
+        }
+        "--write-timeout-ms" => {
+            ops.write_timeout_ms = flag_value(args, i, "--write-timeout-ms", |s| s.parse().ok())?
+        }
+        "--max-body-bytes" => {
+            ops.max_body_bytes = flag_value(args, i, "--max-body-bytes", |s| s.parse().ok())?
+        }
+        "--trace-out" => {
+            ops.trace_path = Some(flag_value(args, i, "--trace-out", |s| {
+                Some(PathBuf::from(s))
+            })?)
+        }
+        "--trace-ring-cap" => {
+            ops.trace_ring_cap = flag_value(args, i, "--trace-ring-cap", |s| s.parse().ok())?
+        }
+        _ => return Ok(false),
+    }
+    Ok(true)
 }
 
 fn parse_fsync(s: &str) -> Option<FsyncPolicy> {
@@ -216,7 +248,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--addr" => config.addr = flag_value(args, &mut i, "--addr", |s| Some(s.to_string()))?,
+            _ if ops_flag(&mut config.ops, args, &mut i)? => {}
             "--workers" => {
                 config.workers = flag_value(args, &mut i, "--workers", |s| s.parse().ok())?
             }
@@ -230,23 +262,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 config.results_path = Some(flag_value(args, &mut i, "--out", |s| {
                     Some(PathBuf::from(s))
                 })?)
-            }
-            "--trace-out" => {
-                config.trace_path = Some(flag_value(args, &mut i, "--trace-out", |s| {
-                    Some(PathBuf::from(s))
-                })?)
-            }
-            "--trace-ring-cap" => {
-                config.trace_ring_cap =
-                    flag_value(args, &mut i, "--trace-ring-cap", |s| s.parse().ok())?
-            }
-            "--read-timeout-ms" => {
-                config.read_timeout_ms =
-                    flag_value(args, &mut i, "--read-timeout-ms", |s| s.parse().ok())?
-            }
-            "--write-timeout-ms" => {
-                config.write_timeout_ms =
-                    flag_value(args, &mut i, "--write-timeout-ms", |s| s.parse().ok())?
             }
             "--default-timeout-ms" => {
                 config.default_timeout_ms =
@@ -273,10 +288,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 })?)
             }
             "--fsync" => config.fsync = flag_value(args, &mut i, "--fsync", parse_fsync)?,
-            "--max-body-bytes" => {
-                config.max_body_bytes =
-                    flag_value(args, &mut i, "--max-body-bytes", |s| s.parse().ok())?
-            }
             other => return Err(format!("unexpected argument {other:?}")),
         }
         i += 1;
@@ -284,9 +295,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     install_stop_signal();
     let server = Server::bind(config).map_err(|e| format!("bind failed: {e}"))?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;
-    eprintln!(
-        "qaoa-service listening on http://{addr} (POST /jobs, GET /metrics, GET /stats, GET /trace, POST /shutdown)"
-    );
+    eprintln!("qaoa-service listening on http://{addr} (GET / lists the endpoints)");
     server.run_until(&STOP_REQUESTED).map_err(|e| e.to_string())
 }
 
@@ -295,7 +304,7 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--addr" => config.addr = flag_value(args, &mut i, "--addr", |s| Some(s.to_string()))?,
+            _ if ops_flag(&mut config.ops, args, &mut i)? => {}
             "--backends" => {
                 config.cluster.backends = flag_value(args, &mut i, "--backends", |s| {
                     let list: Vec<String> = s
@@ -334,19 +343,6 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
                         |s| s.parse().ok()
                     })?)
             }
-            "--max-body-bytes" => {
-                config.max_body_bytes =
-                    flag_value(args, &mut i, "--max-body-bytes", |s| s.parse().ok())?
-            }
-            "--trace-out" => {
-                config.trace_path = Some(flag_value(args, &mut i, "--trace-out", |s| {
-                    Some(PathBuf::from(s))
-                })?)
-            }
-            "--trace-ring-cap" => {
-                config.trace_ring_cap =
-                    flag_value(args, &mut i, "--trace-ring-cap", |s| s.parse().ok())?
-            }
             other => return Err(format!("unexpected argument {other:?}")),
         }
         i += 1;
@@ -357,7 +353,7 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
     install_stop_signal();
     let router = Router::bind(config).map_err(|e| format!("bind failed: {e}"))?;
     let addr = router.local_addr().map_err(|e| e.to_string())?;
-    eprintln!("qaoa-service routing on http://{addr} (POST /jobs, GET /metrics, GET /stats, GET /trace, POST /shutdown)");
+    eprintln!("qaoa-service routing on http://{addr} (GET / lists the endpoints)");
     router.run_until(&STOP_REQUESTED).map_err(|e| e.to_string())
 }
 

@@ -28,73 +28,55 @@
 //!   hedged (they are not idempotent across backends).
 //!
 //! Router state is first-class observable: per-backend gauges, failover/hedge
-//! counters and route-latency histograms on `GET /metrics`, and
-//! `backend_up`/`backend_down`/`backend_tripped`/`failover`/`hedge` events in
-//! the same bounded trace ring serve mode uses (`GET /trace`, `--trace-out`).
+//! counters and route-latency histograms on `GET /metrics`; `route_submit`,
+//! `failover` and `hedge` spans under each job's trace, and `probe` spans plus
+//! `backend_up`/`backend_degraded`/`backend_tripped` events under
+//! [`OPS_TRACE`], in the same span ring serve mode uses (`GET /trace`,
+//! `--trace-out`).
+//!
+//! Endpoints: the route table in this module's `Tier` impl (job submission,
+//! proxied status, result and cancellation, `/metrics`, `/stats`, `/readyz`),
+//! followed by the shared [`crate::ops`] entries; `GET /` lists them all.
+//! `GET /trace/:id` merges the live backends' spans into the router's own.
 
-use crate::cluster::{Cluster, ClusterConfig};
+use crate::cluster::{Cluster, ClusterConfig, HealthTransition};
 use crate::http::{
-    client_request, client_request_with_headers, read_request_limited, write_body, write_error,
-    write_json, ClientResponse, Request, DEFAULT_MAX_BODY_BYTES,
+    client_request, client_request_with_headers, write_body, write_error, write_json,
+    ClientResponse,
 };
-use crate::server::{TraceBody, TraceEvent};
-use crate::spans::{default_trace_cap, span_from_value, trace_body, version_value, TRACE_HEADER};
-use crate::spec::{derive_trace_id, JobSpec};
-use juliqaoa_telemetry::{
-    encode, Counter, Histogram, PromWriter, Span, SpanCollector, TraceId, TraceRing,
-};
+use crate::ops::{self, parse_submission, reply_json, Call, Ops, OpsConfig, Route, Tier};
+use crate::spans::{event, span_from_value, OPS_TRACE, TRACE_HEADER};
+use crate::spec::derive_trace_id;
+use juliqaoa_telemetry::{encode, Counter, Histogram, PromWriter, Span, TraceId};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
-use std::io::Write as _;
-use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// The fixed trace id the router's operational spans (health probes) are
-/// recorded under — process-independent, so `GET /trace/:id` with this id
-/// always pulls the probe history.
-pub const OPS_TRACE: TraceId = TraceId::from_raw(0x00C0_FFEE_0B5E_70E5);
-
 /// Configuration for [`Router::bind`].
 #[derive(Clone, Debug)]
 pub struct RouterConfig {
-    /// Bind address for the router itself (`:0` picks a free port).
-    pub addr: String,
+    /// Listener, request limits and tracing (shared with `serve`).
+    pub ops: OpsConfig,
     /// Ring membership, probing and failover pacing.
     pub cluster: ClusterConfig,
-    /// Per-connection socket read timeout in milliseconds (client side).
-    pub read_timeout_ms: u64,
-    /// Per-connection socket write timeout in milliseconds (client side).
-    pub write_timeout_ms: u64,
     /// Timeout for one proxied request to a backend, in milliseconds.
     pub backend_timeout_ms: u64,
     /// Hedge threshold for idempotent reads: after this many milliseconds
     /// without a response from the owner, duplicate the poll to the ring
     /// successor.  `None` disables hedging.
     pub hedge_after_ms: Option<u64>,
-    /// Upper bound on request bodies (structured 413 beyond it).
-    pub max_body_bytes: usize,
-    /// Optional JSONL file trace events and spans are appended to.
-    pub trace_path: Option<PathBuf>,
-    /// Capacity of the lifecycle trace ring *and* the span collector
-    /// (`--trace-ring-cap`, falling back to `JULIQAOA_TRACE_CAP`, then 1024).
-    pub trace_ring_cap: usize,
 }
 
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            addr: "127.0.0.1:7979".into(),
+            ops: OpsConfig::at("127.0.0.1:7979"),
             cluster: ClusterConfig::default(),
-            read_timeout_ms: 5_000,
-            write_timeout_ms: 5_000,
             backend_timeout_ms: 10_000,
             hedge_after_ms: None,
-            max_body_bytes: DEFAULT_MAX_BODY_BYTES,
-            trace_path: None,
-            trace_ring_cap: default_trace_cap(),
         }
     }
 }
@@ -147,6 +129,7 @@ pub struct RouterStatsBody {
 
 /// State shared by the accept loop, proxy threads and the prober.
 struct RouterState {
+    ops: Ops,
     cluster: Cluster,
     config: RouterConfig,
     jobs: Mutex<HashMap<String, RoutedJob>>,
@@ -155,50 +138,22 @@ struct RouterState {
     failovers: Counter,
     hedged_reads: Counter,
     hedge_wins: Counter,
-    stop_requested: AtomicBool,
-    started: Instant,
     submit_ms: Histogram,
     read_ms: Histogram,
-    trace: TraceRing<TraceEvent>,
-    trace_seq: AtomicU64,
-    trace_out: Option<Arc<Mutex<std::io::BufWriter<std::fs::File>>>>,
-    /// Routing-side spans (`route_submit`, `failover`, `hedge`, `probe`) for
-    /// `GET /trace/:id`; mirrored to `trace_out`.
-    spans: Arc<SpanCollector>,
     /// Last `(trace hex, latency)` per route histogram — `/metrics` exemplars.
     last_submit_exemplar: Mutex<Option<(String, f64)>>,
     last_read_exemplar: Mutex<Option<(String, f64)>>,
 }
 
 impl RouterState {
-    /// Records a lifecycle event into the trace ring (and `--trace-out`).
-    fn trace_event(&self, event: &str, job: &str, detail: impl Into<String>) {
-        let entry = TraceEvent {
-            // relaxed: sequence allocator; fetch_add is atomic regardless of ordering.
-            seq: self.trace_seq.fetch_add(1, Ordering::Relaxed),
-            ts_ms: self.started.elapsed().as_secs_f64() * 1e3,
-            event: event.to_string(),
-            job: job.to_string(),
-            detail: detail.into(),
-        };
-        if let Some(out) = &self.trace_out {
-            if let Ok(line) = serde_json::to_string(&entry) {
-                let mut w = out.lock().expect("trace out lock");
-                let _ = writeln!(w, "{line}");
-                let _ = w.flush();
-            }
-        }
-        self.trace.push(entry);
-    }
-
     fn backend_timeout(&self) -> Duration {
         Duration::from_millis(self.config.backend_timeout_ms.max(1))
     }
 
-    /// Applies a health transition returned by the cluster to the trace ring.
-    fn trace_transition(&self, transition: Option<(&'static str, String)>) {
-        if let Some((event, detail)) = transition {
-            self.trace_event(event, "", detail);
+    /// Records a health transition returned by the cluster as an ops event.
+    fn trace_transition(&self, transition: Option<HealthTransition>) {
+        if let Some((name, detail)) = transition {
+            event(&self.ops.spans, OPS_TRACE, name, "", detail);
         }
     }
 }
@@ -217,26 +172,9 @@ impl Router {
                 "route mode needs at least one backend",
             ));
         }
-        let listener = TcpListener::bind(&config.addr)?;
-        let trace_out = match &config.trace_path {
-            Some(path) => Some(Arc::new(Mutex::new(std::io::BufWriter::new(
-                std::fs::File::create(path)?,
-            )))),
-            None => None,
-        };
-        let spans = Arc::new(SpanCollector::new(
-            config.trace_ring_cap.max(1),
-            crate::spans::collector_salt(),
-        ));
-        if let Some(out) = &trace_out {
-            let out = out.clone();
-            spans.set_sink(Box::new(move |span: &Span| {
-                let mut w = out.lock().expect("trace out lock");
-                let _ = writeln!(w, "{}", span.to_json_line());
-                let _ = w.flush();
-            }));
-        }
+        let (listener, ops) = Ops::bind(&config.ops)?;
         let state = Arc::new(RouterState {
+            ops,
             cluster: Cluster::new(config.cluster.clone()),
             jobs: Mutex::new(HashMap::new()),
             auto_id: AtomicU64::new(0),
@@ -244,14 +182,8 @@ impl Router {
             failovers: Counter::new(),
             hedged_reads: Counter::new(),
             hedge_wins: Counter::new(),
-            stop_requested: AtomicBool::new(false),
-            started: Instant::now(),
             submit_ms: Histogram::latency_ms(),
             read_ms: Histogram::latency_ms(),
-            trace: TraceRing::new(config.trace_ring_cap.max(1)),
-            trace_seq: AtomicU64::new(0),
-            trace_out,
-            spans,
             last_submit_exemplar: Mutex::new(None),
             last_read_exemplar: Mutex::new(None),
             config,
@@ -260,11 +192,8 @@ impl Router {
         // Up, and a chaos run's journal should show what the ring looked like
         // before the first probe ever fired.
         for backend in state.cluster.backends() {
-            state.trace_event(
-                "backend_up",
-                "",
-                format!("{} joined the ring", backend.addr),
-            );
+            let detail = format!("{} joined the ring", backend.addr);
+            event(&state.ops.spans, OPS_TRACE, "backend_up", "", detail);
         }
         Ok(Router { listener, state })
     }
@@ -281,7 +210,6 @@ impl Router {
 
     /// [`Router::run`], but also stops when `stop` becomes true (SIGTERM hook).
     pub fn run_until(self, stop: &AtomicBool) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
         let prober_stop = Arc::new(AtomicBool::new(false));
         let prober = {
             let state = self.state.clone();
@@ -290,27 +218,7 @@ impl Router {
                 .name("qaoa-router-prober".into())
                 .spawn(move || prober_loop(&state, &stop))?
         };
-        loop {
-            if stop.load(Ordering::SeqCst) || self.state.stop_requested.load(Ordering::SeqCst) {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((mut stream, _)) => {
-                    let _ = stream.set_nonblocking(false);
-                    let _ = stream.set_read_timeout(Some(Duration::from_millis(
-                        self.state.config.read_timeout_ms.max(1),
-                    )));
-                    let _ = stream.set_write_timeout(Some(Duration::from_millis(
-                        self.state.config.write_timeout_ms.max(1),
-                    )));
-                    handle_connection(&self.state, &mut stream);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(_) => {}
-            }
-        }
+        ops::serve_until(&self.listener, &*self.state, stop);
         prober_stop.store(true, Ordering::SeqCst);
         let _ = prober.join();
         Ok(())
@@ -334,41 +242,31 @@ fn prober_loop(state: &RouterState, stop: &AtomicBool) {
             let backend = state.cluster.backend(index);
             backend.probes.inc();
             let probe_started = Instant::now();
-            let outcome = client_request(&backend.addr, "GET", "/readyz", None, timeout);
-            let probe_ok = matches!(&outcome, Ok(resp) if resp.status == 200);
+            let failure = match client_request(&backend.addr, "GET", "/readyz", None, timeout) {
+                Ok(resp) if resp.status == 200 => None,
+                Ok(resp) => Some(format!("readyz returned {}", resp.status)),
+                Err(e) => Some(format!("probe failed: {e}")),
+            };
             // Probe spans live under the fixed ops trace, not a job trace —
             // `GET /trace/<OPS_TRACE>` is the probe history.
-            state.spans.record_closed(
+            state.ops.spans.record_closed(
                 OPS_TRACE,
                 None,
                 "probe",
                 probe_started.elapsed().as_secs_f64() * 1e3,
                 vec![
                     ("backend".to_string(), backend.addr.clone()),
-                    ("ok".to_string(), probe_ok.to_string()),
+                    ("ok".to_string(), failure.is_none().to_string()),
                 ],
             );
-            match outcome {
-                Ok(resp) if resp.status == 200 => {
-                    state.trace_transition(state.cluster.record_success(index));
-                }
-                Ok(resp) => {
+            let transition = match failure {
+                None => state.cluster.record_success(index),
+                Some(why) => {
                     backend.probe_failures.inc();
-                    state.trace_transition(
-                        state
-                            .cluster
-                            .record_failure(index, &format!("readyz returned {}", resp.status)),
-                    );
+                    state.cluster.record_failure(index, &why)
                 }
-                Err(e) => {
-                    backend.probe_failures.inc();
-                    state.trace_transition(
-                        state
-                            .cluster
-                            .record_failure(index, &format!("probe failed: {e}")),
-                    );
-                }
-            }
+            };
+            state.trace_transition(transition);
         }
         // Sleep in small steps so shutdown is prompt even with long intervals.
         let mut slept = Duration::ZERO;
@@ -380,64 +278,103 @@ fn prober_loop(state: &RouterState, stop: &AtomicBool) {
     }
 }
 
-fn handle_connection(state: &Arc<RouterState>, stream: &mut TcpStream) {
-    let request = match read_request_limited(stream, state.config.max_body_bytes) {
-        Ok(r) => r,
-        Err(e) => {
-            write_error(stream, e.status, &e.message);
-            return;
+impl Tier for RouterState {
+    #[rustfmt::skip]
+    const ROUTES: &'static [Route<Self>] = &[
+        Route::new("POST", "/jobs",            "Place a job on its ring owner", handle_submit),
+        Route::new("GET",  "/jobs/:id",        "Status from the owner (hedged)", handle_read),
+        Route::new("GET",  "/jobs/:id/result", "The JobResult from the owner", handle_read),
+        Route::new("POST", "/jobs/:id/cancel", "Cancellation, sent to the owner", handle_cancel),
+        Route::new("GET",  "/metrics",         "Prometheus text exposition", handle_prometheus),
+        Route::new("GET",  "/stats",           "Counters as JSON (RouterStatsBody)", handle_stats),
+        Route::new("GET",  "/readyz",          "503 while no backend is live", handle_readyz),
+    ];
+
+    fn ops(&self) -> &Ops {
+        &self.ops
+    }
+
+    /// The live backends' spans of `trace`; an unreachable backend degrades
+    /// the tree (its spans are simply absent) rather than failing the request.
+    /// Open circuits are skipped: the router serves one connection at a time,
+    /// so waiting out a wedged backend's timeout would stall every client.
+    fn remote_spans(&self, trace: TraceId) -> Vec<Span> {
+        let path = format!("/trace/{}", trace.to_hex());
+        let mut spans = Vec::new();
+        for backend in self.cluster.backends().iter().filter(|b| b.is_live()) {
+            let Ok(resp) =
+                client_request(&backend.addr, "GET", &path, None, self.backend_timeout())
+            else {
+                continue;
+            };
+            let Ok(body) = serde_json::from_str::<Value>(&resp.body) else {
+                continue;
+            };
+            if let Some(remote) = body.get_field("spans").and_then(Value::as_array) {
+                spans.extend(remote.iter().filter_map(span_from_value));
+            }
         }
-    };
-    route(state, stream, &request);
+        spans
+    }
 }
 
-fn route(state: &Arc<RouterState>, stream: &mut TcpStream, request: &Request) {
-    let path = request.path.trim_end_matches('/');
-    match (request.method.as_str(), path) {
-        ("POST", "/jobs") => handle_submit(state, stream, request),
-        ("GET", "/metrics") => handle_prometheus(state, stream),
-        ("GET", "/stats") => handle_stats(state, stream),
-        ("GET", "/trace") => handle_trace(state, stream),
-        ("GET", "/version") => handle_version(stream),
-        ("GET", "/healthz") => write_json(stream, 200, "{\"status\": \"ok\"}"),
-        ("GET", "/readyz") => {
-            // The router is ready exactly when it can place a job somewhere.
-            if state.cluster.live_count() > 0 {
-                write_json(stream, 200, "{\"status\": \"ready\"}")
-            } else {
-                write_error(stream, 503, "no live backend")
-            }
-        }
-        ("POST", "/shutdown") => {
-            state.stop_requested.store(true, Ordering::SeqCst);
-            write_json(stream, 200, "{\"status\": \"shutting down\"}");
-        }
-        (method, path) => {
-            if let Some(rest) = path.strip_prefix("/jobs/") {
-                match (
-                    method,
-                    rest.strip_suffix("/result"),
-                    rest.strip_suffix("/cancel"),
-                ) {
-                    ("GET", Some(id), _) => {
-                        handle_proxied_read(state, stream, id, &format!("/jobs/{id}/result"))
-                    }
-                    ("POST", _, Some(id)) => handle_cancel(state, stream, id),
-                    ("GET", None, None) => {
-                        handle_proxied_read(state, stream, rest, &format!("/jobs/{rest}"))
-                    }
-                    _ => write_error(stream, 405, "method not allowed"),
-                }
-            } else if let Some(trace_hex) = path.strip_prefix("/trace/") {
-                match method {
-                    "GET" => handle_trace_id(state, stream, trace_hex),
-                    _ => write_error(stream, 405, "method not allowed"),
-                }
-            } else {
-                write_error(stream, 404, "no such endpoint");
-            }
-        }
+fn handle_readyz(state: &RouterState, call: &mut Call<'_>) {
+    // The router is ready exactly when it can place a job somewhere.
+    if state.cluster.live_count() > 0 {
+        write_json(call.stream, 200, "{\"status\": \"ready\"}")
+    } else {
+        write_error(call.stream, 503, "no live backend")
     }
+}
+
+/// Posts a job's spec to the backends of `order` in turn until one answers
+/// with `accepted`, returning that backend's index, its response and the
+/// number of failed attempts before it.  Every outcome feeds the backend's
+/// circuit breaker.
+fn place(
+    state: &RouterState,
+    id: &str,
+    trace: TraceId,
+    body: &str,
+    order: &[usize],
+    accepted: fn(&ClientResponse) -> bool,
+) -> Result<(usize, ClientResponse, u32), String> {
+    let mut attempt = 0u32;
+    let mut last_error = String::from("no other backend");
+    for (position, &index) in order.iter().enumerate() {
+        let backend = state.cluster.backend(index);
+        // Skip open circuits, but never skip the last candidate: with every
+        // breaker open the request must still be *tried* somewhere, otherwise a
+        // transient all-down blip turns into guaranteed rejection.
+        if !backend.is_live() && position + 1 < order.len() {
+            continue;
+        }
+        if attempt > 0 {
+            // Seeded failover pacing: the schedule is a pure function of
+            // (retry seed, job id, attempt), so chaos runs replay exactly.
+            std::thread::sleep(state.cluster.config().retry.delay(id, attempt - 1));
+        }
+        // Propagate the trace id so the backend adopts it instead of
+        // re-deriving — the routed edge and the executing edge share one trace.
+        match client_request_with_headers(
+            &backend.addr,
+            "POST",
+            "/jobs",
+            &[(TRACE_HEADER, trace.to_hex())],
+            Some(body),
+            state.backend_timeout(),
+        ) {
+            Ok(resp) if accepted(&resp) => {
+                state.trace_transition(state.cluster.record_success(index));
+                return Ok((index, resp, attempt));
+            }
+            Ok(resp) => last_error = format!("{} returned {}", backend.addr, resp.status),
+            Err(e) => last_error = format!("{}: {e}", backend.addr),
+        }
+        state.trace_transition(state.cluster.record_failure(index, &last_error));
+        attempt += 1;
+    }
+    Err(last_error)
 }
 
 /// Submits a spec to its ring placement, walking the deterministic failover
@@ -451,102 +388,39 @@ fn submit_with_failover(
 ) -> Result<(usize, ClientResponse), String> {
     let started = Instant::now();
     let candidates = state.cluster.candidates(key);
-    let mut attempt = 0u32;
-    let mut last_error = String::from("no backends configured");
-    for (position, &index) in candidates.iter().enumerate() {
-        let backend = state.cluster.backend(index);
-        // Skip open circuits, but never skip the last candidate: with every
-        // breaker open the request must still be *tried* somewhere, otherwise a
-        // transient all-down blip turns into guaranteed rejection.
-        if !backend.is_live() && position + 1 < candidates.len() {
-            continue;
-        }
-        if attempt > 0 {
-            // Seeded failover pacing: the schedule is a pure function of
-            // (retry seed, job id, attempt), so chaos runs replay exactly.
-            std::thread::sleep(state.cluster.config().retry.delay(job_id, attempt - 1));
-        }
-        // Propagate the trace id so the backend adopts it instead of
-        // re-deriving — the routed edge and the executing edge share one trace.
-        match client_request_with_headers(
-            &backend.addr,
-            "POST",
-            "/jobs",
-            &[(TRACE_HEADER, trace.to_hex())],
-            Some(body),
-            state.backend_timeout(),
-        ) {
-            // 2xx accepted; 409 means this backend already holds the job (a
-            // retransmit after a half-failed earlier attempt) — also success.
-            Ok(resp) if resp.status < 500 => {
-                state.trace_transition(state.cluster.record_success(index));
-                if attempt > 0 {
-                    state.failovers.inc();
-                    state.trace_event(
-                        "failover",
-                        job_id,
-                        format!(
-                            "submitted to {} after {attempt} failed attempt(s)",
-                            backend.addr
-                        ),
-                    );
-                }
-                state.spans.record_closed(
-                    trace,
-                    Some(trace.root_span()),
-                    "route_submit",
-                    started.elapsed().as_secs_f64() * 1e3,
-                    vec![
-                        ("job".to_string(), job_id.to_string()),
-                        ("backend".to_string(), backend.addr.clone()),
-                        ("attempts".to_string(), (attempt + 1).to_string()),
-                    ],
-                );
-                return Ok((index, resp));
-            }
-            Ok(resp) => {
-                last_error = format!("{} returned {}", backend.addr, resp.status);
-                state.trace_transition(state.cluster.record_failure(index, &last_error));
-                attempt += 1;
-            }
-            Err(e) => {
-                last_error = format!("{}: {e}", backend.addr);
-                state.trace_transition(state.cluster.record_failure(index, &last_error));
-                attempt += 1;
-            }
-        }
+    // Below 500 the backend answered for the job: 2xx accepted it, and 409
+    // means it already holds it (a retransmit after a half-failed earlier
+    // attempt); other 4xx go back to the client as they are.
+    let (index, resp, failed) = place(state, job_id, trace, body, &candidates, |r| r.status < 500)?;
+    let addr = &state.cluster.backend(index).addr;
+    if failed > 0 {
+        state.failovers.inc();
+        let detail = format!("submitted to {addr} after {failed} failed attempt(s)");
+        event(&state.ops.spans, trace, "failover", job_id, detail);
     }
-    Err(last_error)
+    state.ops.spans.record_closed(
+        trace,
+        Some(trace.root_span()),
+        "route_submit",
+        started.elapsed().as_secs_f64() * 1e3,
+        vec![
+            ("job".to_string(), job_id.to_string()),
+            ("backend".to_string(), addr.clone()),
+            ("attempts".to_string(), (failed + 1).to_string()),
+        ],
+    );
+    Ok((index, resp))
 }
 
-fn handle_submit(state: &Arc<RouterState>, stream: &mut TcpStream, request: &Request) {
+fn handle_submit(state: &RouterState, call: &mut Call<'_>) {
     let started = Instant::now();
-    let body = String::from_utf8_lossy(&request.body);
-    let mut spec: JobSpec = match serde_json::from_str(&body) {
+    let stream = &mut *call.stream;
+    // The same submission checks serve mode runs: reject bad specs at the
+    // router without spending a backend round-trip on them.
+    let spec = match parse_submission(call.request, &state.auto_id) {
         Ok(spec) => spec,
-        Err(e) => {
-            write_error(stream, 400, &format!("invalid job spec: {e}"));
-            return;
-        }
+        Err(message) => return write_error(stream, 400, &message),
     };
-    if spec.id.is_empty() {
-        // relaxed: id allocator; uniqueness needs atomicity, not ordering.
-        spec.id = format!("job-{}", state.auto_id.fetch_add(1, Ordering::Relaxed));
-    }
-    // The same cheap shape checks serve mode runs at submission: reject bad
-    // specs at the router without spending a backend round-trip on them.
-    if let Err(e) = spec
-        .problem
-        .shape()
-        .and_then(|(_, subspace_k)| spec.mixer.check_compatible(subspace_k))
-        .and_then(|()| match &spec.sampling {
-            Some(sampling) => sampling.validate(),
-            None => Ok(()),
-        })
-    {
-        write_error(stream, 400, &format!("invalid job spec: {e}"));
-        return;
-    }
     if state
         .jobs
         .lock()
@@ -627,66 +501,31 @@ fn failover_job(state: &RouterState, id: &str) -> Result<usize, String> {
     let candidates = state.cluster.candidates(job.key);
     let dead = job.backend;
     let start = candidates.iter().position(|&b| b == dead).unwrap_or(0);
-    let mut attempt = 0u32;
-    let mut last_error = String::from("no other backend");
-    for offset in 1..candidates.len().max(1) {
-        let index = candidates[(start + offset) % candidates.len()];
-        let backend = state.cluster.backend(index);
-        if !backend.is_live() && offset + 1 < candidates.len() {
-            continue;
-        }
-        if attempt > 0 {
-            std::thread::sleep(state.cluster.config().retry.delay(id, attempt - 1));
-        }
-        match client_request_with_headers(
-            &backend.addr,
-            "POST",
-            "/jobs",
-            &[(TRACE_HEADER, job.trace.to_hex())],
-            Some(&job.spec_body),
-            state.backend_timeout(),
-        ) {
-            Ok(resp) if resp.is_success() || resp.status == 409 => {
-                state.trace_transition(state.cluster.record_success(index));
-                if let Some(entry) = state.jobs.lock().expect("router jobs lock").get_mut(id) {
-                    entry.backend = index;
-                }
-                state.failovers.inc();
-                state.trace_event(
-                    "failover",
-                    id,
-                    format!(
-                        "re-routed from {} to {}",
-                        state.cluster.backend(dead).addr,
-                        backend.addr
-                    ),
-                );
-                state.spans.record_closed(
-                    job.trace,
-                    Some(job.trace.root_span()),
-                    "failover",
-                    started.elapsed().as_secs_f64() * 1e3,
-                    vec![
-                        ("job".to_string(), id.to_string()),
-                        ("from".to_string(), state.cluster.backend(dead).addr.clone()),
-                        ("backend".to_string(), backend.addr.clone()),
-                    ],
-                );
-                return Ok(index);
-            }
-            Ok(resp) => {
-                last_error = format!("{} returned {}", backend.addr, resp.status);
-                state.trace_transition(state.cluster.record_failure(index, &last_error));
-                attempt += 1;
-            }
-            Err(e) => {
-                last_error = format!("{}: {e}", backend.addr);
-                state.trace_transition(state.cluster.record_failure(index, &last_error));
-                attempt += 1;
-            }
-        }
+    let order: Vec<usize> = (1..candidates.len())
+        .map(|offset| candidates[(start + offset) % candidates.len()])
+        .collect();
+    let (index, _, _) = place(state, id, job.trace, &job.spec_body, &order, |r| {
+        r.is_success() || r.status == 409
+    })?;
+    if let Some(entry) = state.jobs.lock().expect("router jobs lock").get_mut(id) {
+        entry.backend = index;
     }
-    Err(last_error)
+    state.failovers.inc();
+    state.ops.spans.record_closed(
+        job.trace,
+        Some(job.trace.root_span()),
+        "failover",
+        started.elapsed().as_secs_f64() * 1e3,
+        vec![
+            ("job".to_string(), id.to_string()),
+            ("from".to_string(), state.cluster.backend(dead).addr.clone()),
+            (
+                "backend".to_string(),
+                state.cluster.backend(index).addr.clone(),
+            ),
+        ],
+    );
+    Ok(index)
 }
 
 /// Issues an idempotent GET against a job's owner, hedging to the ring
@@ -695,7 +534,7 @@ fn failover_job(state: &RouterState, id: &str) -> Result<usize, String> {
 /// (status < 400), so a successor's 404 can never mask a slow-but-correct
 /// owner.
 fn hedged_get(
-    state: &Arc<RouterState>,
+    state: &RouterState,
     owner: usize,
     trace: TraceId,
     path: &str,
@@ -737,14 +576,9 @@ fn hedged_get(
 
     state.hedged_reads.inc();
     let successor_addr = state.cluster.backend(successor).addr.clone();
-    state.trace_event(
-        "hedge",
-        "",
-        format!("owner slow on {path}; duplicating to {successor_addr}"),
-    );
     // The hedge span records *that* the threshold fired and where the
     // duplicate went; its duration is the wait that triggered it.
-    state.spans.record_closed(
+    state.ops.spans.record_closed(
         trace,
         Some(trace.root_span()),
         "hedge",
@@ -785,18 +619,28 @@ fn hedged_get(
     owner_outcome.unwrap_or_else(|| Err(std::io::Error::other("no response from owner or hedge")))
 }
 
-fn handle_proxied_read(state: &Arc<RouterState>, stream: &mut TcpStream, id: &str, path: &str) {
+/// The job's current owner and trace id; a `404` for an unknown job.
+fn lookup(state: &RouterState, call: &mut Call<'_>) -> Option<(usize, TraceId)> {
+    let owner = state
+        .jobs
+        .lock()
+        .expect("router jobs lock")
+        .get(call.id)
+        .map(|job| (job.backend, job.trace));
+    if owner.is_none() {
+        write_error(call.stream, 404, &format!("unknown job {:?}", call.id));
+    }
+    owner
+}
+
+/// A status or result read, proxied to the job's owner on the same path.
+fn handle_read(state: &RouterState, call: &mut Call<'_>) {
     let started = Instant::now();
-    let (owner, trace) = {
-        let jobs = state.jobs.lock().expect("router jobs lock");
-        match jobs.get(id) {
-            Some(job) => (job.backend, job.trace),
-            None => {
-                write_error(stream, 404, &format!("unknown job {id:?}"));
-                return;
-            }
-        }
+    let Some((owner, trace)) = lookup(state, call) else {
+        return;
     };
+    let path = call.request.path.trim_end_matches('/');
+    let (id, stream) = (call.id, &mut *call.stream);
     match hedged_get(state, owner, trace, path) {
         Ok(resp) => {
             state.trace_transition(state.cluster.record_success(owner));
@@ -843,22 +687,16 @@ fn handle_proxied_read(state: &Arc<RouterState>, stream: &mut TcpStream, id: &st
     }
 }
 
-fn handle_cancel(state: &Arc<RouterState>, stream: &mut TcpStream, id: &str) {
-    let owner = {
-        let jobs = state.jobs.lock().expect("router jobs lock");
-        match jobs.get(id) {
-            Some(job) => job.backend,
-            None => {
-                write_error(stream, 404, &format!("unknown job {id:?}"));
-                return;
-            }
-        }
+fn handle_cancel(state: &RouterState, call: &mut Call<'_>) {
+    let Some((owner, _)) = lookup(state, call) else {
+        return;
     };
+    let stream = &mut *call.stream;
     let addr = state.cluster.backend(owner).addr.clone();
     match client_request(
         &addr,
         "POST",
-        &format!("/jobs/{id}/cancel"),
+        call.request.path.trim_end_matches('/'),
         Some(""),
         state.backend_timeout(),
     ) {
@@ -871,12 +709,12 @@ fn backend_label(addr: &str) -> String {
     format!("backend=\"{addr}\"")
 }
 
-fn handle_prometheus(state: &Arc<RouterState>, stream: &mut TcpStream) {
+fn handle_prometheus(state: &RouterState, call: &mut Call<'_>) {
     let mut w = PromWriter::new();
     w.gauge_f64(
         "router_uptime_seconds",
         "Seconds since the router started.",
-        state.started.elapsed().as_secs_f64(),
+        state.ops.started.elapsed().as_secs_f64(),
     );
     w.gauge(
         "cluster_backends",
@@ -956,14 +794,9 @@ fn handle_prometheus(state: &Arc<RouterState>, stream: &mut TcpStream) {
         &trips,
     );
     w.counter(
-        "trace_events_dropped",
-        "Lifecycle events evicted from the bounded trace ring.",
-        state.trace.dropped(),
-    );
-    w.counter(
         "trace_spans_dropped",
         "Completed spans evicted from the bounded span collector.",
-        state.spans.dropped(),
+        state.ops.spans.dropped(),
     );
     w.histogram(
         "route_submit_ms",
@@ -991,10 +824,10 @@ fn handle_prometheus(state: &Arc<RouterState>, stream: &mut TcpStream) {
     {
         w.exemplar("route_read_ms", &trace_hex, ms);
     }
-    write_body(stream, 200, encode::CONTENT_TYPE, &[], &w.finish());
+    write_body(call.stream, 200, encode::CONTENT_TYPE, &[], &w.finish());
 }
 
-fn handle_stats(state: &Arc<RouterState>, stream: &mut TcpStream) {
+fn handle_stats(state: &RouterState, call: &mut Call<'_>) {
     let backends = state
         .cluster
         .backends()
@@ -1007,7 +840,7 @@ fn handle_stats(state: &Arc<RouterState>, stream: &mut TcpStream) {
         })
         .collect();
     let body = RouterStatsBody {
-        uptime_s: state.started.elapsed().as_secs_f64(),
+        uptime_s: state.ops.started.elapsed().as_secs_f64(),
         jobs_routed: state.jobs_routed.get(),
         failovers: state.failovers.get(),
         hedged_reads: state.hedged_reads.get(),
@@ -1015,72 +848,5 @@ fn handle_stats(state: &Arc<RouterState>, stream: &mut TcpStream) {
         backends_live: state.cluster.live_count() as u64,
         backends,
     };
-    match serde_json::to_string_pretty(&body) {
-        Ok(json) => write_json(stream, 200, &json),
-        Err(_) => write_error(stream, 500, "serialisation failed"),
-    }
-}
-
-fn handle_trace(state: &Arc<RouterState>, stream: &mut TcpStream) {
-    let body = TraceBody {
-        dropped: state.trace.dropped(),
-        capacity: state.trace.capacity() as u64,
-        events: state.trace.snapshot(),
-    };
-    match serde_json::to_string_pretty(&body) {
-        Ok(json) => write_json(stream, 200, &json),
-        Err(_) => write_error(stream, 500, "serialisation failed"),
-    }
-}
-
-/// `GET /trace/:id` at the router: the router's own routing-side spans merged
-/// with every backend's spans for the same trace — one tree across processes.
-/// An unreachable backend degrades the tree (its spans are simply absent)
-/// rather than failing the request.
-fn handle_trace_id(state: &Arc<RouterState>, stream: &mut TcpStream, raw: &str) {
-    let Some(trace) = TraceId::parse(raw) else {
-        write_error(
-            stream,
-            400,
-            &format!("invalid trace id {raw:?} (want 16 hex digits)"),
-        );
-        return;
-    };
-    let mut spans = state.spans.for_trace(trace);
-    let path = format!("/trace/{}", trace.to_hex());
-    for backend in state.cluster.backends() {
-        let Ok(resp) = client_request(&backend.addr, "GET", &path, None, state.backend_timeout())
-        else {
-            continue;
-        };
-        if !resp.is_success() {
-            continue;
-        }
-        let Ok(body) = serde_json::from_str::<Value>(&resp.body) else {
-            continue;
-        };
-        if let Some(remote) = body.get_field("spans").and_then(Value::as_array) {
-            spans.extend(remote.iter().filter_map(span_from_value));
-        }
-    }
-    if spans.is_empty() {
-        write_error(
-            stream,
-            404,
-            &format!("no spans retained for trace {raw:?} on the router or any backend"),
-        );
-        return;
-    }
-    match serde_json::to_string_pretty(&trace_body(trace, spans)) {
-        Ok(json) => write_json(stream, 200, &json),
-        Err(_) => write_error(stream, 500, "serialisation failed"),
-    }
-}
-
-/// `GET /version`: build identity, for correlating multi-process journals.
-fn handle_version(stream: &mut TcpStream) {
-    match serde_json::to_string_pretty(&version_value()) {
-        Ok(json) => write_json(stream, 200, &json),
-        Err(_) => write_error(stream, 500, "serialisation failed"),
-    }
+    reply_json(call.stream, 200, &body);
 }

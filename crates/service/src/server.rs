@@ -1,31 +1,16 @@
 //! Serve mode: the JSON-over-HTTP job API.
 //!
-//! Architecture: one accept loop (short-lived connections, bounded request sizes), a
-//! bounded FIFO work queue, and a pool of worker threads sharing one [`Engine`] — so
-//! concurrent jobs on the same instance share cached pre-computations.  Workers hold
-//! the outer-parallelism guard while running a job, keeping per-job inner kernels
-//! serial exactly as batch mode does.  Job execution is panic-isolated: a panicking
-//! job is recorded as `failed` with a structured error and the worker keeps serving,
-//! so the pool never silently shrinks.
+//! Architecture: the shared [`crate::ops`] accept loop (short-lived connections,
+//! bounded request sizes), a bounded FIFO work queue, and a pool of worker threads
+//! sharing one [`Engine`] — so concurrent jobs on the same instance share cached
+//! pre-computations.  Workers hold the outer-parallelism guard while running a job,
+//! keeping per-job inner kernels serial exactly as batch mode does.  Job execution is
+//! panic-isolated: a panicking job is recorded as `failed` with a structured error and
+//! the worker keeps serving, so the pool never silently shrinks.
 //!
-//! Endpoints:
-//!
-//! | Method & path          | Behaviour                                              |
-//! |------------------------|--------------------------------------------------------|
-//! | `POST /jobs`           | Submit a [`JobSpec`]; `202` + status, `429` queue full,|
-//! |                        | `503` + `Retry-After` while the queue head is stale    |
-//! | `GET /jobs/:id`        | Job status + progress                                  |
-//! | `GET /jobs/:id/result` | The [`JobResult`] (`409` until finished)               |
-//! | `POST /jobs/:id/cancel`| Request cooperative cancellation                       |
-//! | `GET /metrics`         | Prometheus text exposition (counters + histograms)     |
-//! | `GET /stats`           | The same counters as JSON ([`MetricsBody`])            |
-//! | `GET /trace`           | Recent lifecycle events from the bounded trace ring    |
-//! | `GET /trace/:id`       | The retained spans of one trace, flat + as a tree      |
-//! | `GET /version`         | Build identity (crate version, profile, git describe)  |
-//! | `GET /healthz`         | Liveness probe (200 whenever the process can answer)   |
-//! | `GET /readyz`          | Readiness probe (`503` while draining or before the    |
-//! |                        | worker pool is up) — what a router's prober should use |
-//! | `POST /shutdown`       | Graceful stop (drains workers); used by CI             |
+//! Endpoints: the route table in this module's `Tier` impl (job submission, status,
+//! result and cancellation, `/metrics`, `/stats`, `/readyz`), followed by the shared
+//! [`crate::ops`] entries; `GET /` lists them all with their summaries.
 //!
 //! Fault tolerance: per-job deadlines (`timeout_ms`, clamped by
 //! [`ServerConfig::max_timeout_ms`]) end jobs cooperatively with a partial
@@ -37,22 +22,17 @@
 //! (e.g. SIGTERM) is raised.
 
 use crate::engine::{Engine, EngineStats, ServiceError};
-use crate::http::{
-    read_request_limited, write_body, write_error, write_json, write_json_with_headers, Request,
-    DEFAULT_MAX_BODY_BYTES,
-};
+use crate::http::{write_body, write_error, write_json, Request};
 use crate::journal::{FsyncPolicy, Journal};
+use crate::ops::{self, parse_submission, reply_json, Call, Ops, OpsConfig, Route, Tier};
 use crate::retry::RetryPolicy;
-use crate::spans::{default_trace_cap, trace_body, version_value, TRACE_HEADER};
+use crate::spans::{event, OPS_TRACE, TRACE_HEADER};
 use crate::spec::{JobResult, JobSpec, JobTimings};
 use juliqaoa_linalg::enter_outer_parallelism;
 use juliqaoa_optim::RunControl;
-use juliqaoa_telemetry::{
-    encode, kernels, Counter, Gauge, PromWriter, Span, SpanCollector, TraceId, TraceRing,
-};
+use juliqaoa_telemetry::{encode, kernels, Counter, Gauge, PromWriter, Span, TraceId};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
-use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -63,8 +43,8 @@ use std::time::{Duration, Instant};
 /// Configuration for [`Server::bind`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Bind address, e.g. `127.0.0.1:7878` (`:0` picks a free port).
-    pub addr: String,
+    /// Listener, request limits and tracing (shared with `route`).
+    pub ops: OpsConfig,
     /// Worker threads executing jobs.
     pub workers: usize,
     /// Maximum queued (not yet running) jobs before `POST /jobs` returns 429.
@@ -75,10 +55,6 @@ pub struct ServerConfig {
     /// journal format as batch mode, so serve-mode output can seed a later
     /// `batch --resume`; a torn tail from a previous crash is recovered on bind).
     pub results_path: Option<PathBuf>,
-    /// Per-connection socket read timeout in milliseconds (expiry → `408`).
-    pub read_timeout_ms: u64,
-    /// Per-connection socket write timeout in milliseconds.
-    pub write_timeout_ms: u64,
     /// Deadline applied to jobs that do not set their own `timeout_ms`.
     pub default_timeout_ms: Option<u64>,
     /// Upper bound clamped onto every job deadline (including jobs with no
@@ -91,74 +67,28 @@ pub struct ServerConfig {
     /// Shutdown drain budget: after this long, still-live jobs are
     /// cooperatively cancelled so shutdown stays bounded.
     pub drain_ms: u64,
-    /// Upper bound on request bodies; a larger `Content-Length` is rejected
-    /// with a structured `413` before any allocation happens.
-    pub max_body_bytes: usize,
     /// Retry policy for transiently-failed jobs (default: no retries).
     pub retry: RetryPolicy,
     /// Durability policy for the results journal.
     pub fsync: FsyncPolicy,
-    /// Optional JSONL file every lifecycle trace event *and* every completed
-    /// span is also appended to (plain lines, flushed per event — a debugging
-    /// artifact, not the checksummed results journal).  Span lines carry a
-    /// leading `"span"` key; event lines a `"seq"` key.
-    pub trace_path: Option<PathBuf>,
-    /// Capacity of the lifecycle trace ring *and* the span collector
-    /// (`--trace-ring-cap`, falling back to `JULIQAOA_TRACE_CAP`, then 1024).
-    pub trace_ring_cap: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            addr: "127.0.0.1:7878".into(),
+            ops: OpsConfig::at("127.0.0.1:7878"),
             workers: 2,
             queue_capacity: 256,
             cache_capacity: crate::engine::DEFAULT_CACHE_CAPACITY,
             results_path: None,
-            read_timeout_ms: 5_000,
-            write_timeout_ms: 5_000,
             default_timeout_ms: None,
             max_timeout_ms: None,
             queue_wait_ms: None,
             drain_ms: 10_000,
-            max_body_bytes: DEFAULT_MAX_BODY_BYTES,
             retry: RetryPolicy::default(),
             fsync: FsyncPolicy::default(),
-            trace_path: None,
-            trace_ring_cap: default_trace_cap(),
         }
     }
-}
-
-/// One entry in the lifecycle trace ring (`GET /trace` and `--trace-out`).
-///
-/// `ts_ms` is milliseconds since the server started — a monotonic offset, not
-/// wall-clock time, so traces stay comparable across restarts and replays.
-#[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
-pub struct TraceEvent {
-    /// Monotonic sequence number (gaps mean the ring dropped events).
-    pub seq: u64,
-    /// Milliseconds since server start.
-    pub ts_ms: f64,
-    /// `submit` / `shed` / `reject` / `retry` / `done` / `cancelled` /
-    /// `timed_out` / `failed` / `panic` / `drain`.
-    pub event: String,
-    /// The job id the event concerns (empty for server-wide events).
-    pub job: String,
-    /// Free-form context, e.g. the error that triggered a retry.
-    pub detail: String,
-}
-
-/// The `GET /trace` body.
-#[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
-pub struct TraceBody {
-    /// Events evicted from the ring since start (oldest-first window follows).
-    pub dropped: u64,
-    /// The ring's capacity (`--trace-ring-cap` / `JULIQAOA_TRACE_CAP`).
-    pub capacity: u64,
-    /// The retained events, oldest first.
-    pub events: Vec<TraceEvent>,
 }
 
 /// Lifecycle of a submitted job.
@@ -288,6 +218,7 @@ impl WorkQueue {
 
 /// State shared by the accept loop and the worker pool.
 struct ServiceState {
+    ops: Ops,
     engine: Engine,
     config: ServerConfig,
     jobs: Mutex<HashMap<String, Arc<JobRecord>>>,
@@ -302,16 +233,7 @@ struct ServiceState {
     /// True once shutdown has begun; `/readyz` is 503 and `POST /jobs` is
     /// refused from then on, while `/healthz` keeps answering 200 (alive).
     draining: AtomicBool,
-    /// Set by `POST /shutdown`; the accept loop stops at the next poll.
-    stop_requested: AtomicBool,
-    started: Instant,
     results: Option<Journal>,
-    trace: TraceRing<TraceEvent>,
-    trace_seq: AtomicU64,
-    trace_out: Option<Arc<Mutex<std::io::BufWriter<std::fs::File>>>>,
-    /// Completed spans for `GET /trace/:id`; shared with the engine, which
-    /// records per-stage child spans, and mirrored to `trace_out`.
-    spans: Arc<SpanCollector>,
     /// The last finished job's trace id and stage timings — attached to the
     /// `/metrics` latency histograms as exemplar comment lines.
     last_exemplar: Mutex<Option<LastExemplar>>,
@@ -323,30 +245,6 @@ struct LastExemplar {
     trace_hex: String,
     timings: JobTimings,
     journal_write_ms: f64,
-}
-
-impl ServiceState {
-    /// Records a lifecycle event into the trace ring (and the `--trace-out`
-    /// file, when configured).  Observation only: failures to write the trace
-    /// file are swallowed so tracing can never fail a job.
-    fn trace_event(&self, event: &str, job: &str, detail: impl Into<String>) {
-        let entry = TraceEvent {
-            // relaxed: sequence allocator; fetch_add is atomic regardless of ordering.
-            seq: self.trace_seq.fetch_add(1, Ordering::Relaxed),
-            ts_ms: self.started.elapsed().as_secs_f64() * 1e3,
-            event: event.to_string(),
-            job: job.to_string(),
-            detail: detail.into(),
-        };
-        if let Some(out) = &self.trace_out {
-            if let Ok(line) = serde_json::to_string(&entry) {
-                let mut w = out.lock().expect("trace out lock");
-                let _ = writeln!(w, "{line}");
-                let _ = w.flush();
-            }
-        }
-        self.trace.push(entry);
-    }
 }
 
 /// Status body returned by `POST /jobs`, `GET /jobs/:id` and `POST /jobs/:id/cancel`.
@@ -365,7 +263,7 @@ pub struct JobStatusBody {
     pub progress_total: u64,
 }
 
-/// The `GET /metrics` body.
+/// The `GET /stats` body.
 #[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
 pub struct MetricsBody {
     /// Seconds since the server started.
@@ -407,7 +305,7 @@ impl Server {
     /// Binds the listener and starts the worker pool (no requests are served until
     /// [`Server::run`]).
     pub fn bind(config: ServerConfig) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
+        let (listener, ops) = Ops::bind(&config.ops)?;
         let results = match &config.results_path {
             Some(path) => {
                 // Recover a torn tail left by a previous crash before the first
@@ -420,31 +318,10 @@ impl Server {
             }
             None => None,
         };
-        let trace_out = match &config.trace_path {
-            Some(path) => Some(Arc::new(Mutex::new(std::io::BufWriter::new(
-                std::fs::File::create(path)?,
-            )))),
-            None => None,
-        };
-        let spans = Arc::new(SpanCollector::new(
-            config.trace_ring_cap.max(1),
-            crate::spans::collector_salt(),
-        ));
-        if let Some(out) = &trace_out {
-            // Mirror every span into the same JSONL journal the lifecycle
-            // events go to; span lines are distinguishable by their leading
-            // "span" key.  Write failures are swallowed — tracing must never
-            // fail a job.
-            let out = out.clone();
-            spans.set_sink(Box::new(move |span: &Span| {
-                let mut w = out.lock().expect("trace out lock");
-                let _ = writeln!(w, "{}", span.to_json_line());
-                let _ = w.flush();
-            }));
-        }
         let engine = Engine::new(config.cache_capacity);
-        engine.set_span_collector(spans.clone());
+        engine.set_span_collector(ops.spans.clone());
         let state = Arc::new(ServiceState {
+            ops,
             engine,
             jobs: Mutex::new(HashMap::new()),
             queue: WorkQueue::new(config.queue_capacity),
@@ -455,13 +332,7 @@ impl Server {
             auto_id: AtomicU64::new(0),
             ready: AtomicBool::new(false),
             draining: AtomicBool::new(false),
-            stop_requested: AtomicBool::new(false),
-            started: Instant::now(),
             results,
-            trace: TraceRing::new(config.trace_ring_cap.max(1)),
-            trace_seq: AtomicU64::new(0),
-            trace_out,
-            spans,
             last_exemplar: Mutex::new(None),
             config,
         });
@@ -498,37 +369,8 @@ impl Server {
     /// polled nonblockingly so an external stop is noticed between connections,
     /// not only after the next client happens to connect.
     pub fn run_until(self, stop: &AtomicBool) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        loop {
-            if stop.load(Ordering::SeqCst) || self.state.stop_requested.load(Ordering::SeqCst) {
-                break;
-            }
-            self.accept_one();
-        }
+        ops::serve_until(&self.listener, &*self.state, stop);
         self.drain()
-    }
-
-    /// Polls the nonblocking listener once and serves the connection, if any.
-    fn accept_one(&self) {
-        match self.listener.accept() {
-            Ok((mut stream, _)) => {
-                // The accepted socket must not inherit nonblocking mode:
-                // request reads rely on the configured read timeout, not on
-                // a WouldBlock spin.
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(Some(Duration::from_millis(
-                    self.state.config.read_timeout_ms.max(1),
-                )));
-                let _ = stream.set_write_timeout(Some(Duration::from_millis(
-                    self.state.config.write_timeout_ms.max(1),
-                )));
-                handle_connection(&self.state, &mut stream);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => {}
-        }
     }
 
     /// Stops accepting work and drains the pool: queued jobs still run (unless
@@ -542,7 +384,9 @@ impl Server {
     /// shutdown window against a connection-refused error.
     fn drain(self) -> std::io::Result<()> {
         self.state.draining.store(true, Ordering::SeqCst);
-        self.state.trace_event(
+        event(
+            &self.state.ops.spans,
+            OPS_TRACE,
             "drain",
             "",
             format!("budget {} ms", self.state.config.drain_ms),
@@ -569,7 +413,7 @@ impl Server {
             })
         };
         while self.workers.iter().any(|w| !w.is_finished()) {
-            self.accept_one();
+            ops::accept_one(&self.listener, &*self.state);
         }
         for worker in self.workers {
             let _ = worker.join();
@@ -598,9 +442,19 @@ fn worker_loop(state: &ServiceState) {
     // the batch executor and the angle-finding drivers).
     let _guard = enter_outer_parallelism();
     while let Some(record) = state.queue.pop() {
+        // The job's lifecycle events, recorded under its root span.
+        let job_event = |name: &str, detail: String| {
+            event(
+                &state.ops.spans,
+                record.trace,
+                name,
+                &record.spec.id,
+                detail,
+            )
+        };
         if record.cancel.load(Ordering::SeqCst) {
+            job_event("cancelled", "cancelled while queued".into());
             record.set_state(JobState::Cancelled);
-            state.trace_event("cancelled", &record.spec.id, "cancelled while queued");
             continue;
         }
         // Admission control: a job that already waited past the queue-wait
@@ -610,13 +464,9 @@ fn worker_loop(state: &ServiceState) {
             if record.enqueued_at.elapsed() > Duration::from_millis(limit) {
                 *record.error.lock().expect("error lock") =
                     Some(format!("shed after waiting more than {limit} ms in queue"));
+                job_event("shed", format!("waited more than {limit} ms in queue"));
                 record.set_state(JobState::Shed);
                 state.shed.inc();
-                state.trace_event(
-                    "shed",
-                    &record.spec.id,
-                    format!("waited more than {limit} ms in queue"),
-                );
                 continue;
             }
         }
@@ -628,7 +478,7 @@ fn worker_loop(state: &ServiceState) {
             .telemetry()
             .queue_wait_ms
             .observe(queue_wait_ms);
-        state.spans.record_closed(
+        state.ops.spans.record_closed(
             record.trace,
             Some(record.trace.root_span()),
             "queue_wait",
@@ -657,13 +507,7 @@ fn worker_loop(state: &ServiceState) {
             &record.spec,
             &control,
             &state.config.retry,
-            |attempt, err| {
-                state.trace_event(
-                    "retry",
-                    &record.spec.id,
-                    format!("attempt {} failed: {err}", attempt + 1),
-                );
-            },
+            |attempt, err| job_event("retry", format!("attempt {} failed: {err}", attempt + 1)),
         );
         match outcome {
             Ok(mut result) => {
@@ -693,7 +537,7 @@ fn worker_loop(state: &ServiceState) {
                             .telemetry()
                             .journal_write_ms
                             .observe(journal_write_ms);
-                        state.spans.record_closed(
+                        state.ops.spans.record_closed(
                             record.trace,
                             Some(record.trace.root_span()),
                             "journal_write",
@@ -708,11 +552,13 @@ fn worker_loop(state: &ServiceState) {
                     journal_write_ms,
                 });
                 *record.result.lock().expect("result lock") = Some(result);
+                // The event lands before the state flips, so a client that
+                // sees the terminal status finds the event in `/trace`.
+                job_event(terminal.as_str(), String::new());
                 record.set_state(terminal);
                 if terminal == JobState::Done {
                     state.completed.inc();
                 }
-                state.trace_event(terminal.as_str(), &record.spec.id, "");
             }
             Err(err) => {
                 // A deadline that expired before the first evaluation is still
@@ -723,25 +569,25 @@ fn worker_loop(state: &ServiceState) {
                     JobState::Failed
                 };
                 *record.error.lock().expect("error lock") = Some(err.to_string());
-                record.set_state(terminal);
-                let event = if matches!(err, ServiceError::Panicked(_)) {
+                let name = if matches!(err, ServiceError::Panicked(_)) {
                     "panic"
                 } else {
                     terminal.as_str()
                 };
-                state.trace_event(event, &record.spec.id, err.to_string());
+                job_event(name, err.to_string());
+                record.set_state(terminal);
             }
         }
         // Close the trace's root span: submission to terminal state, wrapping
         // the queue-wait and engine-stage children.  Its id *is* the trace id,
         // so every child above already points at it.
         let root_ms = record.enqueued_at.elapsed().as_secs_f64() * 1e3;
-        state.spans.record(Span {
+        state.ops.spans.record(Span {
             trace: record.trace,
             id: record.trace.root_span(),
             parent: None,
             name: "job".to_string(),
-            start_ms: (state.spans.now_ms() - root_ms).max(0.0),
+            start_ms: (state.ops.spans.now_ms() - root_ms).max(0.0),
             duration_ms: root_ms,
             attrs: vec![
                 ("job".to_string(), record.spec.id.clone()),
@@ -756,141 +602,90 @@ fn worker_loop(state: &ServiceState) {
     }
 }
 
-fn status_body(id: &str, record: &JobRecord) -> JobStatusBody {
-    JobStatusBody {
+/// Writes a job's status body (compact JSON) with `code`.
+fn reply_status(stream: &mut TcpStream, code: u16, id: &str, record: &JobRecord) {
+    let body = JobStatusBody {
         id: id.to_string(),
         trace: record.trace.to_hex(),
         status: record.state().as_str().to_string(),
         progress_done: record.progress_done.get(),
         progress_total: record.progress_total.get(),
-    }
-}
-
-/// Handles one connection end to end.
-fn handle_connection(state: &Arc<ServiceState>, stream: &mut TcpStream) {
-    // Chaos hook: a "slow backend" delays every response by a fixed amount,
-    // which is what exercises a router's hedged reads deterministically.
-    crate::fault::delay_response();
-    let request = match read_request_limited(stream, state.config.max_body_bytes) {
-        Ok(r) => r,
-        Err(e) => {
-            write_error(stream, e.status, &e.message);
-            return;
-        }
     };
-    route(state, stream, &request);
-}
-
-fn route(state: &Arc<ServiceState>, stream: &mut TcpStream, request: &Request) {
-    let path = request.path.trim_end_matches('/');
-    // Chaos hook: a blackholed probe endpoint accepts the connection but never
-    // answers — the partition-like failure mode (distinct from a dead process,
-    // whose connections are refused) that probers must classify as Down.
-    if crate::fault::probe_blackholed() && matches!(path, "/healthz" | "/readyz") {
-        return;
-    }
-    match (request.method.as_str(), path) {
-        ("POST", "/jobs") => handle_submit(state, stream, request),
-        ("GET", "/metrics") => handle_prometheus(state, stream),
-        ("GET", "/stats") => handle_stats(state, stream),
-        ("GET", "/trace") => handle_trace(state, stream),
-        ("GET", "/version") => handle_version(stream),
-        ("GET", "/healthz") => write_json(stream, 200, "{\"status\": \"ok\"}"),
-        ("GET", "/readyz") => {
-            // Readiness is liveness plus "safe to route jobs here": false
-            // before the worker pool is up and from the moment draining starts.
-            if state.ready.load(Ordering::SeqCst) && !state.draining.load(Ordering::SeqCst) {
-                write_json(stream, 200, "{\"status\": \"ready\"}")
-            } else if state.draining.load(Ordering::SeqCst) {
-                write_error(stream, 503, "draining")
-            } else {
-                write_error(stream, 503, "worker pool not up yet")
-            }
-        }
-        ("POST", "/shutdown") => {
-            state.stop_requested.store(true, Ordering::SeqCst);
-            write_json(stream, 200, "{\"status\": \"shutting down\"}");
-        }
-        (method, path) => {
-            if let Some(rest) = path.strip_prefix("/jobs/") {
-                match (
-                    method,
-                    rest.strip_suffix("/result"),
-                    rest.strip_suffix("/cancel"),
-                ) {
-                    ("GET", Some(id), _) => handle_result(state, stream, id),
-                    ("POST", _, Some(id)) => handle_cancel(state, stream, id),
-                    ("GET", None, None) => handle_status(state, stream, rest),
-                    _ => write_error(stream, 405, "method not allowed"),
-                }
-            } else if let Some(trace_hex) = path.strip_prefix("/trace/") {
-                match method {
-                    "GET" => handle_trace_id(state, stream, trace_hex),
-                    _ => write_error(stream, 405, "method not allowed"),
-                }
-            } else {
-                write_error(stream, 404, "no such endpoint");
-            }
-        }
+    match serde_json::to_string(&body) {
+        Ok(json) => write_json(stream, code, &json),
+        Err(_) => write_error(stream, 500, "serialisation failed"),
     }
 }
 
-fn handle_submit(state: &Arc<ServiceState>, stream: &mut TcpStream, request: &Request) {
+impl Tier for ServiceState {
+    #[rustfmt::skip]
+    const ROUTES: &'static [Route<Self>] = &[
+        Route::new("POST", "/jobs",            "Submit a job: 202, or 429/503 busy", handle_submit),
+        Route::new("GET",  "/jobs/:id",        "Job status and progress", handle_status),
+        Route::new("GET",  "/jobs/:id/result", "The JobResult (409 until finished)", handle_result),
+        Route::new("POST", "/jobs/:id/cancel", "Cooperative cancellation", handle_cancel),
+        Route::new("GET",  "/metrics",         "Prometheus text exposition", handle_prometheus),
+        Route::new("GET",  "/stats",           "Counters as JSON (MetricsBody)", handle_stats),
+        Route::new("GET",  "/readyz",          "503 while draining or starting", handle_readyz),
+    ];
+
+    fn ops(&self) -> &Ops {
+        &self.ops
+    }
+
+    fn intercept(&self, request: &Request) -> bool {
+        // Chaos hooks: a "slow backend" delays every response by a fixed
+        // amount, which is what exercises a router's hedged reads
+        // deterministically; a blackholed probe endpoint accepts the
+        // connection but never answers — the partition-like failure mode
+        // (distinct from a dead process, whose connections are refused) that
+        // probers must classify as Down.
+        crate::fault::delay_response();
+        crate::fault::probe_blackholed()
+            && matches!(request.path.trim_end_matches('/'), "/healthz" | "/readyz")
+    }
+}
+
+fn handle_readyz(state: &ServiceState, call: &mut Call<'_>) {
+    // Readiness is liveness plus "safe to route jobs here": false before the
+    // worker pool is up and from the moment draining starts.
+    if state.draining.load(Ordering::SeqCst) {
+        write_error(call.stream, 503, "draining")
+    } else if state.ready.load(Ordering::SeqCst) {
+        write_json(call.stream, 200, "{\"status\": \"ready\"}")
+    } else {
+        write_error(call.stream, 503, "worker pool not up yet")
+    }
+}
+
+fn handle_submit(state: &ServiceState, call: &mut Call<'_>) {
+    let stream = &mut *call.stream;
     if state.draining.load(Ordering::SeqCst) {
         write_error(stream, 503, "server is draining, not accepting jobs");
         return;
     }
-    let body = String::from_utf8_lossy(&request.body);
-    let mut spec: JobSpec = match serde_json::from_str(&body) {
+    // Only the cheap shape checks run here: realising instances and mixers is
+    // worker-thread work, and the accept loop must never block other clients
+    // behind an O(2ⁿ) build.
+    let spec = match parse_submission(call.request, &state.auto_id) {
         Ok(spec) => spec,
-        Err(e) => {
-            write_error(stream, 400, &format!("invalid job spec: {e}"));
-            return;
-        }
+        Err(message) => return write_error(stream, 400, &message),
     };
-    if spec.id.is_empty() {
-        // relaxed: id allocator; uniqueness needs atomicity, not ordering.
-        spec.id = format!("job-{}", state.auto_id.fetch_add(1, Ordering::Relaxed));
-    }
-    // Reject oversized/incompatible specs at submission time with the cheap shape
-    // checks — realising instances and mixers is worker-thread work, and the accept
-    // loop must never block other clients behind an O(2ⁿ) build.  Sampling
-    // parameters (shots > 0, 0 < α ≤ 1, …) are validated here too, so a bad sample
-    // job dies with a structured 400 instead of reaching a worker.
-    if let Err(e) = spec
-        .problem
-        .shape()
-        .and_then(|(_, subspace_k)| spec.mixer.check_compatible(subspace_k))
-        .and_then(|()| match &spec.sampling {
-            Some(sampling) => sampling.validate(),
-            None => Ok(()),
-        })
-    {
-        write_error(stream, 400, &format!("invalid job spec: {e}"));
-        return;
-    }
     // The trace id: adopted from the router's header when present (the edge
     // assignment is authoritative), derived from the spec otherwise.  The
     // derivation builds the instance — graph generation and a hash, not the
     // O(2ⁿ) objective realisation, so it is accept-loop-safe.
-    let trace = match &request.trace {
+    let trace = match &call.request.trace {
         Some(raw) => match TraceId::parse(raw) {
             Some(t) => t,
             None => {
-                write_error(
-                    stream,
-                    400,
-                    &format!("invalid {TRACE_HEADER} header {raw:?} (want 16 hex digits)"),
-                );
-                return;
+                let message = format!("invalid {TRACE_HEADER} header {raw:?} (want 16 hex digits)");
+                return write_error(stream, 400, &message);
             }
         },
         None => match spec.trace_id() {
             Ok(t) => t,
-            Err(e) => {
-                write_error(stream, 400, &format!("invalid job spec: {e}"));
-                return;
-            }
+            Err(e) => return write_error(stream, 400, &format!("invalid job spec: {e}")),
         },
     };
     // Graceful degradation: when the job at the head of the queue has already
@@ -904,21 +699,15 @@ fn handle_submit(state: &Arc<ServiceState>, stream: &mut TcpStream, request: &Re
             .is_some_and(|w| w > Duration::from_millis(limit_ms));
         if stale {
             state.shed.inc();
-            state.trace_event(
-                "shed",
-                &spec.id,
-                format!("rejected at submission: queue head waited more than {limit_ms} ms"),
-            );
+            let detail =
+                format!("rejected at submission: queue head waited more than {limit_ms} ms");
+            event(&state.ops.spans, trace, "shed", &spec.id, detail);
             let retry_after = (limit_ms / 1000).max(1);
             let body = format!(
                 "{{\"error\": \"queue is saturated (head waited > {limit_ms} ms), retry later\"}}"
             );
-            write_json_with_headers(
-                stream,
-                503,
-                &[("Retry-After", retry_after.to_string())],
-                &body,
-            );
+            let headers = [("Retry-After", retry_after.to_string())];
+            write_body(stream, 503, "application/json", &headers, &body);
             return;
         }
     }
@@ -935,37 +724,34 @@ fn handle_submit(state: &Arc<ServiceState>, stream: &mut TcpStream, request: &Re
     if !state.queue.try_push(record.clone()) {
         state.jobs.lock().expect("jobs lock").remove(&spec.id);
         state.rejected.inc();
-        state.trace_event("reject", &spec.id, "queue full");
+        event(&state.ops.spans, trace, "reject", &spec.id, "queue full");
         write_error(stream, 429, "job queue is full, retry later");
         return;
     }
     state.submitted.inc();
-    state.trace_event("submit", &spec.id, trace.to_hex());
-    match serde_json::to_string(&status_body(&spec.id, &record)) {
-        Ok(json) => write_json(stream, 202, &json),
-        Err(_) => write_error(stream, 500, "serialisation failed"),
+    event(&state.ops.spans, trace, "submit", &spec.id, "");
+    reply_status(stream, 202, &spec.id, &record);
+}
+
+fn lookup(state: &ServiceState, call: &mut Call<'_>) -> Option<Arc<JobRecord>> {
+    let record = state.jobs.lock().expect("jobs lock").get(call.id).cloned();
+    if record.is_none() {
+        write_error(call.stream, 404, &format!("unknown job {:?}", call.id));
+    }
+    record
+}
+
+fn handle_status(state: &ServiceState, call: &mut Call<'_>) {
+    if let Some(record) = lookup(state, call) {
+        reply_status(call.stream, 200, call.id, &record);
     }
 }
 
-fn lookup(state: &ServiceState, id: &str) -> Option<Arc<JobRecord>> {
-    state.jobs.lock().expect("jobs lock").get(id).cloned()
-}
-
-fn handle_status(state: &Arc<ServiceState>, stream: &mut TcpStream, id: &str) {
-    match lookup(state, id) {
-        Some(record) => match serde_json::to_string(&status_body(id, &record)) {
-            Ok(json) => write_json(stream, 200, &json),
-            Err(_) => write_error(stream, 500, "serialisation failed"),
-        },
-        None => write_error(stream, 404, &format!("unknown job {id:?}")),
-    }
-}
-
-fn handle_result(state: &Arc<ServiceState>, stream: &mut TcpStream, id: &str) {
-    let Some(record) = lookup(state, id) else {
-        write_error(stream, 404, &format!("unknown job {id:?}"));
+fn handle_result(state: &ServiceState, call: &mut Call<'_>) {
+    let Some(record) = lookup(state, call) else {
         return;
     };
+    let stream = &mut *call.stream;
     match record.state() {
         JobState::Done | JobState::Cancelled | JobState::TimedOut => {
             let result = record.result.lock().expect("result lock");
@@ -1008,15 +794,10 @@ fn handle_result(state: &Arc<ServiceState>, stream: &mut TcpStream, id: &str) {
     }
 }
 
-fn handle_cancel(state: &Arc<ServiceState>, stream: &mut TcpStream, id: &str) {
-    let Some(record) = lookup(state, id) else {
-        write_error(stream, 404, &format!("unknown job {id:?}"));
-        return;
-    };
-    record.cancel.store(true, Ordering::SeqCst);
-    match serde_json::to_string(&status_body(id, &record)) {
-        Ok(json) => write_json(stream, 200, &json),
-        Err(_) => write_error(stream, 500, "serialisation failed"),
+fn handle_cancel(state: &ServiceState, call: &mut Call<'_>) {
+    if let Some(record) = lookup(state, call) {
+        record.cancel.store(true, Ordering::SeqCst);
+        reply_status(call.stream, 200, call.id, &record);
     }
 }
 
@@ -1042,10 +823,10 @@ fn job_state_counts(state: &ServiceState) -> (u64, u64, u64, u64, u64) {
     (running, done, cancelled, timed_out, failed)
 }
 
-fn handle_stats(state: &Arc<ServiceState>, stream: &mut TcpStream) {
+fn handle_stats(state: &ServiceState, call: &mut Call<'_>) {
     let (running, done, cancelled, timed_out, failed) = job_state_counts(state);
     let body = MetricsBody {
-        uptime_s: state.started.elapsed().as_secs_f64(),
+        uptime_s: state.ops.started.elapsed().as_secs_f64(),
         jobs_submitted: state.submitted.get(),
         jobs_rejected: state.rejected.get(),
         queue_depth: state.queue.len() as u64,
@@ -1058,16 +839,13 @@ fn handle_stats(state: &Arc<ServiceState>, stream: &mut TcpStream) {
         cached_instances: state.engine.cached_instances() as u64,
         engine: state.engine.stats(),
     };
-    match serde_json::to_string_pretty(&body) {
-        Ok(json) => write_json(stream, 200, &json),
-        Err(_) => write_error(stream, 500, "serialisation failed"),
-    }
+    reply_json(call.stream, 200, &body);
 }
 
 /// Prometheus text exposition (format 0.0.4) of every counter the JSON
 /// `GET /stats` body exposes, plus the per-job latency histograms and the
 /// process-global kernel profiling counters.
-fn handle_prometheus(state: &Arc<ServiceState>, stream: &mut TcpStream) {
+fn handle_prometheus(state: &ServiceState, call: &mut Call<'_>) {
     let (running, done, cancelled, timed_out, failed) = job_state_counts(state);
     let engine = state.engine.stats();
     let k = kernels::snapshot();
@@ -1077,7 +855,7 @@ fn handle_prometheus(state: &Arc<ServiceState>, stream: &mut TcpStream) {
     w.gauge_f64(
         "uptime_seconds",
         "Seconds since the server started.",
-        state.started.elapsed().as_secs_f64(),
+        state.ops.started.elapsed().as_secs_f64(),
     );
     w.counter(
         "jobs_submitted",
@@ -1131,14 +909,9 @@ fn handle_prometheus(state: &Arc<ServiceState>, stream: &mut TcpStream) {
         state.engine.cached_instances() as u64,
     );
     w.counter(
-        "trace_events_dropped",
-        "Lifecycle events evicted from the bounded trace ring.",
-        state.trace.dropped(),
-    );
-    w.counter(
         "trace_spans_dropped",
         "Completed spans evicted from the bounded span collector.",
-        state.spans.dropped(),
+        state.ops.spans.dropped(),
     );
 
     w.counter(
@@ -1315,46 +1088,5 @@ fn handle_prometheus(state: &Arc<ServiceState>, stream: &mut TcpStream) {
         w.exemplar("job_total_ms", &ex.trace_hex, ex.timings.total_ms);
     }
 
-    write_body(stream, 200, encode::CONTENT_TYPE, &[], &w.finish());
-}
-
-fn handle_trace(state: &Arc<ServiceState>, stream: &mut TcpStream) {
-    let body = TraceBody {
-        dropped: state.trace.dropped(),
-        capacity: state.trace.capacity() as u64,
-        events: state.trace.snapshot(),
-    };
-    match serde_json::to_string_pretty(&body) {
-        Ok(json) => write_json(stream, 200, &json),
-        Err(_) => write_error(stream, 500, "serialisation failed"),
-    }
-}
-
-/// `GET /trace/:id`: the retained spans of one trace, flat and as a tree.
-fn handle_trace_id(state: &Arc<ServiceState>, stream: &mut TcpStream, raw: &str) {
-    let Some(trace) = TraceId::parse(raw) else {
-        write_error(
-            stream,
-            400,
-            &format!("invalid trace id {raw:?} (want 16 hex digits)"),
-        );
-        return;
-    };
-    let spans = state.spans.for_trace(trace);
-    if spans.is_empty() {
-        write_error(stream, 404, &format!("no spans retained for trace {raw:?}"));
-        return;
-    }
-    match serde_json::to_string_pretty(&trace_body(trace, spans)) {
-        Ok(json) => write_json(stream, 200, &json),
-        Err(_) => write_error(stream, 500, "serialisation failed"),
-    }
-}
-
-/// `GET /version`: build identity, for correlating multi-process journals.
-fn handle_version(stream: &mut TcpStream) {
-    match serde_json::to_string_pretty(&version_value()) {
-        Ok(json) => write_json(stream, 200, &json),
-        Err(_) => write_error(stream, 500, "serialisation failed"),
-    }
+    write_body(call.stream, 200, encode::CONTENT_TYPE, &[], &w.finish());
 }

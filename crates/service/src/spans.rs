@@ -1,11 +1,15 @@
 //! Service-side distributed-tracing plumbing over [`juliqaoa_telemetry::span`].
 //!
-//! The telemetry crate is dependency-free, so its spans only know how to render
-//! themselves as JSON lines.  This module supplies everything the service tiers
-//! layer on top:
+//! The telemetry crate is dependency-free, so its spans carry no JSON of their
+//! own.  This module supplies everything the service tiers layer on top:
 //!
 //! * [`span_to_value`] / [`span_from_value`] — spans as shim-serde [`Value`]s,
-//!   for the `GET /trace/:id` bodies and the router's cross-process merge;
+//!   the one span schema for `GET /trace`, `GET /trace/:id`, `--trace-out`
+//!   lines and the router's cross-process merge;
+//! * `trace_collector` — the span ring of one process, mirroring every span
+//!   to the `--trace-out` file when one is set (serve, route and batch);
+//! * `event` — a lifecycle event (`submit`, `done`, `drain`, …) as a
+//!   zero-duration span under its job's root, or under [`OPS_TRACE`];
 //! * [`trace_body`] — the `/trace/:id` response: the flat span list plus the
 //!   reconstructed span *tree* (children nested under parents, the root being
 //!   the span whose id equals the trace id);
@@ -15,11 +19,18 @@
 //! * [`version_value`] — the `GET /version` body, so multi-process trace
 //!   journals can be correlated to a build;
 //! * [`default_trace_cap`] — the `JULIQAOA_TRACE_CAP`-aware default capacity
-//!   shared by the serve and route tiers' trace rings and span collectors.
+//!   of the span ring.
 
-use juliqaoa_telemetry::{Span, SpanId, TraceId};
-use serde::Value;
-use std::sync::OnceLock;
+use juliqaoa_telemetry::{Span, SpanCollector, SpanId, TraceId};
+use serde::{Serialize, Value};
+use std::io::Write as _;
+use std::path::Path;
+use std::sync::{Arc, Mutex, OnceLock};
+
+/// The fixed trace id process-wide spans are recorded under — the router's
+/// health probes and backend transitions, serve's drain.  Process-independent,
+/// so `GET /trace/:id` with this id always pulls the ops history.
+pub const OPS_TRACE: TraceId = TraceId::from_raw(0x00C0_FFEE_0B5E_70E5);
 
 /// Request header carrying the trace id on router→backend submissions.  The
 /// backend adopts the id instead of re-deriving it (they agree by construction;
@@ -31,16 +42,16 @@ pub const TRACE_HEADER: &str = "X-Juliqaoa-Trace";
 /// shard-level span under the parent's, so the batch trace spans processes.
 pub const TRACE_PARENT_ENV: &str = "JULIQAOA_TRACE_PARENT";
 
-/// Environment variable overriding the default lifecycle-trace-ring and span
-/// collector capacity (the `--trace-ring-cap` flag wins over it).
+/// Environment variable overriding the default span-ring capacity (the
+/// `--trace-ring-cap` flag wins over it).
 pub const TRACE_CAP_ENV: &str = "JULIQAOA_TRACE_CAP";
 
-/// The built-in trace-ring capacity when neither the flag nor the environment
+/// The built-in span-ring capacity when neither the flag nor the environment
 /// override it.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1024;
 
-/// The trace-ring/span-collector capacity: `JULIQAOA_TRACE_CAP` when set to a
-/// positive integer, [`DEFAULT_TRACE_CAPACITY`] otherwise.
+/// The span-ring capacity: `JULIQAOA_TRACE_CAP` when set to a positive
+/// integer, [`DEFAULT_TRACE_CAPACITY`] otherwise.
 pub fn default_trace_cap() -> usize {
     std::env::var(TRACE_CAP_ENV)
         .ok()
@@ -54,7 +65,7 @@ pub fn default_trace_cap() -> usize {
 /// process (an in-process router-plus-backend test) or two hosts that happen to
 /// share a pid would mint colliding span ids, and the `/trace/:id` merge
 /// deduplicates by id, silently dropping the collision.
-pub fn collector_salt() -> u64 {
+fn collector_salt() -> u64 {
     use std::sync::atomic::{AtomicU64, Ordering};
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let nanos = std::time::SystemTime::now()
@@ -85,9 +96,54 @@ pub fn format_trace_parent(trace: TraceId, span: SpanId) -> String {
     format!("{}:{}", trace.to_hex(), span.to_hex())
 }
 
-/// A span as a shim-serde [`Value`] object — the same shape as
-/// [`Span::to_json_line`], so journal lines and `/trace/:id` bodies agree.
+/// The span ring of one process, holding at most `capacity` spans.  With a
+/// `path` (`--trace-out`), every recorded span is also appended to that file as
+/// one [`span_to_value`] JSON line, flushed per line; write failures are
+/// swallowed, so tracing can never fail a job.
+pub(crate) fn trace_collector(
+    path: Option<&Path>,
+    capacity: usize,
+) -> std::io::Result<Arc<SpanCollector>> {
+    let spans = Arc::new(SpanCollector::new(capacity.max(1), collector_salt()));
+    if let Some(path) = path {
+        let out = Mutex::new(std::io::BufWriter::new(std::fs::File::create(path)?));
+        spans.set_sink(Box::new(move |span: &Span| {
+            if let Ok(line) = serde_json::to_string(&span_to_value(span)) {
+                let mut w = out.lock().expect("trace out lock");
+                let _ = writeln!(w, "{line}");
+                let _ = w.flush();
+            }
+        }));
+    }
+    Ok(spans)
+}
+
+/// Records a lifecycle event as a zero-duration span named `name`: under the
+/// job's root span when `trace` is a job's, parentless under [`OPS_TRACE`]
+/// for process-wide events.  `job` and `detail` become attributes when
+/// non-empty.
+pub(crate) fn event(
+    spans: &SpanCollector,
+    trace: TraceId,
+    name: &str,
+    job: &str,
+    detail: impl Into<String>,
+) {
+    let detail = detail.into();
+    let attrs = [("job", job.to_string()), ("detail", detail)]
+        .into_iter()
+        .filter(|(_, v)| !v.is_empty())
+        .map(|(k, v)| (k.to_string(), v))
+        .collect();
+    let parent = (trace != OPS_TRACE).then(|| trace.root_span());
+    spans.record_closed(trace, parent, name, 0.0, attrs);
+}
+
+/// A span as a shim-serde [`Value`] object with a leading `"span"` key (its
+/// name); `parent` and `attrs` are omitted when empty.  JSON has no NaN or
+/// infinity, so a non-finite time is written as 0.
 pub fn span_to_value(span: &Span) -> Value {
+    let ms = |v: f64| Value::Num(if v.is_finite() { v } else { 0.0 });
     let mut fields = vec![
         ("span".to_string(), Value::Str(span.name.clone())),
         ("trace".to_string(), Value::Str(span.trace.to_hex())),
@@ -96,25 +152,26 @@ pub fn span_to_value(span: &Span) -> Value {
     if let Some(parent) = span.parent {
         fields.push(("parent".to_string(), Value::Str(parent.to_hex())));
     }
-    fields.push(("start_ms".to_string(), Value::Num(span.start_ms)));
-    fields.push(("duration_ms".to_string(), Value::Num(span.duration_ms)));
+    fields.push(("start_ms".to_string(), ms(span.start_ms)));
+    fields.push(("duration_ms".to_string(), ms(span.duration_ms)));
     if !span.attrs.is_empty() {
-        fields.push((
-            "attrs".to_string(),
-            Value::Object(
-                span.attrs
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Value::Str(v.clone())))
-                    .collect(),
-            ),
-        ));
+        fields.push(("attrs".to_string(), attrs_value(&span.attrs)));
     }
     Value::Object(fields)
 }
 
+fn attrs_value(attrs: &[(String, String)]) -> Value {
+    Value::Object(
+        attrs
+            .iter()
+            .map(|(k, v)| (k.clone(), Value::Str(v.clone())))
+            .collect(),
+    )
+}
+
 /// Parses a span object previously rendered by [`span_to_value`] (or a journal
 /// line) — used by the router to merge backend spans into one tree.  Returns
-/// `None` for objects of any other shape (e.g. lifecycle trace events).
+/// `None` for objects of any other shape.
 pub fn span_from_value(v: &Value) -> Option<Span> {
     let name = v.get_field("span")?.as_str()?.to_string();
     let trace = TraceId::parse(v.get_field("trace")?.as_str()?)?;
@@ -207,15 +264,7 @@ fn span_tree(spans: &[Span]) -> Value {
             ("duration_ms".to_string(), Value::Num(span.duration_ms)),
         ];
         if !span.attrs.is_empty() {
-            fields.push((
-                "attrs".to_string(),
-                Value::Object(
-                    span.attrs
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Value::Str(v.clone())))
-                        .collect(),
-                ),
-            ));
+            fields.push(("attrs".to_string(), attrs_value(&span.attrs)));
         }
         // Span sets are trees by construction; the depth cap is a guard against
         // pathological merged input, not an expected path.
@@ -241,6 +290,15 @@ fn span_tree(spans: &[Span]) -> Value {
 /// The `GET /version` body: crate version, build profile, git describe (when
 /// the binary runs inside a checkout) and the process id — enough to correlate
 /// a multi-process trace journal to a build and a process.
+#[derive(Serialize)]
+struct VersionBody {
+    version: String,
+    profile: String,
+    git: Option<String>,
+    pid: u64,
+}
+
+/// The [`VersionBody`] of this process, as a shim-serde [`Value`].
 pub fn version_value() -> Value {
     static GIT: OnceLock<Option<String>> = OnceLock::new();
     let git = GIT.get_or_init(|| {
@@ -253,34 +311,18 @@ pub fn version_value() -> Value {
             .map(|s| s.trim().to_string())
             .filter(|s| !s.is_empty())
     });
-    Value::Object(vec![
-        (
-            "version".to_string(),
-            Value::Str(env!("CARGO_PKG_VERSION").to_string()),
-        ),
-        (
-            "profile".to_string(),
-            Value::Str(
-                if cfg!(debug_assertions) {
-                    "debug"
-                } else {
-                    "release"
-                }
-                .to_string(),
-            ),
-        ),
-        (
-            "git".to_string(),
-            match git {
-                Some(describe) => Value::Str(describe.clone()),
-                None => Value::Null,
-            },
-        ),
-        (
-            "pid".to_string(),
-            Value::UInt(u64::from(std::process::id())),
-        ),
-    ])
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    VersionBody {
+        version: env!("CARGO_PKG_VERSION").to_string(),
+        profile: profile.to_string(),
+        git: git.clone(),
+        pid: u64::from(std::process::id()),
+    }
+    .to_value()
 }
 
 #[cfg(test)]
@@ -305,12 +347,57 @@ mod tests {
         let back = span_from_value(&span_to_value(&s)).expect("round trip");
         assert_eq!(back, s);
         // A journal line parses to the same span too.
-        let from_line: Value = serde_json::from_str(&s.to_json_line()).unwrap();
+        let line = serde_json::to_string(&span_to_value(&s)).unwrap();
+        let from_line: Value = serde_json::from_str(&line).unwrap();
         assert_eq!(span_from_value(&from_line), Some(s));
-        // Lifecycle events (no "span" key) are rejected, not mangled.
-        let event: Value =
+        // Objects of another shape (no "span" key) are rejected, not mangled.
+        let other: Value =
             serde_json::from_str(r#"{"seq":1,"ts_ms":2.0,"event":"submit","job":"x"}"#).unwrap();
-        assert_eq!(span_from_value(&event), None);
+        assert_eq!(span_from_value(&other), None);
+    }
+
+    #[test]
+    fn json_lines_escape_and_carry_the_tree_fields() {
+        let s = Span {
+            trace: TraceId::from_raw(0xFF),
+            id: SpanId::from_raw(0xFE),
+            parent: Some(SpanId::from_raw(0xFF)),
+            name: "route\"submit".into(),
+            start_ms: 1.5,
+            duration_ms: f64::NAN,
+            attrs: vec![("job".into(), "a\nb".into())],
+        };
+        let line = serde_json::to_string(&span_to_value(&s)).unwrap();
+        assert!(line.starts_with("{\"span\":\"route\\\"submit\""), "{line}");
+        assert!(line.contains("\"trace\":\"00000000000000ff\""));
+        assert!(line.contains("\"parent\":\"00000000000000ff\""));
+        assert!(line.contains("\"duration_ms\":0,"), "{line}");
+        assert!(line.contains("\"attrs\":{\"job\":\"a\\nb\"}"), "{line}");
+        // No parent and no attrs: both keys omitted.
+        let mut bare = span(1, 1, None, "job", 0.0);
+        bare.attrs.clear();
+        let bare = serde_json::to_string(&span_to_value(&bare)).unwrap();
+        assert!(!bare.contains("parent"), "{bare}");
+        assert!(!bare.contains("attrs"), "{bare}");
+    }
+
+    #[test]
+    fn events_are_zero_duration_spans_under_the_job_or_the_ops_trace() {
+        let spans = SpanCollector::new(8, 1);
+        let job = TraceId::from_raw(0x42);
+        event(&spans, job, "submit", "j1", "");
+        event(&spans, OPS_TRACE, "drain", "", "budget 5 ms");
+        let recorded = spans.snapshot();
+        assert_eq!(recorded[0].name, "submit");
+        assert_eq!(recorded[0].parent, Some(job.root_span()));
+        assert_eq!(recorded[0].duration_ms, 0.0);
+        assert_eq!(recorded[0].attrs, vec![("job".into(), "j1".into())]);
+        assert_eq!(recorded[1].trace, OPS_TRACE);
+        assert_eq!(recorded[1].parent, None);
+        assert_eq!(
+            recorded[1].attrs,
+            vec![("detail".into(), "budget 5 ms".into())]
+        );
     }
 
     #[test]
@@ -378,6 +465,28 @@ mod tests {
         assert!(profile == "debug" || profile == "release");
         assert!(v.get_field("pid").unwrap().as_u64().unwrap() > 0);
         assert!(v.get_field("git").is_some(), "git key always present");
+    }
+
+    #[test]
+    fn trace_files_hold_one_parseable_span_per_line() {
+        let path = std::env::temp_dir().join(format!(
+            "juliqaoa_spans_trace_file_{}.jsonl",
+            std::process::id()
+        ));
+        let spans = trace_collector(Some(&path), 4).unwrap();
+        event(&spans, TraceId::from_raw(7), "submit", "a\"b", "");
+        spans.record_closed(TraceId::from_raw(7), None, "job", 1.25, vec![]);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let names: Vec<String> = text
+            .lines()
+            .map(|l| {
+                span_from_value(&serde_json::from_str(l).unwrap())
+                    .unwrap()
+                    .name
+            })
+            .collect();
+        assert_eq!(names, ["submit", "job"]);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use juliqaoa_service::{
     journal, BatchOptions, Engine, HashRing, JobFile, JobResult, JobSpec, JobStatusBody, MixerSpec,
-    OptimizerSpec, ProblemSpec, Router, RouterConfig, RouterStatsBody,
+    OpsConfig, OptimizerSpec, ProblemSpec, Router, RouterConfig, RouterStatsBody,
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -138,7 +138,7 @@ fn start_router(
     hedge_after_ms: Option<u64>,
 ) -> (SocketAddr, std::thread::JoinHandle<()>) {
     let mut config = RouterConfig {
-        addr: "127.0.0.1:0".into(),
+        ops: OpsConfig::at("127.0.0.1:0"),
         hedge_after_ms,
         ..RouterConfig::default()
     };

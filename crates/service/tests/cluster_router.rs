@@ -3,9 +3,10 @@
 //! failover on a dead backend, and the readiness split.
 
 use juliqaoa_service::{
-    JobResult, JobSpec, JobStatusBody, MixerSpec, OptimizerSpec, ProblemSpec, Router, RouterConfig,
-    RouterStatsBody, Server, ServerConfig,
+    JobResult, JobSpec, JobStatusBody, MixerSpec, OpsConfig, OptimizerSpec, ProblemSpec, Router,
+    RouterConfig, RouterStatsBody, Server, ServerConfig,
 };
+use serde::Value;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::AtomicBool;
@@ -61,7 +62,7 @@ struct TestBackend {
 
 fn start_backend() -> TestBackend {
     let server = Server::bind(ServerConfig {
-        addr: "127.0.0.1:0".into(),
+        ops: OpsConfig::at("127.0.0.1:0"),
         workers: 2,
         queue_capacity: 32,
         cache_capacity: 8,
@@ -82,7 +83,7 @@ fn start_router(
     hedge_after_ms: Option<u64>,
 ) -> (SocketAddr, std::thread::JoinHandle<()>) {
     let mut config = RouterConfig {
-        addr: "127.0.0.1:0".into(),
+        ops: OpsConfig::at("127.0.0.1:0"),
         hedge_after_ms,
         ..RouterConfig::default()
     };
@@ -295,11 +296,13 @@ fn distributed_trace_spans_router_and_backend() {
     let _ = std::fs::remove_file(&router_trace);
 
     let server = Server::bind(ServerConfig {
-        addr: "127.0.0.1:0".into(),
+        ops: OpsConfig {
+            trace_path: Some(backend_trace.clone()),
+            ..OpsConfig::at("127.0.0.1:0")
+        },
         workers: 2,
         queue_capacity: 32,
         cache_capacity: 8,
-        trace_path: Some(backend_trace.clone()),
         ..ServerConfig::default()
     })
     .expect("bind backend");
@@ -311,8 +314,10 @@ fn distributed_trace_spans_router_and_backend() {
     };
 
     let mut config = RouterConfig {
-        addr: "127.0.0.1:0".into(),
-        trace_path: Some(router_trace.clone()),
+        ops: OpsConfig {
+            trace_path: Some(router_trace.clone()),
+            ..OpsConfig::at("127.0.0.1:0")
+        },
         ..RouterConfig::default()
     };
     config.cluster.backends = vec![baddr.to_string()];
@@ -481,4 +486,180 @@ fn backend_readyz_splits_from_healthz_during_drain() {
         .stop
         .store(true, std::sync::atomic::Ordering::SeqCst);
     backend.handle.join().unwrap();
+}
+
+/// Every route the route tier declares, in table order: its own routes, then
+/// the shared ops entries.  `GET /` must list exactly these.
+const ROUTER_ROUTES: [(&str, &str); 13] = [
+    ("POST", "/jobs"),
+    ("GET", "/jobs/:id"),
+    ("GET", "/jobs/:id/result"),
+    ("POST", "/jobs/:id/cancel"),
+    ("GET", "/metrics"),
+    ("GET", "/stats"),
+    ("GET", "/readyz"),
+    ("GET", "/"),
+    ("GET", "/healthz"),
+    ("GET", "/version"),
+    ("GET", "/trace"),
+    ("GET", "/trace/:id"),
+    ("POST", "/shutdown"),
+];
+
+#[test]
+fn the_router_route_table_drives_dispatch_and_the_index() {
+    let backend = start_backend();
+    let (router, router_handle) = start_router(vec![backend.addr.to_string()], None);
+    // A real routed job fills every `:id`: its trace id under `/trace`, its
+    // job id everywhere else.
+    let json = serde_json::to_string(&spec("rwalk-1", 0)).unwrap();
+    assert_eq!(request(router, "POST", "/jobs", Some(&json)).0, 202);
+    let job = poll_until_done(router, "rwalk-1");
+
+    // `GET /` lists exactly the table, each route with a summary.
+    let (status, body) = request(router, "GET", "/", None);
+    assert_eq!(status, 200);
+    let index: Value = serde_json::from_str(&body).expect("index json");
+    let field = |r: &Value, k: &str| r.get_field(k).and_then(Value::as_str).map(String::from);
+    let listed: Vec<(String, String)> = index
+        .get_field("routes")
+        .and_then(Value::as_array)
+        .expect("routes")
+        .iter()
+        .map(|r| {
+            assert!(field(r, "summary").is_some_and(|s| !s.is_empty()), "{r:?}");
+            (field(r, "method").unwrap(), field(r, "path").unwrap())
+        })
+        .collect();
+    let declared: Vec<(String, String)> = ROUTER_ROUTES
+        .iter()
+        .map(|(m, p)| (m.to_string(), p.to_string()))
+        .collect();
+    assert_eq!(listed, declared);
+
+    // Every declared route answers; the same path with the other method is a
+    // 405.  `POST /shutdown` goes last, since it stops the router.
+    for (i, (method, path)) in ROUTER_ROUTES.iter().enumerate() {
+        let id = if path.starts_with("/trace") {
+            &job.trace
+        } else {
+            "rwalk-1"
+        };
+        let target = path.replace(":id", id);
+        let other = if *method == "GET" { "POST" } else { "GET" };
+        let (status, _) = request(router, other, &target, None);
+        assert_eq!(status, 405, "{other} {target}");
+        if *path == "/shutdown" {
+            continue;
+        }
+        let body = (*path == "/jobs")
+            .then(|| serde_json::to_string(&spec(&format!("rwalk-post-{i}"), 1)).unwrap());
+        let (status, reply) = request(router, method, &target, body.as_deref());
+        assert!(
+            status != 404 && status != 405,
+            "{method} {target} answered {status}: {reply}"
+        );
+    }
+    for (method, path) in [
+        ("GET", "/nope"),
+        ("POST", "/jobs/rwalk-1/nope"),
+        ("GET", "/trace/a/b"),
+    ] {
+        assert_eq!(
+            request(router, method, path, None).0,
+            404,
+            "{method} {path}"
+        );
+    }
+    assert_eq!(request(router, "POST", "/shutdown", None).0, 200);
+    router_handle.join().unwrap();
+    backend
+        .stop
+        .store(true, std::sync::atomic::Ordering::SeqCst);
+    backend.handle.join().unwrap();
+}
+
+#[test]
+fn unaddressable_job_ids_are_refused_at_the_router() {
+    let backend = start_backend();
+    let (router, router_handle) = start_router(vec![backend.addr.to_string()], None);
+    for id in ["a?b", "x/result"] {
+        let json = serde_json::to_string(&spec(id, 0)).unwrap();
+        let (status, body) = request(router, "POST", "/jobs", Some(&json));
+        assert_eq!(status, 400, "{id}: {body}");
+        assert!(body.contains("must not contain"), "{body}");
+    }
+    // Refused at the edge: nothing was routed.
+    let (_, body) = request(router, "GET", "/stats", None);
+    let stats: RouterStatsBody = serde_json::from_str(&body).expect("stats json");
+    assert_eq!(stats.jobs_routed, 0);
+    assert_eq!(request(router, "POST", "/shutdown", None).0, 200);
+    router_handle.join().unwrap();
+    backend
+        .stop
+        .store(true, std::sync::atomic::Ordering::SeqCst);
+    backend.handle.join().unwrap();
+}
+
+#[test]
+fn trace_fanout_skips_a_tripped_backend_instead_of_stalling_the_router() {
+    // One live backend and one wedged listener that accepts connections (the
+    // kernel completes the handshake) but never answers.  The router serves
+    // one connection at a time, so a `/trace/:id` fan-out that waited out the
+    // wedged backend's timeout would stall every client for that long.
+    let live = start_backend();
+    let wedged = std::net::TcpListener::bind("127.0.0.1:0").expect("bind wedged listener");
+    let backend_timeout_ms = 3_000;
+    let mut config = RouterConfig {
+        ops: OpsConfig::at("127.0.0.1:0"),
+        backend_timeout_ms,
+        ..RouterConfig::default()
+    };
+    config.cluster.backends = vec![
+        live.addr.to_string(),
+        wedged.local_addr().unwrap().to_string(),
+    ];
+    config.cluster.probe_interval_ms = 50;
+    config.cluster.probe_timeout_ms = 200;
+    config.cluster.trip_after = 2;
+    let router = Router::bind(config).expect("bind router");
+    let raddr = router.local_addr().unwrap();
+    let rhandle = std::thread::spawn(move || router.run().unwrap());
+
+    // Wait for the prober to trip the wedged backend.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (_, body) = request(raddr, "GET", "/stats", None);
+        let stats: RouterStatsBody = serde_json::from_str(&body).expect("stats json");
+        if stats.backends_live == 1 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "wedged backend never tripped: {body}"
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    // With the wedged circuit open, the job lands on the live backend.
+    let s = spec("stall-1", 0);
+    let json = serde_json::to_string(&s).unwrap();
+    let (status, body) = request(raddr, "POST", "/jobs", Some(&json));
+    assert_eq!(status, 202, "{body}");
+    let job = poll_until_done(raddr, "stall-1");
+
+    let started = Instant::now();
+    let (status, body) = request(raddr, "GET", &format!("/trace/{}", job.trace), None);
+    let elapsed = started.elapsed();
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"span\": \"queue_wait\""), "{body}");
+    assert!(
+        elapsed < Duration::from_millis(backend_timeout_ms / 3),
+        "/trace/:id took {elapsed:?} against a {backend_timeout_ms} ms backend timeout"
+    );
+
+    assert_eq!(request(raddr, "POST", "/shutdown", None).0, 200);
+    rhandle.join().unwrap();
+    live.stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    live.handle.join().unwrap();
+    drop(wedged);
 }

@@ -13,7 +13,8 @@
 
 use juliqaoa_service::{
     fault, BatchOptions, Engine, FaultPlan, JobResult, JobSpec, JobStatusBody, MetricsBody,
-    MixerSpec, OptimizerSpec, PanicFault, ProblemSpec, RetryPolicy, Server, ServerConfig,
+    MixerSpec, OpsConfig, OptimizerSpec, PanicFault, ProblemSpec, RetryPolicy, Server,
+    ServerConfig,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -261,7 +262,7 @@ fn deadline_expiry_mid_grid_returns_a_structured_timeout_over_http() {
     let _guard = chaos_guard();
     fault::clear();
     let server = Server::bind(ServerConfig {
-        addr: "127.0.0.1:0".into(),
+        ops: OpsConfig::at("127.0.0.1:0"),
         workers: 1,
         ..ServerConfig::default()
     })
@@ -309,7 +310,7 @@ fn stale_queued_jobs_are_shed_and_saturated_submits_get_503_with_retry_after() {
     let _guard = chaos_guard();
     fault::clear();
     let server = Server::bind(ServerConfig {
-        addr: "127.0.0.1:0".into(),
+        ops: OpsConfig::at("127.0.0.1:0"),
         workers: 1,
         queue_wait_ms: Some(30),
         ..ServerConfig::default()
@@ -383,7 +384,7 @@ fn an_external_stop_flag_drains_and_the_drain_deadline_cancels_stragglers() {
     fault::clear();
     let results = temp_path("drain_results");
     let server = Server::bind(ServerConfig {
-        addr: "127.0.0.1:0".into(),
+        ops: OpsConfig::at("127.0.0.1:0"),
         workers: 1,
         drain_ms: 50,
         results_path: Some(results.clone()),

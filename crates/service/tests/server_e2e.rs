@@ -1,10 +1,13 @@
 //! End-to-end serve-mode test: a real `TcpListener` server driven over raw sockets —
 //! submit, poll, fetch result, metrics, error paths, graceful shutdown.
 
+use juliqaoa_service::spans::span_from_value;
 use juliqaoa_service::{
-    JobResult, JobSpec, JobStatusBody, MetricsBody, MixerSpec, OptimizerSpec, ProblemSpec, Server,
-    ServerConfig, TraceBody,
+    fault, FaultPlan, JobResult, JobSpec, JobStatusBody, MetricsBody, MixerSpec, OpsConfig,
+    OptimizerSpec, PanicFault, ProblemSpec, Server, ServerConfig,
 };
+use juliqaoa_telemetry::Span;
+use serde::Value;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -75,7 +78,7 @@ fn poll_until_done(addr: SocketAddr, id: &str) -> JobStatusBody {
 #[test]
 fn full_job_lifecycle_over_http() {
     let server = Server::bind(ServerConfig {
-        addr: "127.0.0.1:0".into(),
+        ops: OpsConfig::at("127.0.0.1:0"),
         workers: 2,
         queue_capacity: 16,
         cache_capacity: 8,
@@ -237,10 +240,16 @@ fn full_job_lifecycle_over_http() {
 fn a_panicking_job_fails_structured_and_the_sole_worker_survives() {
     // One worker: if the panic killed the thread, nothing would ever run again and
     // the follow-up job below would hang in `queued`.  The job id is unique to this
-    // test, so the chaos hook cannot touch other tests' jobs.
-    juliqaoa_service::engine::set_test_panic_job_id(Some("e2e-panic-boom"));
+    // test, so the fault plan cannot touch other tests' jobs.
+    fault::install(FaultPlan {
+        panic_jobs: vec![PanicFault {
+            id: "e2e-panic-boom".into(),
+            times: u32::MAX,
+        }],
+        ..FaultPlan::default()
+    });
     let server = Server::bind(ServerConfig {
-        addr: "127.0.0.1:0".into(),
+        ops: OpsConfig::at("127.0.0.1:0"),
         workers: 1,
         queue_capacity: 16,
         cache_capacity: 8,
@@ -281,7 +290,7 @@ fn a_panicking_job_fails_structured_and_the_sole_worker_survives() {
     assert_eq!(metrics.engine.jobs_panicked, 1);
     assert_eq!(metrics.engine.jobs_failed, 1);
     assert_eq!(metrics.done, 1);
-    juliqaoa_service::engine::set_test_panic_job_id(None);
+    fault::clear();
 
     let (status, _) = request(addr, "POST", "/shutdown", None);
     assert_eq!(status, 200);
@@ -294,12 +303,14 @@ fn prometheus_exposition_and_trace_ring_over_http() {
         std::env::temp_dir().join(format!("juliqaoa_e2e_trace_{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&trace_path);
     let server = Server::bind(ServerConfig {
-        addr: "127.0.0.1:0".into(),
+        ops: OpsConfig {
+            trace_path: Some(trace_path.clone()),
+            trace_ring_cap: 512,
+            ..OpsConfig::at("127.0.0.1:0")
+        },
         workers: 1,
         queue_capacity: 16,
         cache_capacity: 8,
-        trace_path: Some(trace_path.clone()),
-        trace_ring_cap: 512,
         ..ServerConfig::default()
     })
     .expect("bind");
@@ -368,30 +379,39 @@ fn prometheus_exposition_and_trace_ring_over_http() {
         );
     }
 
-    // The trace ring saw the full lifecycle, in order.
+    // The span ring saw the full lifecycle, in order: lifecycle events are
+    // zero-duration spans beside the stage spans.
     let (status, body) = request(addr, "GET", "/trace", None);
     assert_eq!(status, 200);
-    let trace: TraceBody = serde_json::from_str(&body).expect("trace json");
-    assert_eq!(trace.dropped, 0);
-    let events: Vec<(&str, &str)> = trace
-        .events
-        .iter()
-        .map(|e| (e.event.as_str(), e.job.as_str()))
-        .collect();
-    assert!(events.contains(&("submit", "e2e-prom")), "{events:?}");
-    assert!(events.contains(&("done", "e2e-prom")), "{events:?}");
-    let submit_pos = events.iter().position(|e| e.0 == "submit").unwrap();
-    let done_pos = events.iter().position(|e| e.0 == "done").unwrap();
-    assert!(
-        submit_pos < done_pos,
-        "submit must precede done: {events:?}"
-    );
-    // Sequence numbers are strictly increasing (the ring preserves order).
-    for pair in trace.events.windows(2) {
-        assert!(pair[0].seq < pair[1].seq);
-    }
+    let ring: Value = serde_json::from_str(&body).expect("trace json");
+    assert_eq!(ring.get_field("dropped").and_then(Value::as_u64), Some(0));
     // The ring reports its configured capacity (the --trace-ring-cap knob).
-    assert_eq!(trace.capacity, 512);
+    assert_eq!(
+        ring.get_field("capacity").and_then(Value::as_u64),
+        Some(512)
+    );
+    let spans: Vec<Span> = ring
+        .get_field("spans")
+        .and_then(Value::as_array)
+        .expect("spans array")
+        .iter()
+        .map(|v| span_from_value(v).expect("every ring entry is a span"))
+        .collect();
+    let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+    let job_event = |name: &str| {
+        spans.iter().position(|s| {
+            s.name == name
+                && s.attrs
+                    .contains(&("job".to_string(), "e2e-prom".to_string()))
+        })
+    };
+    let submit_pos = job_event("submit").unwrap_or_else(|| panic!("no submit: {names:?}"));
+    let done_pos = job_event("done").unwrap_or_else(|| panic!("no done: {names:?}"));
+    assert!(submit_pos < done_pos, "submit must precede done: {names:?}");
+    assert_eq!(
+        spans[submit_pos].duration_ms, 0.0,
+        "events are zero-duration"
+    );
 
     // `GET /trace/:id` reconstructs the span tree for the finished job.  The
     // root span is recorded a beat after the status flips to done, so poll.
@@ -409,11 +429,32 @@ fn prometheus_exposition_and_trace_ring_over_http() {
         std::thread::sleep(Duration::from_millis(20));
     };
     assert!(tree_body.contains(&format!("\"trace\": \"{trace_hex}\"")));
-    // The engine stages hang under the root job span in the tree.
-    for child in ["queue_wait", "prep", "optimize"] {
+    // The engine stages and the lifecycle events hang under the root job span.
+    let tree: Value = serde_json::from_str(&tree_body).expect("tree json");
+    let name = |node: &Value| {
+        node.get_field("name")
+            .and_then(Value::as_str)
+            .map(String::from)
+    };
+    let roots = tree
+        .get_field("tree")
+        .and_then(Value::as_array)
+        .expect("tree");
+    let job = roots
+        .iter()
+        .find(|n| name(n).as_deref() == Some("job"))
+        .expect("job root");
+    let children: Vec<String> = job
+        .get_field("children")
+        .and_then(Value::as_array)
+        .expect("children")
+        .iter()
+        .filter_map(name)
+        .collect();
+    for child in ["submit", "queue_wait", "prep", "optimize", "done"] {
         assert!(
-            tree_body.contains(&format!("\"span\": \"{child}\"")),
-            "missing {child} span: {tree_body}"
+            children.iter().any(|c| c == child),
+            "missing {child} under the job span: {children:?}"
         );
     }
     // Unknown and malformed ids are clean errors.
@@ -435,38 +476,28 @@ fn prometheus_exposition_and_trace_ring_over_http() {
     assert_eq!(status, 200);
     handle.join().expect("server thread");
 
-    // `--trace-out` mirrored the same events as JSONL, one parseable line each.
-    // The file interleaves lifecycle events with span records; span lines open
-    // with a `"span"` key, everything else must parse as a TraceEvent.
+    // `--trace-out` mirrored the ring as JSONL: every line is one span.
     let mirrored = std::fs::read_to_string(&trace_path).expect("trace file written");
-    let lines: Vec<&str> = mirrored.lines().filter(|l| !l.trim().is_empty()).collect();
+    let lines: Vec<Span> = mirrored
+        .lines()
+        .filter(|l| !l.trim().is_empty())
+        .map(|l| {
+            let value: Value = serde_json::from_str(l).expect("trace line parses");
+            span_from_value(&value).unwrap_or_else(|| panic!("not a span line: {l}"))
+        })
+        .collect();
     assert!(
-        lines.len() >= trace.events.len(),
-        "trace file must hold at least the ring's events"
-    );
-    let mut span_lines = 0usize;
-    for line in &lines {
-        if line.starts_with("{\"span\":") {
-            span_lines += 1;
-            continue;
-        }
-        let event: juliqaoa_service::TraceEvent =
-            serde_json::from_str(line).expect("trace line parses");
-        assert!(!event.event.is_empty());
-    }
-    // At minimum the job's root span plus its queue_wait child were mirrored.
-    assert!(
-        span_lines >= 2,
-        "expected span records in the trace file, got {span_lines}"
+        lines.len() >= spans.len(),
+        "trace file must hold at least the ring's spans"
     );
     assert!(
-        lines.iter().any(|l| l.starts_with("{\"span\":\"job\"")),
+        lines.iter().any(|s| s.name == "job"),
         "root job span must be mirrored to the trace file"
     );
     // The drain event lands in the file on shutdown even though the ring
     // snapshot above was taken before it.
     assert!(
-        lines.iter().any(|l| l.contains("\"drain\"")),
+        lines.iter().any(|s| s.name == "drain"),
         "shutdown must emit a drain event"
     );
     let _ = std::fs::remove_file(&trace_path);
@@ -477,7 +508,7 @@ fn queue_overflow_returns_429_and_cancellation_works() {
     // One worker and a tiny queue: hold the worker busy with slow jobs, overflow the
     // queue, then cancel a queued job.
     let server = Server::bind(ServerConfig {
-        addr: "127.0.0.1:0".into(),
+        ops: OpsConfig::at("127.0.0.1:0"),
         workers: 1,
         queue_capacity: 2,
         cache_capacity: 8,
@@ -530,5 +561,120 @@ fn queue_overflow_returns_429_and_cancellation_works() {
     }
     let (status, _) = request(addr, "POST", "/shutdown", None);
     assert_eq!(status, 200);
+    handle.join().expect("server thread");
+}
+
+/// Every route the serve tier declares, in table order: its own routes, then
+/// the shared ops entries.  `GET /` must list exactly these.
+const SERVE_ROUTES: [(&str, &str); 13] = [
+    ("POST", "/jobs"),
+    ("GET", "/jobs/:id"),
+    ("GET", "/jobs/:id/result"),
+    ("POST", "/jobs/:id/cancel"),
+    ("GET", "/metrics"),
+    ("GET", "/stats"),
+    ("GET", "/readyz"),
+    ("GET", "/"),
+    ("GET", "/healthz"),
+    ("GET", "/version"),
+    ("GET", "/trace"),
+    ("GET", "/trace/:id"),
+    ("POST", "/shutdown"),
+];
+
+#[test]
+fn the_route_table_drives_dispatch_and_the_index() {
+    let server = Server::bind(ServerConfig {
+        ops: OpsConfig::at("127.0.0.1:0"),
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.run().unwrap());
+    // A real job fills every `:id`: its trace id under `/trace`, its job id
+    // everywhere else.
+    let spec_json = serde_json::to_string(&sample_spec("walk-1")).unwrap();
+    assert_eq!(request(addr, "POST", "/jobs", Some(&spec_json)).0, 202);
+    let job = poll_until_done(addr, "walk-1");
+
+    // `GET /` lists exactly the table, each route with a summary.
+    let (status, body) = request(addr, "GET", "/", None);
+    assert_eq!(status, 200);
+    let index: Value = serde_json::from_str(&body).expect("index json");
+    let field = |r: &Value, k: &str| r.get_field(k).and_then(Value::as_str).map(String::from);
+    let listed: Vec<(String, String)> = index
+        .get_field("routes")
+        .and_then(Value::as_array)
+        .expect("routes")
+        .iter()
+        .map(|r| {
+            assert!(field(r, "summary").is_some_and(|s| !s.is_empty()), "{r:?}");
+            (field(r, "method").unwrap(), field(r, "path").unwrap())
+        })
+        .collect();
+    let declared: Vec<(String, String)> = SERVE_ROUTES
+        .iter()
+        .map(|(m, p)| (m.to_string(), p.to_string()))
+        .collect();
+    assert_eq!(listed, declared);
+
+    // Every declared route answers; the same path with the other method is a
+    // 405.  `POST /shutdown` goes last, since it stops the server.
+    for (i, (method, path)) in SERVE_ROUTES.iter().enumerate() {
+        let id = if path.starts_with("/trace") {
+            &job.trace
+        } else {
+            "walk-1"
+        };
+        let target = path.replace(":id", id);
+        let other = if *method == "GET" { "POST" } else { "GET" };
+        let (status, _) = request(addr, other, &target, None);
+        assert_eq!(status, 405, "{other} {target}");
+        if *path == "/shutdown" {
+            continue;
+        }
+        let body = (*path == "/jobs")
+            .then(|| serde_json::to_string(&sample_spec(&format!("walk-post-{i}"))).unwrap());
+        let (status, reply) = request(addr, method, &target, body.as_deref());
+        assert!(
+            status != 404 && status != 405,
+            "{method} {target} answered {status}: {reply}"
+        );
+    }
+    // Undeclared paths are 404s, whatever the method.
+    for (method, path) in [
+        ("GET", "/nope"),
+        ("POST", "/jobs/walk-1/nope"),
+        ("GET", "/trace/a/b"),
+    ] {
+        assert_eq!(request(addr, method, path, None).0, 404, "{method} {path}");
+    }
+    assert_eq!(request(addr, "POST", "/shutdown", None).0, 200);
+    handle.join().expect("server thread");
+}
+
+#[test]
+fn unaddressable_job_ids_are_refused_at_submit() {
+    let server = Server::bind(ServerConfig {
+        ops: OpsConfig::at("127.0.0.1:0"),
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.run().unwrap());
+    // `GET /jobs/a?b` would strip the query and `GET /jobs/x/result` would read
+    // job `x`: neither id could be polled, so neither is accepted.
+    for id in ["a?b", "x/result"] {
+        let spec_json = serde_json::to_string(&sample_spec(id)).unwrap();
+        let (status, body) = request(addr, "POST", "/jobs", Some(&spec_json));
+        assert_eq!(status, 400, "{id}: {body}");
+        assert!(body.contains("must not contain"), "{body}");
+    }
+    let (_, body) = request(addr, "GET", "/stats", None);
+    let metrics: MetricsBody = serde_json::from_str(&body).expect("metrics json");
+    assert_eq!(metrics.jobs_submitted, 0);
+    assert_eq!(request(addr, "POST", "/shutdown", None).0, 200);
     handle.join().expect("server thread");
 }

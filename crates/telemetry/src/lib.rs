@@ -7,7 +7,7 @@
 //! in the workspace graph so even the innermost Walsh–Hadamard butterfly can record
 //! a pass.
 //!
-//! Four pieces:
+//! Five pieces:
 //!
 //! * [`Counter`] / [`Gauge`] — monotonic and point-in-time scalars;
 //! * [`Histogram`] — fixed-bucket latency histograms with lock-free recording,
@@ -17,22 +17,21 @@
 //! * [`kernels`] — process-wide profiling counters threaded through the simulator
 //!   core (phase-table applications, WHT passes, dense fallbacks, prefix
 //!   checkpoint reuse, shots drawn);
-//! * [`trace`] — a bounded ring buffer of structured lifecycle events backing the
-//!   service's `GET /trace` endpoint and `--trace-out` journal;
 //! * [`span`] — distributed-tracing spans (trace/span ids, parent links, a
-//!   bounded [`span::SpanCollector`]) behind the service's `GET /trace/:id`
-//!   span trees and cross-process trace propagation.
+//!   bounded [`span::SpanCollector`]) behind the service's `GET /trace` ring,
+//!   `GET /trace/:id` span trees, `--trace-out` journals and cross-process
+//!   trace propagation.  Lifecycle events are zero-duration spans in the same
+//!   ring.
 
 pub mod encode;
 pub mod hist;
 pub mod kernels;
 pub mod span;
-pub mod trace;
+mod trace;
 
 pub use encode::PromWriter;
 pub use hist::{Histogram, HistogramSnapshot};
 pub use span::{Span, SpanCollector, SpanId, TraceId};
-pub use trace::TraceRing;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

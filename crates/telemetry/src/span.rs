@@ -18,12 +18,12 @@
 //!   tree without id collisions.  Callers supply the salt; the service layer
 //!   mixes the pid, the clock and a process-global counter into it.
 //!
-//! Like [`crate::trace::TraceRing`], the [`SpanCollector`] is a bounded
-//! drop-oldest ring: recording is a short mutex push per span (a handful per
-//! job, never inside simulation kernels), and the collector counts what it had
-//! to evict.  This crate is dependency-free, so spans render themselves to
-//! JSON lines by hand ([`Span::to_json_line`]); the service layer parses them
-//! back with its own JSON machinery.
+//! The [`SpanCollector`] is a bounded drop-oldest ring: recording is a short
+//! mutex push per span (a handful per job, never inside simulation kernels),
+//! and the collector counts what it had to evict.  A lifecycle event (job
+//! submitted, done, retried, …) is recorded as a zero-duration span, so one
+//! ring holds everything a process traces.  This crate is dependency-free; the
+//! service layer renders spans to JSON.
 
 use crate::trace::TraceRing;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -117,80 +117,12 @@ pub struct Span {
     pub attrs: Vec<(String, String)>,
 }
 
-impl Span {
-    /// Renders the span as one JSON line for the `--trace-out` journal.
-    /// Distinguishable from lifecycle [`crate::trace`] events by its leading
-    /// `"span"` key.
-    pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(128);
-        out.push_str("{\"span\":\"");
-        json_escape_into(&mut out, &self.name);
-        out.push_str("\",\"trace\":\"");
-        out.push_str(&self.trace.to_hex());
-        out.push_str("\",\"id\":\"");
-        out.push_str(&self.id.to_hex());
-        out.push('"');
-        if let Some(parent) = self.parent {
-            out.push_str(",\"parent\":\"");
-            out.push_str(&parent.to_hex());
-            out.push('"');
-        }
-        out.push_str(",\"start_ms\":");
-        push_json_f64(&mut out, self.start_ms);
-        out.push_str(",\"duration_ms\":");
-        push_json_f64(&mut out, self.duration_ms);
-        if !self.attrs.is_empty() {
-            out.push_str(",\"attrs\":{");
-            for (i, (k, v)) in self.attrs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                json_escape_into(&mut out, k);
-                out.push_str("\":\"");
-                json_escape_into(&mut out, v);
-                out.push('"');
-            }
-            out.push('}');
-        }
-        out.push('}');
-        out
-    }
-}
-
-/// Escapes `s` into `out` as JSON string content (no surrounding quotes).
-fn json_escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// JSON has no NaN/Inf literals; clamp non-finite durations to 0 rather than
-/// emit an unparseable line.
-fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v:.3}"));
-    } else {
-        out.push_str("0.000");
-    }
-}
-
 /// An optional per-span callback, used by the service to mirror every recorded
 /// span to the `--trace-out` JSONL journal.
 type SpanSink = Box<dyn Fn(&Span) + Send + Sync>;
 
-/// A bounded, drop-oldest collector of completed spans — the span-side twin of
-/// [`TraceRing`], plus a salted span-id allocator and a monotonic clock.
+/// A bounded, drop-oldest collector of completed spans, plus a salted span-id
+/// allocator and a monotonic clock.
 pub struct SpanCollector {
     ring: TraceRing<Span>,
     next: AtomicU64,
@@ -366,29 +298,6 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), ids.len(), "salted ids must not collide");
-    }
-
-    #[test]
-    fn json_lines_escape_and_carry_the_tree_fields() {
-        let s = Span {
-            trace: TraceId::from_raw(0xFF),
-            id: SpanId::from_raw(0xFE),
-            parent: Some(SpanId::from_raw(0xFF)),
-            name: "route\"submit".into(),
-            start_ms: 1.5,
-            duration_ms: f64::NAN,
-            attrs: vec![("job".into(), "a\nb".into())],
-        };
-        let line = s.to_json_line();
-        assert!(line.starts_with("{\"span\":\"route\\\"submit\""), "{line}");
-        assert!(line.contains("\"trace\":\"00000000000000ff\""));
-        assert!(line.contains("\"parent\":\"00000000000000ff\""));
-        assert!(line.contains("\"duration_ms\":0.000"), "{line}");
-        assert!(line.contains("\"attrs\":{\"job\":\"a\\nb\"}"), "{line}");
-        // No parent and no attrs: both keys omitted.
-        let bare = span(1, "job").to_json_line();
-        assert!(!bare.contains("parent"));
-        assert!(!bare.contains("attrs"));
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! A bounded ring buffer of structured lifecycle events.
+//! The bounded drop-oldest ring behind [`crate::span::SpanCollector`].
 //!
-//! The service pushes one event per interesting job transition (submit, shed,
-//! retry, timeout, panic, drain, …); the ring keeps the most recent `capacity`
-//! of them for `GET /trace` and counts what it had to drop. Pushes take a short
-//! mutex — they happen per job transition, never inside simulation kernels.
+//! It keeps the most recent `capacity` entries and counts what it had to drop.
+//! Pushes take a short mutex — they happen per span, never inside simulation
+//! kernels.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -90,11 +89,10 @@ mod tests {
 
     #[test]
     fn seq_gaps_at_the_ring_head_equal_the_dropped_count() {
-        // The service stamps events with a monotonically increasing `seq`
-        // before pushing; consumers detect loss by comparing the first
-        // retained seq against `dropped`.  Model that contract here: after
-        // overflow, the gap below the oldest retained seq is exactly the
-        // number of evictions.
+        // A producer that numbers its pushes can detect loss by comparing
+        // the first retained number against `dropped`: after overflow, the
+        // gap below the oldest retained entry is exactly the number of
+        // evictions.
         let ring = TraceRing::new(4);
         for seq in 0u64..11 {
             ring.push(seq);
