@@ -1,7 +1,9 @@
 //! Kernel performance snapshot: dense vs table-driven phase separator, fused vs
-//! unfused Grover rounds, and the matrix-free Clique/Ring mixers (build, evolution at
-//! two angles, Hamiltonian apply; against the dense eigendecomposition where that is
-//! affordable), written to `BENCH_kernels.json` with the git revision and CPU count.
+//! unfused Grover rounds, the Walsh–Hadamard transform on its default and serial
+//! schedules, Pauli-X expectation and adjoint-gradient calls with their transform
+//! counts, and the matrix-free Clique/Ring mixers (build, evolution at two angles,
+//! Hamiltonian apply; against the dense eigendecomposition where that is affordable),
+//! written to `BENCH_kernels.json` with the git revision and CPU count.
 //!
 //! This is the machine-readable counterpart of `benches/phase_table.rs`, meant to seed
 //! the repo's performance trajectory: run it on a quiet machine and commit the JSON to
@@ -12,10 +14,11 @@
 use juliqaoa_bench::harness::BenchTimer;
 use juliqaoa_bench::instances::paper_maxcut_instance;
 use juliqaoa_combinatorics::DickeSubspace;
-use juliqaoa_core::{Angles, Simulator};
-use juliqaoa_linalg::{vector, Complex64};
+use juliqaoa_core::{adjoint_gradient, Angles, Simulator};
+use juliqaoa_linalg::{enter_outer_parallelism, vector, walsh, Complex64};
 use juliqaoa_mixers::{build_xy_hamiltonian, CustomMixer, Mixer, XYCoupling};
 use juliqaoa_problems::{precompute_full, MaxCut, PhaseClasses};
+use juliqaoa_telemetry::kernels;
 use serde::Serialize;
 use std::hint::black_box;
 
@@ -35,6 +38,31 @@ struct GroverRoundRow {
     unfused_dense_ns: f64,
     fused_table_ns: f64,
     speedup: f64,
+}
+
+#[derive(Serialize)]
+struct WalshHadamardRow {
+    n: usize,
+    /// `walsh_hadamard` as the simulator calls it: the parallel schedule from
+    /// `par_threshold()` amplitudes up, the serial one below.
+    default_ns: f64,
+    /// The serial schedule (the call under an outer-parallelism guard).
+    serial_ns: f64,
+    /// Computed, not measured: the radix-2 definition's traffic (each of the `n`
+    /// stages reads and writes every 16-byte amplitude) over `default_ns`.
+    gb_per_s_computed: f64,
+}
+
+#[derive(Serialize)]
+struct PauliXGradientRow {
+    n: usize,
+    p: usize,
+    /// `Simulator::expectation_with`, transverse-field MaxCut.
+    expectation_us: f64,
+    /// `adjoint_gradient` at the same point (its own cold forward pass included).
+    adjoint_gradient_us: f64,
+    /// `KERNELS.wht_passes` delta over one `adjoint_gradient` call.
+    transforms_per_gradient: u64,
 }
 
 #[derive(Serialize)]
@@ -64,6 +92,8 @@ struct Snapshot {
     par_threshold: usize,
     phase_separator: Vec<PhaseSeparatorRow>,
     grover_round: Vec<GroverRoundRow>,
+    walsh_hadamard: Vec<WalshHadamardRow>,
+    pauli_x_gradient: Vec<PauliXGradientRow>,
     xy_mixer: Vec<XyMixerRow>,
 }
 
@@ -94,6 +124,53 @@ fn generic_state(dim: usize) -> Vec<Complex64> {
         .collect();
     vector::normalize(&mut v);
     v
+}
+
+fn walsh_hadamard_row(n: usize) -> WalshHadamardRow {
+    let reps = match n {
+        ..=16 => 50,
+        17..=20 => 10,
+        _ => 3,
+    };
+    let timer = BenchTimer::new(reps);
+    let mut psi = generic_state(1 << n);
+    let (default_min, _) = timer.measure(|| walsh::walsh_hadamard(black_box(&mut psi)));
+    let (serial_min, _) = timer.measure(|| {
+        let _serial = enter_outer_parallelism();
+        walsh::walsh_hadamard(black_box(&mut psi));
+    });
+    let default_ns = default_min.as_nanos() as f64;
+    let bytes = 2.0 * 16.0 * (1u64 << n) as f64 * n as f64;
+    WalshHadamardRow {
+        n,
+        default_ns,
+        serial_ns: serial_min.as_nanos() as f64,
+        gb_per_s_computed: bytes / default_ns,
+    }
+}
+
+fn pauli_x_gradient_row(n: usize, p: usize) -> PauliXGradientRow {
+    let obj = precompute_full(&MaxCut::new(paper_maxcut_instance(n, 0)));
+    let sim = Simulator::new(obj, Mixer::transverse_field(n)).expect("setup");
+    let angles = Angles::linear_ramp(p, 0.5);
+    let mut ws = sim.workspace();
+    let timer = BenchTimer::new(20);
+    let (expectation, _) = timer.measure(|| {
+        black_box(sim.expectation_with(&angles, &mut ws).expect("setup"));
+    });
+    let (gradient, _) = timer.measure(|| {
+        black_box(adjoint_gradient(&sim, &angles, &mut ws).expect("setup"));
+    });
+    let before = kernels::snapshot();
+    black_box(adjoint_gradient(&sim, &angles, &mut ws).expect("setup"));
+    let transforms = kernels::snapshot().delta(&before).wht_passes;
+    PauliXGradientRow {
+        n,
+        p,
+        expectation_us: us(expectation),
+        adjoint_gradient_us: us(gradient),
+        transforms_per_gradient: transforms,
+    }
 }
 
 fn xy_mixer_row(coupling: XYCoupling, n: usize, k: usize) -> XyMixerRow {
@@ -232,6 +309,31 @@ fn main() {
         });
     }
 
+    let mut wht_rows = Vec::new();
+    for n in [12, 14, 16, 18, 20, 22, 24] {
+        let row = walsh_hadamard_row(n);
+        println!(
+            "walsh-hadamard   n={n:2}  default {:>12.1} µs   serial {:>12.1} µs   {:.2} GB/s computed",
+            row.default_ns / 1e3,
+            row.serial_ns / 1e3,
+            row.gb_per_s_computed
+        );
+        wht_rows.push(row);
+    }
+
+    let mut gradient_rows = Vec::new();
+    for n in [14, 16] {
+        for p in [1, 3] {
+            let row = pauli_x_gradient_row(n, p);
+            println!(
+                "pauli-x gradient n={n:2} p={p}  expectation {:>9.1} µs   adjoint gradient {:>9.1} µs   \
+                 {} transforms per gradient",
+                row.expectation_us, row.adjoint_gradient_us, row.transforms_per_gradient
+            );
+            gradient_rows.push(row);
+        }
+    }
+
     let mut xy_rows = Vec::new();
     for (n, k) in [(10usize, 5usize), (12, 6), (16, 8), (20, 10)] {
         for coupling in [XYCoupling::Clique, XYCoupling::Ring] {
@@ -255,9 +357,12 @@ fn main() {
 
     let snapshot = Snapshot {
         description: "juliqaoa kernel snapshot: dense vs table-driven phase separator \
-                      (MaxCut G(n,0.5)), unfused vs fused GM-QAOA rounds (nanoseconds per \
-                      call), and matrix-free Clique/Ring XY mixers (build ms, apply µs) \
-                      against the dense eigendecomposition at n <= 12; times are minimum \
+                      (MaxCut G(n,0.5)), unfused vs fused GM-QAOA rounds, the Walsh-Hadamard \
+                      transform on its default and serial schedules (nanoseconds per call; \
+                      GB/s computed from the radix-2 traffic), transverse-field MaxCut \
+                      expectation and adjoint-gradient calls (µs) with the transforms one \
+                      gradient makes, and matrix-free Clique/Ring XY mixers (build ms, apply \
+                      µs) against the dense eigendecomposition at n <= 12; times are minimum \
                       over repetitions"
             .to_string(),
         git: git_describe(),
@@ -266,6 +371,8 @@ fn main() {
         par_threshold: juliqaoa_linalg::par_threshold(),
         phase_separator: phase_rows,
         grover_round: grover_rows,
+        walsh_hadamard: wht_rows,
+        pauli_x_gradient: gradient_rows,
         xy_mixer: xy_rows,
     };
     let json = serde_json::to_string_pretty(&snapshot).expect("snapshot serialises");

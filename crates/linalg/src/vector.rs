@@ -97,6 +97,29 @@ pub fn inner(a: &[Complex64], b: &[Complex64]) -> Complex64 {
     })
 }
 
+/// Weighted inner product `⟨a|diag(w)|b⟩ = Σ conj(a_x)·(w_x·b_x)`.
+///
+/// Equals [`inner`]`(a, c)` bit for bit, where `c_x = b_x.scale(w_x)`: every term is
+/// the same expression and the terms are summed in the same chunked order, but the
+/// scaled copy `c` is never written.
+///
+/// # Panics
+/// Panics if the slices have different lengths.
+pub fn inner_weighted(a: &[Complex64], b: &[Complex64], weights: &[f64]) -> Complex64 {
+    assert!(
+        a.len() == b.len() && b.len() == weights.len(),
+        "weighted inner product of mismatched lengths"
+    );
+    chunked_sum(a.len(), |r| {
+        a[r.clone()]
+            .iter()
+            .zip(b[r.clone()].iter())
+            .zip(weights[r].iter())
+            .map(|((x, y), &w)| x.conj() * y.scale(w))
+            .sum::<Complex64>()
+    })
+}
+
 /// `y += alpha * x` (complex axpy).
 ///
 /// # Panics
@@ -527,6 +550,26 @@ mod tests {
             .reduce(|a, b| a + b)
             .unwrap();
         assert_eq!(unguarded.0, by_chunks.to_bits());
+    }
+
+    #[test]
+    fn inner_weighted_equals_inner_over_the_scaled_copy_bit_for_bit() {
+        // Several chunks plus a ragged tail, on both reduction paths.
+        for n in [37, 4 * REDUCTION_CHUNK + 3] {
+            let a = vec_of(n, |i| {
+                Complex64::new((i as f64 * 0.37).sin(), 0.1 * (i % 11) as f64)
+            });
+            let b = vec_of(n, |i| {
+                Complex64::new((i as f64 * 0.71).cos(), -0.3 * (i % 7) as f64)
+            });
+            let w: Vec<f64> = (0..n).map(|i| ((i * 31) % 23) as f64 * 0.7 - 5.0).collect();
+            let scaled: Vec<Complex64> = b.iter().zip(&w).map(|(z, &c)| z.scale(c)).collect();
+            let expected = inner(&a, &scaled);
+            let bits = |z: Complex64| (z.re.to_bits(), z.im.to_bits());
+            assert_eq!(bits(inner_weighted(&a, &b, &w)), bits(expected));
+            let _outer = crate::enter_outer_parallelism();
+            assert_eq!(bits(inner_weighted(&a, &b, &w)), bits(expected));
+        }
     }
 
     #[test]

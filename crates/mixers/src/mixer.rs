@@ -144,17 +144,39 @@ impl Mixer {
         }
     }
 
+    /// Writes `H_M ψ` into `out`, given the eigenbasis state `ψ̃` that
+    /// [`Mixer::to_eigenbasis`] made of `ψ`: the diagonal times `ψ̃`, rotated back.
+    ///
+    /// Because `ψ̃` is left intact, the same transform also serves
+    /// [`Mixer::evolve_from_eigenbasis`]; the adjoint gradient gets `H_M ψ` and the
+    /// rolled-back `ψ` from one forward rotation.
+    ///
+    /// # Panics
+    /// Panics if [`Mixer::eigenbasis_supported`] is false or on dimension mismatch.
+    pub fn hamiltonian_from_eigenbasis(&self, eigen: &[Complex64], out: &mut [Complex64]) {
+        assert_eq!(eigen.len(), self.dim(), "state dimension mismatch");
+        assert_eq!(out.len(), self.dim(), "output dimension mismatch");
+        match self {
+            Mixer::PauliX(m) => {
+                for ((o, z), &lambda) in out.iter_mut().zip(eigen).zip(m.eigenvalues()) {
+                    *o = z.scale(lambda);
+                }
+                walsh::walsh_hadamard(out);
+            }
+            _ => panic!("{} does not support eigenbasis splitting", self.name()),
+        }
+    }
+
     /// Applies the mixer Hamiltonian `H_M` itself to the state in place (no exponential).
-    /// Used by the adjoint-mode gradient.
+    /// Used by the adjoint-mode gradient.  `scratch` must have the same length as
+    /// `state`.
     pub fn apply_hamiltonian(&self, state: &mut [Complex64], scratch: &mut [Complex64]) {
         assert_eq!(state.len(), self.dim(), "state dimension mismatch");
         match self {
-            Mixer::PauliX(m) => {
-                walsh::walsh_hadamard(state);
-                for (z, &lambda) in state.iter_mut().zip(m.eigenvalues().iter()) {
-                    *z = z.scale(lambda);
-                }
-                walsh::walsh_hadamard(state);
+            Mixer::PauliX(_) => {
+                self.to_eigenbasis(state);
+                self.hamiltonian_from_eigenbasis(state, scratch);
+                state.copy_from_slice(scratch);
             }
             Mixer::Grover(m) => m.apply_hamiltonian(state),
             Mixer::XY(m) => m.apply_hamiltonian(state, scratch),
@@ -319,6 +341,69 @@ mod tests {
         for (a, b) in whole.iter().zip(split.iter()) {
             assert_eq!(a.re.to_bits(), b.re.to_bits());
             assert_eq!(a.im.to_bits(), b.im.to_bits());
+        }
+    }
+
+    /// The radix-2 definition of the normalised transform: `n` stage sweeps, then the
+    /// `2^{-n/2}` scale sweep.
+    fn radix2_reference(state: &mut [Complex64]) {
+        let len = state.len();
+        let mut h = 1;
+        while h < len {
+            for start in (0..len).step_by(2 * h) {
+                for i in start..start + h {
+                    let (a, b) = (state[i], state[i + h]);
+                    state[i] = a + b;
+                    state[i + h] = a - b;
+                }
+            }
+            h *= 2;
+        }
+        let scale = 1.0 / (len as f64).sqrt();
+        state.iter_mut().for_each(|z| *z = z.scale(scale));
+    }
+
+    fn assert_bits_eq(a: &[Complex64], b: &[Complex64], what: &str) {
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert!(
+                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                "{what}: amplitude {i}: {x} vs {y}"
+            );
+        }
+    }
+
+    #[test]
+    fn split_halves_match_the_radix2_reference_bit_for_bit() {
+        let beta = 0.8123;
+        for n in 0..=20 {
+            let mixer = Mixer::transverse_field(n);
+            let Mixer::PauliX(px) = &mixer else {
+                unreachable!("transverse_field builds a Pauli-X mixer")
+            };
+            let psi = random_like_state(1 << n);
+
+            let mut eigen = psi.clone();
+            mixer.to_eigenbasis(&mut eigen);
+            let mut expected = psi;
+            radix2_reference(&mut expected);
+            assert_bits_eq(&eigen, &expected, &format!("to_eigenbasis n={n}"));
+
+            let mut h_psi = vec![Complex64::ZERO; 1 << n];
+            mixer.hamiltonian_from_eigenbasis(&eigen, &mut h_psi);
+            let mut expected: Vec<Complex64> = eigen
+                .iter()
+                .zip(px.eigenvalues())
+                .map(|(z, &lambda)| z.scale(lambda))
+                .collect();
+            radix2_reference(&mut expected);
+            assert_bits_eq(&h_psi, &expected, &format!("hamiltonian n={n}"));
+
+            let mut evolved = eigen.clone();
+            mixer.evolve_from_eigenbasis(beta, &mut evolved);
+            let mut expected = eigen;
+            vector::apply_phases(&mut expected, px.eigenvalues(), beta);
+            radix2_reference(&mut expected);
+            assert_bits_eq(&evolved, &expected, &format!("evolve n={n}"));
         }
     }
 

@@ -81,7 +81,8 @@ impl PauliXMixer {
     /// Builds a mixer from explicit terms and pre-computes its Hadamard-basis diagonal.
     ///
     /// # Panics
-    /// Panics if `n ≥ 32` masks reference qubits outside `0..n`.
+    /// Panics if `n ≥ 32`, if a term's mask references qubits outside `0..n`, or if a
+    /// mask is zero (an identity term).
     pub fn from_terms(n: usize, terms: Vec<XTerm>) -> Self {
         assert!(n < 32, "full-space Pauli-X mixers limited to n < 32 qubits");
         let full_mask = (1u64 << n) - 1;
