@@ -91,8 +91,13 @@ fn r6_fires_on_illegal_metric_name_literals() {
         "crates/telemetry/src/fixture.rs",
         &fixture("r6_metric_names.rs"),
     );
-    assert_eq!(rules(&r), vec!["R6", "R6"], "{:#?}", r.findings);
-    assert_eq!(r.suppressed, 1);
+    assert_eq!(rules(&r), vec!["R6", "R6", "R6"], "{:#?}", r.findings);
+    assert!(
+        r.findings[2].message.contains("fixture_misses2"),
+        "{:#?}",
+        r.findings
+    );
+    assert_eq!(r.suppressed, 2);
 }
 
 #[test]

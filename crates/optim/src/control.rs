@@ -22,17 +22,19 @@
 //! vs [`RunControl::is_timed_out`].  A pathological job (a huge grid, a hard
 //! landscape) therefore costs bounded wall-clock, never a stuck worker.
 
+use juliqaoa_telemetry::TraceId;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Shared handle that can cancel a running optimization, bound its wall-clock time
-/// and observe its progress.
+/// Shared handle that can cancel a running optimization, bound its wall-clock time,
+/// observe its progress and name the trace its stages are recorded under.
 #[derive(Clone, Default)]
 pub struct RunControl {
     cancel: Option<Arc<AtomicBool>>,
     deadline: Option<Instant>,
     progress: Option<Arc<dyn Fn(u64, u64) + Send + Sync>>,
+    trace: Option<TraceId>,
 }
 
 impl RunControl {
@@ -46,8 +48,7 @@ impl RunControl {
     pub fn with_cancel(flag: Arc<AtomicBool>) -> Self {
         RunControl {
             cancel: Some(flag),
-            deadline: None,
-            progress: None,
+            ..Self::default()
         }
     }
 
@@ -71,6 +72,19 @@ impl RunControl {
     pub fn on_progress(mut self, f: impl Fn(u64, u64) + Send + Sync + 'static) -> Self {
         self.progress = Some(Arc::new(f));
         self
+    }
+
+    /// Attaches the trace id the run's timing stages are recorded under — one a
+    /// caller adopted upstream (e.g. from a request header).  Observation only:
+    /// the drivers never read it.
+    pub fn with_trace(mut self, trace: TraceId) -> Self {
+        self.trace = Some(trace);
+        self
+    }
+
+    /// The attached trace id, if any.
+    pub fn trace(&self) -> Option<TraceId> {
+        self.trace
     }
 
     /// Whether cancellation has been requested.
@@ -118,6 +132,7 @@ impl std::fmt::Debug for RunControl {
             .field("cancellable", &self.cancel.is_some())
             .field("has_deadline", &self.deadline.is_some())
             .field("has_progress", &self.progress.is_some())
+            .field("trace", &self.trace)
             .finish()
     }
 }
@@ -135,6 +150,9 @@ mod tests {
         assert!(!c.should_stop());
         assert_eq!(c.time_remaining(), None);
         c.report(1, 2); // no callback: must be a no-op, not a panic
+        assert_eq!(c.trace(), None);
+        let traced = c.with_trace(TraceId::from_raw(7));
+        assert_eq!(traced.clone().trace(), Some(TraceId::from_raw(7)));
     }
 
     #[test]

@@ -25,7 +25,8 @@ use crate::engine::{Engine, ServiceError};
 use crate::journal::{self, FsyncPolicy, Journal, LineCheck};
 use crate::retry::RetryPolicy;
 use crate::spans::{
-    default_trace_cap, format_trace_parent, parse_trace_parent, trace_collector, TRACE_PARENT_ENV,
+    close_job_span, default_trace_cap, format_trace_parent, parse_trace_parent, trace_collector,
+    TRACE_PARENT_ENV,
 };
 use crate::spec::{JobFile, JobSpec};
 use juliqaoa_combinatorics::seeding::fold_bits;
@@ -230,6 +231,13 @@ pub fn run_batch_with(
                 if let Some(ms) = spec.timeout_ms {
                     control = control.deadline_in(Duration::from_millis(ms));
                 }
+                // The job's trace id, derived once: the engine's stage spans and
+                // the root span below share it.  A spec whose instance cannot be
+                // realised has none — its structured failure line is the record.
+                let trace = spec.trace_id().ok();
+                if let Some(trace) = trace {
+                    control = control.with_trace(trace);
+                }
                 // Panic-isolated execution, as in the serve-mode worker pool: a
                 // panicking job becomes a structured "failed" line (after the
                 // policy's retries) instead of unwinding into rayon and aborting
@@ -257,24 +265,8 @@ pub fn run_batch_with(
                         (1usize, "failed".to_string())
                     }
                 };
-                // Close the job's root span (its id is the trace id, so the
-                // engine's per-stage children already point at it).  A spec
-                // whose instance cannot be realised has no trace id — its
-                // structured failure line is the record.
-                if let Ok(trace) = spec.trace_id() {
-                    let dur_ms = job_started.elapsed().as_secs_f64() * 1e3;
-                    spans.record(Span {
-                        trace,
-                        id: trace.root_span(),
-                        parent: None,
-                        name: "job".to_string(),
-                        start_ms: (spans.now_ms() - dur_ms).max(0.0),
-                        duration_ms: dur_ms,
-                        attrs: vec![
-                            ("job".to_string(), spec.id.clone()),
-                            ("status".to_string(), status),
-                        ],
-                    });
+                if let Some(trace) = trace {
+                    close_job_span(&spans, trace, &spec.id, &status, job_started);
                 }
                 // Process-level chaos hook: an installed kill-after-k-jobs fault
                 // aborts this batch process here, after the k-th journalled job —

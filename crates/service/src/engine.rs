@@ -55,14 +55,13 @@ use juliqaoa_optim::{
 };
 use juliqaoa_problems::{precompute_dicke, precompute_full, InstanceId, PhaseClasses};
 use juliqaoa_sampling::{estimator, IndexMap};
-use juliqaoa_telemetry::{Counter, Histogram, SpanCollector};
+use juliqaoa_telemetry::{SpanCollector, Stage};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
 
 /// Errors surfaced by job execution.
 #[derive(Debug)]
@@ -169,81 +168,61 @@ impl PreparedObjective {
     }
 }
 
-/// Monotonic engine counters, readable while jobs run.
-#[derive(Clone, Debug, Default, serde::Serialize, serde::Deserialize, PartialEq)]
-pub struct EngineStats {
-    /// Jobs that ran to a result (including cancelled-partway jobs).
-    pub jobs_executed: u64,
-    /// Jobs that failed with an error.
-    pub jobs_failed: u64,
-    /// Instance-cache hits.
-    pub cache_hits: u64,
-    /// Instance-cache misses (pre-computations performed).
-    pub cache_misses: u64,
-    /// Prepared-objective builds actually performed.  With single-flight coalescing
-    /// this equals `cache_misses`: concurrent misses on one instance produce one
-    /// build, and the waiters count as hits.
-    pub instance_builds: u64,
-    /// Preparations that blocked on another worker's in-flight build instead of
-    /// duplicating it (the coalesced share of concurrent misses).
-    pub prep_coalesced: u64,
-    /// Jobs that panicked mid-run and were converted to structured failures by the
-    /// worker pool (a subset of `jobs_failed`).
-    pub jobs_panicked: u64,
-    /// Jobs whose deadline expired mid-run.  Jobs that got far enough to report
-    /// partial best-so-far angles count under `jobs_executed` too; jobs that timed
-    /// out before any evaluation count under `jobs_failed`.
-    pub jobs_timed_out: u64,
-    /// Transient-failure re-attempts performed under a [`crate::retry::RetryPolicy`]
-    /// (one increment per re-run, however it then fared).
-    pub jobs_retried: u64,
-    /// Evaluations that resumed from a prefix checkpoint instead of round 0.
-    pub prefix_hits: u64,
-    /// Evaluations that ran cold (no usable checkpoint).
-    pub prefix_misses: u64,
-    /// Full QAOA rounds skipped thanks to prefix reuse.
-    pub prefix_rounds_saved: u64,
-    /// `"sample"` jobs executed (subset of `jobs_executed`).
-    pub sample_jobs: u64,
-    /// Total measurement shots drawn across all sample jobs (every optimizer
-    /// evaluation plus each job's final readout).
-    pub shots_drawn: u64,
+juliqaoa_telemetry::counter_set! {
+    /// Monotonic engine counters, readable while jobs run.
+    pub struct EngineCounters;
+    /// A snapshot of the engine counters: the `engine` object of `GET /stats`.
+    #[derive(Clone, Debug, Default, serde::Serialize, serde::Deserialize, PartialEq)]
+    pub struct EngineStats;
+    // Includes jobs cancelled part-way.
+    jobs_executed: "engine_jobs_executed", "Jobs the engine ran to a result.";
+    jobs_failed: "engine_jobs_failed", "Jobs that errored inside the engine.";
+    cache_hits: "engine_cache_hits", "Instance-cache hits.";
+    cache_misses: "engine_cache_misses", "Instance-cache misses.";
+    // With single-flight coalescing this equals `cache_misses`: concurrent misses
+    // on one instance produce one build, and the waiters count as hits.
+    instance_builds: "engine_instance_builds",
+        "Problem instances actually realised (misses minus coalesced preps).";
+    prep_coalesced: "engine_prep_coalesced",
+        "Concurrent builds of the same instance coalesced into one.";
+    // A subset of `jobs_failed`.
+    jobs_panicked: "engine_jobs_panicked",
+        "Jobs that panicked and were converted to structured failures.";
+    // Jobs that got far enough to report best-so-far angles count under
+    // `jobs_executed` too; jobs that timed out before any evaluation count under
+    // `jobs_failed`.
+    jobs_timed_out: "engine_jobs_timed_out", "Jobs whose deadline expired inside the engine.";
+    // One increment per re-run under a `RetryPolicy`, however it then fared.
+    jobs_retried: "engine_jobs_retried", "Transiently-failed job attempts that were retried.";
+    prefix_hits: "engine_prefix_hits", "Prefix-checkpoint cache hits.";
+    prefix_misses: "engine_prefix_misses", "Prefix-checkpoint cache misses (cold starts).";
+    prefix_rounds_saved: "engine_prefix_rounds_saved",
+        "QAOA rounds skipped thanks to prefix checkpoints.";
+    // A subset of `jobs_executed`.
+    sample_jobs: "engine_sample_jobs", "Jobs that ran shot-based sampling.";
+    // Every optimizer evaluation plus each job's final readout.
+    shots_drawn: "engine_shots_drawn", "Measurement shots drawn across all sample jobs.";
 }
 
-/// Per-stage latency histograms the engine records for every job it runs.
-///
-/// Observation-only: recording is relaxed atomics on fixed buckets (see
-/// [`juliqaoa_telemetry::Histogram`]), so results stay bit-identical with
-/// telemetry on or off.  The serving tier observes `queue_wait_ms` and
-/// `journal_write_ms` (the engine never sees a queue or a journal); the rest are
-/// recorded by [`Engine::run_job`] itself.
-#[derive(Debug)]
-pub struct EngineTelemetry {
-    /// Time jobs spent queued before a worker picked them up (serving tier only).
-    pub queue_wait_ms: Histogram,
-    /// Instance preparation: problem realisation, precompute, simulator build.
-    pub prep_ms: Histogram,
-    /// The optimizer's angle search.
-    pub optimize_ms: Histogram,
-    /// Shot-based readout at the best angles (sample jobs only).
-    pub sampling_readout_ms: Histogram,
-    /// Appending one result to the crash-safe journal (serving tier only).
-    pub journal_write_ms: Histogram,
-    /// End-to-end job execution (queue wait excluded).
-    pub total_ms: Histogram,
-}
-
-impl EngineTelemetry {
-    fn new() -> Self {
-        EngineTelemetry {
-            queue_wait_ms: Histogram::latency_ms(),
-            prep_ms: Histogram::latency_ms(),
-            optimize_ms: Histogram::latency_ms(),
-            sampling_readout_ms: Histogram::latency_ms(),
-            journal_write_ms: Histogram::latency_ms(),
-            total_ms: Histogram::latency_ms(),
-        }
-    }
+juliqaoa_telemetry::histogram_set! {
+    /// Per-stage latency histograms the engine records for every job it runs.
+    ///
+    /// Observation-only: buckets are relaxed atomics (see
+    /// [`juliqaoa_telemetry::Histogram`]), so results stay bit-identical with
+    /// telemetry on or off.  The serving tier records the queue-wait and
+    /// journal-write stages (the engine never sees a queue or a journal); the
+    /// rest are recorded by [`Engine::run_job`] itself.
+    pub struct EngineTelemetry;
+    queue_wait_ms: "job_queue_wait_ms",
+        "Milliseconds jobs spent queued before a worker picked them up.";
+    prep_ms: "job_prep_ms",
+        "Milliseconds spent realising the problem instance (cache misses included).";
+    optimize_ms: "job_optimize_ms", "Milliseconds spent in the optimizer loop.";
+    sampling_readout_ms: "job_sampling_readout_ms",
+        "Milliseconds spent drawing shots and estimating sampled objectives.";
+    journal_write_ms: "job_journal_write_ms",
+        "Milliseconds spent appending results to the journal.";
+    total_ms: "job_total_ms", "End-to-end milliseconds per job inside the engine.";
 }
 
 /// A shared simulator plus the parked checkpoint pool for one `(instance, mixer)`
@@ -342,24 +321,11 @@ pub struct Engine {
     /// happens outside it.
     inflight: Mutex<HashMap<InstanceId, Arc<PrepFlight>>>,
     sims: SimSlotCache,
-    jobs_executed: Counter,
-    jobs_failed: Counter,
-    jobs_panicked: Counter,
-    jobs_timed_out: Counter,
-    jobs_retried: Counter,
-    cache_hits: Counter,
-    cache_misses: Counter,
-    instance_builds: Counter,
-    prep_coalesced: Counter,
-    prefix_hits: Counter,
-    prefix_misses: Counter,
-    prefix_rounds_saved: Counter,
-    sample_jobs: Counter,
-    shots_drawn: Counter,
+    counters: EngineCounters,
     telemetry: EngineTelemetry,
     /// Optional span collector: when the serving or batch tier installs one, the
     /// engine turns each job's timing stages (prep / optimize / sampling
-    /// readout) into real child spans under the job's deterministic trace id.
+    /// readout) into real child spans under the job's trace id.
     /// Observation-only — read once per job, never inside kernels.
     spans: Mutex<Option<Arc<SpanCollector>>>,
 }
@@ -447,21 +413,8 @@ impl Engine {
                 cache_capacity.max(1),
                 Some(DEFAULT_CACHE_BYTES),
             ),
-            jobs_executed: Counter::new(),
-            jobs_failed: Counter::new(),
-            jobs_panicked: Counter::new(),
-            jobs_timed_out: Counter::new(),
-            jobs_retried: Counter::new(),
-            cache_hits: Counter::new(),
-            cache_misses: Counter::new(),
-            instance_builds: Counter::new(),
-            prep_coalesced: Counter::new(),
-            prefix_hits: Counter::new(),
-            prefix_misses: Counter::new(),
-            prefix_rounds_saved: Counter::new(),
-            sample_jobs: Counter::new(),
-            shots_drawn: Counter::new(),
-            telemetry: EngineTelemetry::new(),
+            counters: EngineCounters::new(),
+            telemetry: EngineTelemetry::default(),
             spans: Mutex::new(None),
         }
     }
@@ -554,7 +507,7 @@ impl Engine {
     pub fn prepare(&self, problem: &BuiltProblem) -> (Arc<PreparedObjective>, bool) {
         loop {
             if let Some(found) = self.cache.get(&problem.instance_id) {
-                self.cache_hits.inc();
+                self.counters.cache_hits.inc();
                 return (found, true);
             }
             // Miss: join the in-flight build for this instance, or start one.
@@ -570,7 +523,7 @@ impl Engine {
                         // here would duplicate its 2ⁿ build.  Lock order is always
                         // inflight → cache shard, so this cannot deadlock.
                         if let Some(found) = self.cache.get(&problem.instance_id) {
-                            self.cache_hits.inc();
+                            self.counters.cache_hits.inc();
                             return (found, true);
                         }
                         let flight = Arc::new(PrepFlight::new());
@@ -580,12 +533,12 @@ impl Engine {
                 }
             };
             if !this_worker_builds {
-                self.prep_coalesced.inc();
+                self.counters.prep_coalesced.inc();
                 match flight.wait() {
                     Some(prepared) => {
                         // A coalesced miss is a hit for accounting: this worker paid
                         // a wait, not a build.
-                        self.cache_hits.inc();
+                        self.counters.cache_hits.inc();
                         return (prepared, true);
                     }
                     // The builder panicked; retry (the flight entry is gone, so some
@@ -596,8 +549,8 @@ impl Engine {
             // This worker builds, outside every lock, so a slow pre-computation
             // never serialises the pool.  Prepared data is a pure function of the
             // instance, so whoever builds, everyone reads the same values.
-            self.cache_misses.inc();
-            self.instance_builds.inc();
+            self.counters.cache_misses.inc();
+            self.counters.instance_builds.inc();
             // Chaos hook: an installed fault plan may stall the build here, widening
             // the coalescing window for single-flight and queue-deadline tests.
             crate::fault::delay_prep();
@@ -638,22 +591,7 @@ impl Engine {
 
     /// A snapshot of the engine counters.
     pub fn stats(&self) -> EngineStats {
-        EngineStats {
-            jobs_executed: self.jobs_executed.get(),
-            jobs_failed: self.jobs_failed.get(),
-            jobs_panicked: self.jobs_panicked.get(),
-            jobs_timed_out: self.jobs_timed_out.get(),
-            jobs_retried: self.jobs_retried.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-            instance_builds: self.instance_builds.get(),
-            prep_coalesced: self.prep_coalesced.get(),
-            prefix_hits: self.prefix_hits.get(),
-            prefix_misses: self.prefix_misses.get(),
-            prefix_rounds_saved: self.prefix_rounds_saved.get(),
-            sample_jobs: self.sample_jobs.get(),
-            shots_drawn: self.shots_drawn.get(),
-        }
+        self.counters.snapshot()
     }
 
     /// Number of instances currently cached.
@@ -680,15 +618,15 @@ impl Engine {
     /// `run_job` never returned, so its own failure accounting did not run.  Keeps
     /// `jobs_failed` covering every job that entered the engine.
     pub fn record_panicked_job(&self) {
-        self.jobs_failed.inc();
-        self.jobs_panicked.inc();
+        self.counters.jobs_failed.inc();
+        self.counters.jobs_panicked.inc();
     }
 
     /// Records a transient-failure re-attempt performed *outside*
     /// [`Engine::run_job_with_retry`] — e.g. the batch journal retrying a failed
     /// append — so `jobs_retried` covers every retry the service performs.
     pub fn record_retry(&self) {
-        self.jobs_retried.inc();
+        self.counters.jobs_retried.inc();
     }
 
     /// [`Engine::run_job`] with panic isolation: a job that panics mid-run returns
@@ -744,7 +682,7 @@ impl Engine {
                         && attempt < policy.max_retries
                         && !control.should_stop() =>
                 {
-                    self.jobs_retried.inc();
+                    self.counters.jobs_retried.inc();
                     on_retry(attempt, &e);
                     std::thread::sleep(policy.delay(&spec.id, attempt));
                     attempt += 1;
@@ -759,11 +697,11 @@ impl Engine {
     /// Deterministic: the result depends only on the spec (notably its seed), never on
     /// cache state, thread count or scheduling.
     pub fn run_job(&self, spec: &JobSpec, control: &RunControl) -> Result<JobResult, ServiceError> {
-        let started = Instant::now();
-        let out = self.run_job_inner(spec, control, started);
+        let total = Stage::start(&self.telemetry.total_ms);
+        let out = self.run_job_inner(spec, control, total);
         match &out {
-            Ok(_) => self.jobs_executed.inc(),
-            Err(_) => self.jobs_failed.inc(),
+            Ok(_) => self.counters.jobs_executed.inc(),
+            Err(_) => self.counters.jobs_failed.inc(),
         };
         out
     }
@@ -772,7 +710,7 @@ impl Engine {
         &self,
         spec: &JobSpec,
         control: &RunControl,
-        started: Instant,
+        total: Stage<'_>,
     ) -> Result<JobResult, ServiceError> {
         if spec.p == 0 {
             return Err(ServiceError::Spec("p must be at least 1".into()));
@@ -782,13 +720,16 @@ impl Engine {
         if let Some(sampling) = &spec.sampling {
             sampling.validate().map_err(ServiceError::Spec)?;
         }
-        let prep_started = Instant::now();
+        let prep = Stage::start(&self.telemetry.prep_ms);
         let problem = spec.problem.build().map_err(ServiceError::Spec)?;
-        // The job's deterministic trace id: a pure function of the spec, so the
-        // same id lands in the result whether this engine runs under serve,
-        // batch or a routed backend.  Child spans parent against the trace's
-        // root span (id == trace id), which the serving tier emits.
-        let trace = crate::spec::derive_trace_id(problem.instance_id.raw(), spec);
+        // The job's trace id: the one the caller adopted (serve takes a router's
+        // `X-Juliqaoa-Trace` header), else the deterministic one derived from the
+        // spec, so the same id lands in the result whether this engine runs
+        // under serve, batch or a routed backend.  Stage spans parent against
+        // the trace's root span (id == trace id), which the front-end emits.
+        let trace = control
+            .trace()
+            .unwrap_or_else(|| crate::spec::derive_trace_id(problem.instance_id.raw(), spec));
         let spans = self.span_collector();
         let (prepared, cache_hit) = self.prepare(&problem);
         // Hostile or degenerate instances (overflowing explicit weights) can realise
@@ -833,20 +774,12 @@ impl Engine {
             Some(cache) => PrefixCacheHome::new(cache),
             None => PrefixCacheHome::with_budget(juliqaoa_core::prefix::default_prefix_budget()),
         };
-        let prep_ms = prep_started.elapsed().as_secs_f64() * 1e3;
-        self.telemetry.prep_ms.observe(prep_ms);
-        if let Some(spans) = &spans {
-            spans.record_closed(
-                trace,
-                Some(trace.root_span()),
-                "prep",
-                prep_ms,
-                vec![
-                    ("job".into(), spec.id.clone()),
-                    ("cache_hit".into(), cache_hit.to_string()),
-                ],
-            );
-        }
+        let prep_ms = prep.finish_span(
+            trace,
+            spans.as_deref(),
+            "prep",
+            &[("job", &spec.id), ("cache_hit", &cache_hit.to_string())],
+        );
 
         let mut rng = StdRng::seed_from_u64(spec.seed);
         let dim = 2 * spec.p;
@@ -856,7 +789,7 @@ impl Engine {
         // `res.function_evals` does not cover).
         let shot_tally = AtomicU64::new(0);
         let sampling = spec.sampling.as_ref();
-        let optimize_started = Instant::now();
+        let optimize = Stage::start(&self.telemetry.optimize_ms);
         let res: OptimizeResult = match spec.optimizer {
             OptimizerSpec::RandomRestart { restarts } => {
                 if restarts == 0 {
@@ -921,20 +854,15 @@ impl Engine {
             }
         };
 
-        let optimize_ms = optimize_started.elapsed().as_secs_f64() * 1e3;
-        self.telemetry.optimize_ms.observe(optimize_ms);
-        if let Some(spans) = &spans {
-            spans.record_closed(
-                trace,
-                Some(trace.root_span()),
-                "optimize",
-                optimize_ms,
-                vec![
-                    ("job".into(), spec.id.clone()),
-                    ("evals".into(), res.function_evals.to_string()),
-                ],
-            );
-        }
+        let optimize_ms = optimize.finish_span(
+            trace,
+            spans.as_deref(),
+            "optimize",
+            &[
+                ("job", &spec.id),
+                ("evals", &res.function_evals.to_string()),
+            ],
+        );
 
         // Deadline bookkeeping comes first: a job whose deadline expired before the
         // optimizer completed even one evaluation has no partial result to report —
@@ -944,7 +872,7 @@ impl Engine {
         // angles below.
         let timed_out = control.is_timed_out();
         if timed_out {
-            self.jobs_timed_out.inc();
+            self.counters.jobs_timed_out.inc();
             if !res.value.is_finite() {
                 return Err(ServiceError::TimedOut(format!(
                     "deadline expired before job {:?} completed any evaluation",
@@ -958,7 +886,7 @@ impl Engine {
         // best sampled bitstring (the answer a hardware run would hand back).  The
         // readout runs before the cache home is parked so it replays the prefix the
         // optimizer just left at `res.x` and its reuse counters fold into the job's.
-        let readout_started = Instant::now();
+        let readout = Stage::start(&self.telemetry.sampling_readout_ms);
         let sample_report = match sampling {
             None => None,
             // A timed-out sample job skips its readout — the time budget is spent,
@@ -992,8 +920,8 @@ impl Engine {
                 // relaxed: the tally's writers finished with the objective drop above;
                 // the count is a reporting statistic either way.
                 let shots_total = shot_tally.load(Ordering::Relaxed);
-                self.sample_jobs.inc();
-                self.shots_drawn.add(shots_total);
+                self.counters.sample_jobs.inc();
+                self.counters.shots_drawn.add(shots_total);
                 Some(SampleReport {
                     shots: s.shots,
                     sample_seed: s.seed,
@@ -1016,18 +944,12 @@ impl Engine {
             }
         };
         let sampling_readout_ms = if sample_report.is_some() {
-            let ms = readout_started.elapsed().as_secs_f64() * 1e3;
-            self.telemetry.sampling_readout_ms.observe(ms);
-            if let Some(spans) = &spans {
-                spans.record_closed(
-                    trace,
-                    Some(trace.root_span()),
-                    "sampling_readout",
-                    ms,
-                    vec![("job".into(), spec.id.clone())],
-                );
-            }
-            ms
+            readout.finish_span(
+                trace,
+                spans.as_deref(),
+                "sampling_readout",
+                &[("job", &spec.id)],
+            )
         } else {
             0.0
         };
@@ -1036,9 +958,9 @@ impl Engine {
         // counters into the engine and park the (possibly warmed) cache for the
         // next job on this slot.
         let pstats = home.stats();
-        self.prefix_hits.add(pstats.hits);
-        self.prefix_misses.add(pstats.misses);
-        self.prefix_rounds_saved.add(pstats.rounds_saved);
+        self.counters.prefix_hits.add(pstats.hits);
+        self.counters.prefix_misses.add(pstats.misses);
+        self.counters.prefix_rounds_saved.add(pstats.rounds_saved);
         if let Some(cache) = home.into_cache() {
             // Park only caches within the per-cache allowance; an oversized cache
             // (very deep p) is dropped rather than pinning unbounded statevector
@@ -1087,8 +1009,7 @@ impl Engine {
         } else {
             "done"
         };
-        let total_ms = started.elapsed().as_secs_f64() * 1e3;
-        self.telemetry.total_ms.observe(total_ms);
+        let total_ms = total.finish(trace);
         Ok(JobResult {
             id: spec.id.clone(),
             trace: trace.to_hex(),

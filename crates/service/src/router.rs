@@ -47,7 +47,7 @@ use crate::http::{
 use crate::ops::{self, parse_submission, reply_json, Call, Ops, OpsConfig, Route, Tier};
 use crate::spans::{event, span_from_value, OPS_TRACE, TRACE_HEADER};
 use crate::spec::derive_trace_id;
-use juliqaoa_telemetry::{encode, Counter, Histogram, PromWriter, Span, TraceId};
+use juliqaoa_telemetry::{encode, PromWriter, Span, Stage, TraceId};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::net::TcpListener;
@@ -127,6 +127,28 @@ pub struct RouterStatsBody {
     pub backends: Vec<BackendStatsBody>,
 }
 
+juliqaoa_telemetry::counter_set! {
+    /// The router's own counters (per-backend ones live on each [`crate::cluster::Backend`]).
+    pub struct RouterCounters;
+    /// A snapshot of [`RouterCounters`].
+    #[derive(Clone, Copy, Debug)]
+    pub struct RouterCounts;
+    jobs_routed: "cluster_jobs_routed", "Jobs accepted and placed on a backend.";
+    failovers: "cluster_failovers_total", "Jobs re-routed to another backend after a failure.";
+    hedged_reads: "cluster_hedged_reads_total",
+        "Idempotent reads duplicated to a successor after the hedge threshold.";
+    hedge_wins: "cluster_hedge_wins_total", "Hedged reads won by the successor's response.";
+}
+
+juliqaoa_telemetry::histogram_set! {
+    /// The router's latency histograms.
+    pub struct RouteLatency;
+    route_submit_ms: "route_submit_ms",
+        "Milliseconds to place a submission on a backend (failover included).";
+    route_read_ms: "route_read_ms",
+        "Milliseconds to answer a proxied status/result read (hedging included).";
+}
+
 /// State shared by the accept loop, proxy threads and the prober.
 struct RouterState {
     ops: Ops,
@@ -134,15 +156,8 @@ struct RouterState {
     config: RouterConfig,
     jobs: Mutex<HashMap<String, RoutedJob>>,
     auto_id: AtomicU64,
-    jobs_routed: Counter,
-    failovers: Counter,
-    hedged_reads: Counter,
-    hedge_wins: Counter,
-    submit_ms: Histogram,
-    read_ms: Histogram,
-    /// Last `(trace hex, latency)` per route histogram — `/metrics` exemplars.
-    last_submit_exemplar: Mutex<Option<(String, f64)>>,
-    last_read_exemplar: Mutex<Option<(String, f64)>>,
+    counters: RouterCounters,
+    latency: RouteLatency,
 }
 
 impl RouterState {
@@ -178,14 +193,8 @@ impl Router {
             cluster: Cluster::new(config.cluster.clone()),
             jobs: Mutex::new(HashMap::new()),
             auto_id: AtomicU64::new(0),
-            jobs_routed: Counter::new(),
-            failovers: Counter::new(),
-            hedged_reads: Counter::new(),
-            hedge_wins: Counter::new(),
-            submit_ms: Histogram::latency_ms(),
-            read_ms: Histogram::latency_ms(),
-            last_submit_exemplar: Mutex::new(None),
-            last_read_exemplar: Mutex::new(None),
+            counters: RouterCounters::new(),
+            latency: RouteLatency::default(),
             config,
         });
         // Record the boot topology in the trace: every backend starts assumed
@@ -378,42 +387,33 @@ fn place(
 }
 
 /// Submits a spec to its ring placement, walking the deterministic failover
-/// order on backend errors.  Returns the winning backend index and response.
+/// order on backend errors.  Returns the winning backend index, its response
+/// and the number of attempts.
 fn submit_with_failover(
     state: &RouterState,
     job_id: &str,
     key: u64,
     trace: TraceId,
     body: &str,
-) -> Result<(usize, ClientResponse), String> {
-    let started = Instant::now();
+) -> Result<(usize, ClientResponse, u32), String> {
     let candidates = state.cluster.candidates(key);
     // Below 500 the backend answered for the job: 2xx accepted it, and 409
     // means it already holds it (a retransmit after a half-failed earlier
     // attempt); other 4xx go back to the client as they are.
     let (index, resp, failed) = place(state, job_id, trace, body, &candidates, |r| r.status < 500)?;
-    let addr = &state.cluster.backend(index).addr;
     if failed > 0 {
-        state.failovers.inc();
+        state.counters.failovers.inc();
+        let addr = &state.cluster.backend(index).addr;
         let detail = format!("submitted to {addr} after {failed} failed attempt(s)");
         event(&state.ops.spans, trace, "failover", job_id, detail);
     }
-    state.ops.spans.record_closed(
-        trace,
-        Some(trace.root_span()),
-        "route_submit",
-        started.elapsed().as_secs_f64() * 1e3,
-        vec![
-            ("job".to_string(), job_id.to_string()),
-            ("backend".to_string(), addr.clone()),
-            ("attempts".to_string(), (failed + 1).to_string()),
-        ],
-    );
-    Ok((index, resp))
+    Ok((index, resp, failed + 1))
 }
 
 fn handle_submit(state: &RouterState, call: &mut Call<'_>) {
-    let started = Instant::now();
+    // The submit stage spans the whole placement: its histogram and its
+    // `route_submit` span measure the same interval, success or failure.
+    let submit = Stage::start(&state.latency.route_submit_ms);
     let stream = &mut *call.stream;
     // The same submission checks serve mode runs: reject bad specs at the
     // router without spending a backend round-trip on them.
@@ -452,8 +452,9 @@ fn handle_submit(state: &RouterState, call: &mut Call<'_>) {
             return;
         }
     };
+    let spans = Some(&*state.ops.spans);
     match submit_with_failover(state, &spec.id, key, trace, &spec_body) {
-        Ok((index, resp)) => {
+        Ok((index, resp, attempts)) => {
             if resp.is_success() || resp.status == 409 {
                 state.jobs.lock().expect("router jobs lock").insert(
                     spec.id.clone(),
@@ -464,18 +465,19 @@ fn handle_submit(state: &RouterState, call: &mut Call<'_>) {
                         trace,
                     },
                 );
-                state.jobs_routed.inc();
+                state.counters.jobs_routed.inc();
             }
-            let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-            state.submit_ms.observe(elapsed_ms);
-            *state.last_submit_exemplar.lock().expect("exemplar lock") =
-                Some((trace.to_hex(), elapsed_ms));
+            let attrs = [
+                ("job", spec.id.as_str()),
+                ("backend", &state.cluster.backend(index).addr),
+                ("attempts", &attempts.to_string()),
+            ];
+            submit.finish_span(trace, spans, "route_submit", &attrs);
             write_json(stream, resp.status, &resp.body);
         }
         Err(why) => {
-            state
-                .submit_ms
-                .observe(started.elapsed().as_secs_f64() * 1e3);
+            let attrs = [("job", spec.id.as_str()), ("error", &why)];
+            submit.finish_span(trace, spans, "route_submit", &attrs);
             write_error(
                 stream,
                 503,
@@ -510,7 +512,7 @@ fn failover_job(state: &RouterState, id: &str) -> Result<usize, String> {
     if let Some(entry) = state.jobs.lock().expect("router jobs lock").get_mut(id) {
         entry.backend = index;
     }
-    state.failovers.inc();
+    state.counters.failovers.inc();
     state.ops.spans.record_closed(
         job.trace,
         Some(job.trace.root_span()),
@@ -574,7 +576,7 @@ fn hedged_get(
         return outcome;
     }
 
-    state.hedged_reads.inc();
+    state.counters.hedged_reads.inc();
     let successor_addr = state.cluster.backend(successor).addr.clone();
     // The hedge span records *that* the threshold fired and where the
     // duplicate went; its duration is the wait that triggered it.
@@ -608,7 +610,7 @@ fn hedged_get(
                     }
                 } else if let Ok(resp) = outcome {
                     if resp.status < 400 {
-                        state.hedge_wins.inc();
+                        state.counters.hedge_wins.inc();
                         return Ok(resp);
                     }
                 }
@@ -635,7 +637,7 @@ fn lookup(state: &RouterState, call: &mut Call<'_>) -> Option<(usize, TraceId)> 
 
 /// A status or result read, proxied to the job's owner on the same path.
 fn handle_read(state: &RouterState, call: &mut Call<'_>) {
-    let started = Instant::now();
+    let read = Stage::start(&state.latency.route_read_ms);
     let Some((owner, trace)) = lookup(state, call) else {
         return;
     };
@@ -644,10 +646,7 @@ fn handle_read(state: &RouterState, call: &mut Call<'_>) {
     match hedged_get(state, owner, trace, path) {
         Ok(resp) => {
             state.trace_transition(state.cluster.record_success(owner));
-            let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-            state.read_ms.observe(elapsed_ms);
-            *state.last_read_exemplar.lock().expect("exemplar lock") =
-                Some((trace.to_hex(), elapsed_ms));
+            read.finish(trace);
             write_json(stream, resp.status, &resp.body);
         }
         Err(e) => {
@@ -664,7 +663,7 @@ fn handle_read(state: &RouterState, call: &mut Call<'_>) {
                 Ok(new_owner) => {
                     let addr = state.cluster.backend(new_owner).addr.clone();
                     let outcome = client_request(&addr, "GET", path, None, state.backend_timeout());
-                    state.read_ms.observe(started.elapsed().as_secs_f64() * 1e3);
+                    read.finish(trace);
                     match outcome {
                         Ok(resp) => write_json(stream, resp.status, &resp.body),
                         Err(e) => write_error(
@@ -675,7 +674,7 @@ fn handle_read(state: &RouterState, call: &mut Call<'_>) {
                     }
                 }
                 Err(why) => {
-                    state.read_ms.observe(started.elapsed().as_secs_f64() * 1e3);
+                    read.finish(trace);
                     write_error(
                         stream,
                         503,
@@ -726,26 +725,7 @@ fn handle_prometheus(state: &RouterState, call: &mut Call<'_>) {
         "Backends currently routable (circuit closed).",
         state.cluster.live_count() as u64,
     );
-    w.counter(
-        "cluster_jobs_routed",
-        "Jobs accepted and placed on a backend.",
-        state.jobs_routed.get(),
-    );
-    w.counter(
-        "cluster_failovers_total",
-        "Jobs re-routed to another backend after a failure.",
-        state.failovers.get(),
-    );
-    w.counter(
-        "cluster_hedged_reads_total",
-        "Idempotent reads duplicated to a successor after the hedge threshold.",
-        state.hedged_reads.get(),
-    );
-    w.counter(
-        "cluster_hedge_wins_total",
-        "Hedged reads won by the successor's response.",
-        state.hedge_wins.get(),
-    );
+    state.counters.snapshot().expose(&mut w);
 
     let backends = state.cluster.backends();
     let up: Vec<(String, u64)> = backends
@@ -798,32 +778,7 @@ fn handle_prometheus(state: &RouterState, call: &mut Call<'_>) {
         "Completed spans evicted from the bounded span collector.",
         state.ops.spans.dropped(),
     );
-    w.histogram(
-        "route_submit_ms",
-        "Milliseconds to place a submission on a backend (failover included).",
-        &state.submit_ms.snapshot(),
-    );
-    if let Some((trace_hex, ms)) = state
-        .last_submit_exemplar
-        .lock()
-        .expect("exemplar lock")
-        .clone()
-    {
-        w.exemplar("route_submit_ms", &trace_hex, ms);
-    }
-    w.histogram(
-        "route_read_ms",
-        "Milliseconds to answer a proxied status/result read (hedging included).",
-        &state.read_ms.snapshot(),
-    );
-    if let Some((trace_hex, ms)) = state
-        .last_read_exemplar
-        .lock()
-        .expect("exemplar lock")
-        .clone()
-    {
-        w.exemplar("route_read_ms", &trace_hex, ms);
-    }
+    state.latency.expose(&mut w);
     write_body(call.stream, 200, encode::CONTENT_TYPE, &[], &w.finish());
 }
 
@@ -839,12 +794,13 @@ fn handle_stats(state: &RouterState, call: &mut Call<'_>) {
             trips: b.trips_total.get(),
         })
         .collect();
+    let counts = state.counters.snapshot();
     let body = RouterStatsBody {
         uptime_s: state.ops.started.elapsed().as_secs_f64(),
-        jobs_routed: state.jobs_routed.get(),
-        failovers: state.failovers.get(),
-        hedged_reads: state.hedged_reads.get(),
-        hedge_wins: state.hedge_wins.get(),
+        jobs_routed: counts.jobs_routed,
+        failovers: counts.failovers,
+        hedged_reads: counts.hedged_reads,
+        hedge_wins: counts.hedge_wins,
         backends_live: state.cluster.live_count() as u64,
         backends,
     };

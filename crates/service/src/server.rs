@@ -26,11 +26,11 @@ use crate::http::{write_body, write_error, write_json, Request};
 use crate::journal::{FsyncPolicy, Journal};
 use crate::ops::{self, parse_submission, reply_json, Call, Ops, OpsConfig, Route, Tier};
 use crate::retry::RetryPolicy;
-use crate::spans::{event, OPS_TRACE, TRACE_HEADER};
-use crate::spec::{JobResult, JobSpec, JobTimings};
+use crate::spans::{close_job_span, event, OPS_TRACE, TRACE_HEADER};
+use crate::spec::{JobResult, JobSpec};
 use juliqaoa_linalg::enter_outer_parallelism;
 use juliqaoa_optim::RunControl;
-use juliqaoa_telemetry::{encode, kernels, Counter, Gauge, PromWriter, Span, TraceId};
+use juliqaoa_telemetry::{encode, kernels, Counter, Gauge, PromWriter, Stage, TraceId};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::net::{TcpListener, TcpStream};
@@ -234,17 +234,6 @@ struct ServiceState {
     /// refused from then on, while `/healthz` keeps answering 200 (alive).
     draining: AtomicBool,
     results: Option<Journal>,
-    /// The last finished job's trace id and stage timings — attached to the
-    /// `/metrics` latency histograms as exemplar comment lines.
-    last_exemplar: Mutex<Option<LastExemplar>>,
-}
-
-/// Snapshot pairing a trace id with the stage latencies it exemplifies.
-#[derive(Clone)]
-struct LastExemplar {
-    trace_hex: String,
-    timings: JobTimings,
-    journal_write_ms: f64,
 }
 
 /// Status body returned by `POST /jobs`, `GET /jobs/:id` and `POST /jobs/:id/cancel`.
@@ -333,7 +322,6 @@ impl Server {
             ready: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             results,
-            last_exemplar: Mutex::new(None),
             config,
         });
         let workers = (0..state.config.workers.max(1))
@@ -470,30 +458,27 @@ fn worker_loop(state: &ServiceState) {
                 continue;
             }
         }
-        // The queue-wait span ends here: everything between submission and the
+        // The queue-wait stage ends here: everything between submission and the
         // transition to Running is time the job spent waiting, not working.
-        let queue_wait_ms = record.enqueued_at.elapsed().as_secs_f64() * 1e3;
-        state
-            .engine
-            .telemetry()
-            .queue_wait_ms
-            .observe(queue_wait_ms);
-        state.ops.spans.record_closed(
+        let telemetry = state.engine.telemetry();
+        let queue_wait_ms = Stage::since(&telemetry.queue_wait_ms, record.enqueued_at).finish_span(
             record.trace,
-            Some(record.trace.root_span()),
+            Some(&state.ops.spans),
             "queue_wait",
-            queue_wait_ms,
-            vec![("job".to_string(), record.spec.id.clone())],
+            &[("job", &record.spec.id)],
         );
         record.set_state(JobState::Running);
-        let mut control = RunControl::with_cancel(record.cancel.clone()).on_progress({
-            // The callback outlives this loop iteration, so it owns its own Arc.
-            let record = record.clone();
-            move |done, total| {
-                record.progress_done.set(done);
-                record.progress_total.set(total);
-            }
-        });
+        // The engine records its stages under the job's trace, adopted or derived.
+        let mut control = RunControl::with_cancel(record.cancel.clone())
+            .with_trace(record.trace)
+            .on_progress({
+                // The callback outlives this loop iteration, so it owns its own Arc.
+                let record = record.clone();
+                move |done, total| {
+                    record.progress_done.set(done);
+                    record.progress_total.set(total);
+                }
+            });
         if let Some(ms) = effective_timeout_ms(&record.spec, &state.config) {
             control = control.deadline_in(Duration::from_millis(ms));
         }
@@ -521,36 +506,19 @@ fn worker_loop(state: &ServiceState) {
                     "timed_out" => JobState::TimedOut,
                     _ => JobState::Done,
                 };
-                let mut journal_write_ms = 0.0;
                 if let Some(journal) = &state.results {
                     if let Ok(line) = serde_json::to_string(&result) {
-                        let write_started = Instant::now();
+                        let write = Stage::start(&telemetry.journal_write_ms);
                         if let Err(e) = journal.append(&line) {
                             eprintln!(
                                 "[serve] failed to journal result for {:?}: {e}",
                                 record.spec.id
                             );
                         }
-                        journal_write_ms = write_started.elapsed().as_secs_f64() * 1e3;
-                        state
-                            .engine
-                            .telemetry()
-                            .journal_write_ms
-                            .observe(journal_write_ms);
-                        state.ops.spans.record_closed(
-                            record.trace,
-                            Some(record.trace.root_span()),
-                            "journal_write",
-                            journal_write_ms,
-                            vec![],
-                        );
+                        let spans = Some(&*state.ops.spans);
+                        write.finish_span(record.trace, spans, "journal_write", &[]);
                     }
                 }
-                *state.last_exemplar.lock().expect("exemplar lock") = Some(LastExemplar {
-                    trace_hex: record.trace.to_hex(),
-                    timings: result.timings.clone(),
-                    journal_write_ms,
-                });
                 *record.result.lock().expect("result lock") = Some(result);
                 // The event lands before the state flips, so a client that
                 // sees the terminal status finds the event in `/trace`.
@@ -579,21 +547,14 @@ fn worker_loop(state: &ServiceState) {
             }
         }
         // Close the trace's root span: submission to terminal state, wrapping
-        // the queue-wait and engine-stage children.  Its id *is* the trace id,
-        // so every child above already points at it.
-        let root_ms = record.enqueued_at.elapsed().as_secs_f64() * 1e3;
-        state.ops.spans.record(Span {
-            trace: record.trace,
-            id: record.trace.root_span(),
-            parent: None,
-            name: "job".to_string(),
-            start_ms: (state.ops.spans.now_ms() - root_ms).max(0.0),
-            duration_ms: root_ms,
-            attrs: vec![
-                ("job".to_string(), record.spec.id.clone()),
-                ("status".to_string(), record.state().as_str().to_string()),
-            ],
-        });
+        // the queue-wait and engine-stage children.
+        close_job_span(
+            &state.ops.spans,
+            record.trace,
+            &record.spec.id,
+            record.state().as_str(),
+            record.enqueued_at,
+        );
         // Chaos hook: with a kill-after-k-jobs fault installed, the k-th
         // finished job is the last thing this process does — the journal line
         // above is already durable, which is exactly the crash point failover
@@ -847,9 +808,6 @@ fn handle_stats(state: &ServiceState, call: &mut Call<'_>) {
 /// process-global kernel profiling counters.
 fn handle_prometheus(state: &ServiceState, call: &mut Call<'_>) {
     let (running, done, cancelled, timed_out, failed) = job_state_counts(state);
-    let engine = state.engine.stats();
-    let k = kernels::snapshot();
-    let tel = state.engine.telemetry();
     let mut w = PromWriter::new();
 
     w.gauge_f64(
@@ -914,179 +872,12 @@ fn handle_prometheus(state: &ServiceState, call: &mut Call<'_>) {
         state.ops.spans.dropped(),
     );
 
-    w.counter(
-        "engine_jobs_executed",
-        "Jobs the engine ran to a result.",
-        engine.jobs_executed,
-    );
-    w.counter(
-        "engine_jobs_failed",
-        "Jobs that errored inside the engine.",
-        engine.jobs_failed,
-    );
-    w.counter(
-        "engine_jobs_panicked",
-        "Jobs that panicked and were converted to structured failures.",
-        engine.jobs_panicked,
-    );
-    w.counter(
-        "engine_jobs_timed_out",
-        "Jobs whose deadline expired inside the engine.",
-        engine.jobs_timed_out,
-    );
-    w.counter(
-        "engine_jobs_retried",
-        "Transiently-failed job attempts that were retried.",
-        engine.jobs_retried,
-    );
-    w.counter(
-        "engine_cache_hits",
-        "Instance-cache hits.",
-        engine.cache_hits,
-    );
-    w.counter(
-        "engine_cache_misses",
-        "Instance-cache misses.",
-        engine.cache_misses,
-    );
-    w.counter(
-        "engine_instance_builds",
-        "Problem instances actually realised (misses minus coalesced preps).",
-        engine.instance_builds,
-    );
-    w.counter(
-        "engine_prep_coalesced",
-        "Concurrent builds of the same instance coalesced into one.",
-        engine.prep_coalesced,
-    );
-    w.counter(
-        "engine_prefix_hits",
-        "Prefix-checkpoint cache hits.",
-        engine.prefix_hits,
-    );
-    w.counter(
-        "engine_prefix_misses",
-        "Prefix-checkpoint cache misses (cold starts).",
-        engine.prefix_misses,
-    );
-    w.counter(
-        "engine_prefix_rounds_saved",
-        "QAOA rounds skipped thanks to prefix checkpoints.",
-        engine.prefix_rounds_saved,
-    );
-    w.counter(
-        "engine_sample_jobs",
-        "Jobs that ran shot-based sampling.",
-        engine.sample_jobs,
-    );
-    w.counter(
-        "engine_shots_drawn",
-        "Measurement shots drawn across all sample jobs.",
-        engine.shots_drawn,
-    );
-
-    w.counter(
-        "kernel_phase_table_applies",
-        "Phase-separator applications served from a compressed class table.",
-        k.phase_table_applies,
-    );
-    w.counter(
-        "kernel_dense_phase_applies",
-        "Phase-separator applications that fell back to the dense per-state path.",
-        k.dense_phase_applies,
-    );
-    w.counter(
-        "kernel_fused_grover_rounds",
-        "QAOA rounds executed by the fused Grover phase-plus-mixer kernel.",
-        k.fused_grover_rounds,
-    );
-    w.counter(
-        "kernel_wht_passes",
-        "Walsh-Hadamard transform passes over a state vector.",
-        k.wht_passes,
-    );
-    w.counter(
-        "kernel_prefix_checkpoint_hits",
-        "Evolutions resumed from a prefix checkpoint.",
-        k.prefix_checkpoint_hits,
-    );
-    w.counter(
-        "kernel_prefix_cold_starts",
-        "Evolutions that started from the initial state with no usable checkpoint.",
-        k.prefix_cold_starts,
-    );
-    w.counter(
-        "kernel_prefix_rounds_saved",
-        "QAOA rounds skipped by resuming from prefix checkpoints.",
-        k.prefix_rounds_saved,
-    );
-    w.counter(
-        "kernel_shots_drawn",
-        "Measurement shots drawn by the alias sampler.",
-        k.shots_drawn,
-    );
-    w.counter(
-        "kernel_objective_evals",
-        "Objective-function evaluations across all optimizers.",
-        k.objective_evals,
-    );
-
-    // Each latency histogram carries the last finished job's trace id as an
+    state.engine.stats().expose(&mut w);
+    kernels::snapshot().expose(&mut w);
+    // Each latency histogram carries its last traced observation as an
     // exemplar comment line — a ready-made `GET /trace/:id` target next to the
     // latency it explains.  Comment lines are invisible to 0.0.4 parsers.
-    let exemplar = state.last_exemplar.lock().expect("exemplar lock").clone();
-    w.histogram(
-        "job_queue_wait_ms",
-        "Milliseconds jobs spent queued before a worker picked them up.",
-        &tel.queue_wait_ms.snapshot(),
-    );
-    if let Some(ex) = &exemplar {
-        w.exemplar("job_queue_wait_ms", &ex.trace_hex, ex.timings.queue_wait_ms);
-    }
-    w.histogram(
-        "job_prep_ms",
-        "Milliseconds spent realising the problem instance (cache misses included).",
-        &tel.prep_ms.snapshot(),
-    );
-    if let Some(ex) = &exemplar {
-        w.exemplar("job_prep_ms", &ex.trace_hex, ex.timings.prep_ms);
-    }
-    w.histogram(
-        "job_optimize_ms",
-        "Milliseconds spent in the optimizer loop.",
-        &tel.optimize_ms.snapshot(),
-    );
-    if let Some(ex) = &exemplar {
-        w.exemplar("job_optimize_ms", &ex.trace_hex, ex.timings.optimize_ms);
-    }
-    w.histogram(
-        "job_sampling_readout_ms",
-        "Milliseconds spent drawing shots and estimating sampled objectives.",
-        &tel.sampling_readout_ms.snapshot(),
-    );
-    if let Some(ex) = &exemplar {
-        w.exemplar(
-            "job_sampling_readout_ms",
-            &ex.trace_hex,
-            ex.timings.sampling_readout_ms,
-        );
-    }
-    w.histogram(
-        "job_journal_write_ms",
-        "Milliseconds spent appending results to the journal.",
-        &tel.journal_write_ms.snapshot(),
-    );
-    if let Some(ex) = &exemplar {
-        w.exemplar("job_journal_write_ms", &ex.trace_hex, ex.journal_write_ms);
-    }
-    w.histogram(
-        "job_total_ms",
-        "End-to-end milliseconds per job inside the engine.",
-        &tel.total_ms.snapshot(),
-    );
-    if let Some(ex) = &exemplar {
-        w.exemplar("job_total_ms", &ex.trace_hex, ex.timings.total_ms);
-    }
+    state.engine.telemetry().expose(&mut w);
 
     write_body(call.stream, 200, encode::CONTENT_TYPE, &[], &w.finish());
 }

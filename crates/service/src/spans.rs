@@ -10,6 +10,7 @@
 //!   to the `--trace-out` file when one is set (serve, route and batch);
 //! * `event` — a lifecycle event (`submit`, `done`, `drain`, …) as a
 //!   zero-duration span under its job's root, or under [`OPS_TRACE`];
+//! * `close_job_span` — a job's root `job` span, closed by serve and batch;
 //! * [`trace_body`] — the `/trace/:id` response: the flat span list plus the
 //!   reconstructed span *tree* (children nested under parents, the root being
 //!   the span whose id equals the trace id);
@@ -26,6 +27,7 @@ use serde::{Serialize, Value};
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 /// The fixed trace id process-wide spans are recorded under — the router's
 /// health probes and backend transitions, serve's drain.  Process-independent,
@@ -137,6 +139,31 @@ pub(crate) fn event(
         .collect();
     let parent = (trace != OPS_TRACE).then(|| trace.root_span());
     spans.record_closed(trace, parent, name, 0.0, attrs);
+}
+
+/// Closes a job's root span: `job`, whose id is the trace id (every stage span
+/// already points at it), from `started` until now, with the job id and its
+/// terminal `status`.
+pub(crate) fn close_job_span(
+    spans: &SpanCollector,
+    trace: TraceId,
+    job: &str,
+    status: &str,
+    started: Instant,
+) {
+    let duration_ms = started.elapsed().as_secs_f64() * 1e3;
+    spans.record(Span {
+        trace,
+        id: trace.root_span(),
+        parent: None,
+        name: "job".to_string(),
+        start_ms: (spans.now_ms() - duration_ms).max(0.0),
+        duration_ms,
+        attrs: vec![
+            ("job".to_string(), job.to_string()),
+            ("status".to_string(), status.to_string()),
+        ],
+    });
 }
 
 /// A span as a shim-serde [`Value`] object with a leading `"span"` key (its

@@ -510,10 +510,11 @@ pub struct JobFile {
 pub struct JobResult {
     /// The job id from the spec.
     pub id: String,
-    /// The job's trace id, 16 lowercase hex digits — deterministic (see
-    /// [`derive_trace_id`]), so identical specs carry identical ids and
-    /// determinism diffs need no exclusion.  Feed it to `GET /trace/:id` for
-    /// the job's span tree.
+    /// The job's trace id, 16 lowercase hex digits: the one serve adopted from
+    /// an `X-Juliqaoa-Trace` header, else the deterministic [`derive_trace_id`].
+    /// The router sends the derived id, so identical specs carry identical ids
+    /// and determinism diffs need no exclusion.  Feed it to `GET /trace/:id`
+    /// for the job's span tree.
     pub trace: String,
     /// Terminal state: `"done"` (also the resume marker), `"cancelled"`, or
     /// `"timed_out"` (deadline expired mid-run; the result carries the best

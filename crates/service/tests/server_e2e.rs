@@ -15,6 +15,17 @@ use std::time::{Duration, Instant};
 /// Sends one HTTP/1.1 request and returns the raw response (status line,
 /// headers and body) — for tests that need to see response headers.
 fn raw_request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> String {
+    raw_request_with_headers(addr, method, path, "", body)
+}
+
+/// [`raw_request`] with extra request header lines (each ending in `\r\n`).
+fn raw_request_with_headers(
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    headers: &str,
+    body: Option<&str>,
+) -> String {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -22,7 +33,7 @@ fn raw_request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -
     let body = body.unwrap_or("");
     write!(
         stream,
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        "{method} {path} HTTP/1.1\r\nHost: test\r\n{headers}Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     )
     .expect("write request");
@@ -73,6 +84,44 @@ fn poll_until_done(addr: SocketAddr, id: &str) -> JobStatusBody {
             }
         }
     }
+}
+
+/// The names of the root `job` span's children in `GET /trace/:id`, polled
+/// until the root exists (it is recorded a beat after the status flips).
+fn job_span_children(addr: SocketAddr, trace_hex: &str) -> Vec<String> {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let tree_body = loop {
+        let (status, body) = request(addr, "GET", &format!("/trace/{trace_hex}"), None);
+        if status == 200 && body.contains("\"span\": \"job\"") {
+            break body;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "span tree never materialised: {status} {body}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(tree_body.contains(&format!("\"trace\": \"{trace_hex}\"")));
+    let tree: Value = serde_json::from_str(&tree_body).expect("tree json");
+    let name = |node: &Value| {
+        node.get_field("name")
+            .and_then(Value::as_str)
+            .map(String::from)
+    };
+    let roots = tree
+        .get_field("tree")
+        .and_then(Value::as_array)
+        .expect("tree");
+    let job = roots
+        .iter()
+        .find(|n| name(n).as_deref() == Some("job"))
+        .expect("job root");
+    job.get_field("children")
+        .and_then(Value::as_array)
+        .expect("children")
+        .iter()
+        .filter_map(name)
+        .collect()
 }
 
 #[test]
@@ -361,6 +410,27 @@ fn prometheus_exposition_and_trace_ring_over_http() {
         "missing job_total_ms exemplar"
     );
     assert!(body.contains("# EXEMPLAR job_queue_wait_ms{trace_id=\""));
+    // The job_total_ms exemplar names the finished job's trace (the CI tracing
+    // smoke greps for exactly this line).
+    let total_exemplar = format!(
+        "# EXEMPLAR job_total_ms{{trace_id=\"{}\"}} ",
+        final_status.trace
+    );
+    assert!(body.contains(&total_exemplar), "{body}");
+    // An exemplar is its histogram's last traced observation: a family that
+    // observed nothing (no journal, no sample job here) has none.
+    let empty: Vec<&str> = body
+        .lines()
+        .filter_map(|l| l.strip_suffix("_count 0"))
+        .collect();
+    assert!(empty.contains(&"job_journal_write_ms"), "{empty:?}");
+    assert!(empty.contains(&"job_sampling_readout_ms"), "{empty:?}");
+    for family in empty {
+        assert!(
+            !body.contains(&format!("# EXEMPLAR {family}{{")),
+            "exemplar without an observation on {family}: {body}"
+        );
+    }
     // Every non-comment line is `name{labels}? value`, the shape the CI smoke
     // greps for.
     for line in body
@@ -413,44 +483,9 @@ fn prometheus_exposition_and_trace_ring_over_http() {
         "events are zero-duration"
     );
 
-    // `GET /trace/:id` reconstructs the span tree for the finished job.  The
-    // root span is recorded a beat after the status flips to done, so poll.
-    let trace_hex = &final_status.trace;
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let tree_body = loop {
-        let (status, body) = request(addr, "GET", &format!("/trace/{trace_hex}"), None);
-        if status == 200 && body.contains("\"span\": \"job\"") {
-            break body;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "span tree never materialised: {status} {body}"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    assert!(tree_body.contains(&format!("\"trace\": \"{trace_hex}\"")));
-    // The engine stages and the lifecycle events hang under the root job span.
-    let tree: Value = serde_json::from_str(&tree_body).expect("tree json");
-    let name = |node: &Value| {
-        node.get_field("name")
-            .and_then(Value::as_str)
-            .map(String::from)
-    };
-    let roots = tree
-        .get_field("tree")
-        .and_then(Value::as_array)
-        .expect("tree");
-    let job = roots
-        .iter()
-        .find(|n| name(n).as_deref() == Some("job"))
-        .expect("job root");
-    let children: Vec<String> = job
-        .get_field("children")
-        .and_then(Value::as_array)
-        .expect("children")
-        .iter()
-        .filter_map(name)
-        .collect();
+    // `GET /trace/:id` reconstructs the span tree for the finished job: the
+    // engine stages and the lifecycle events hang under the root job span.
+    let children = job_span_children(addr, &final_status.trace);
     for child in ["submit", "queue_wait", "prep", "optimize", "done"] {
         assert!(
             children.iter().any(|c| c == child),
@@ -501,6 +536,58 @@ fn prometheus_exposition_and_trace_ring_over_http() {
         "shutdown must emit a drain event"
     );
     let _ = std::fs::remove_file(&trace_path);
+}
+
+#[test]
+fn an_adopted_trace_header_covers_the_engine_stages_and_the_result() {
+    let server = Server::bind(ServerConfig {
+        ops: OpsConfig::at("127.0.0.1:0"),
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.run().unwrap());
+
+    // A foreign trace id, as a router or any upstream client would assign it.
+    let header = "00000000deadbeef";
+    assert_ne!(sample_spec("hdr-1").trace_id().unwrap().to_hex(), header);
+    let spec_json = serde_json::to_string(&sample_spec("hdr-1")).unwrap();
+    let raw = raw_request_with_headers(
+        addr,
+        "POST",
+        "/jobs",
+        &format!("X-Juliqaoa-Trace: {header}\r\n"),
+        Some(&spec_json),
+    );
+    assert!(raw.starts_with("HTTP/1.1 202"), "{raw}");
+    assert_eq!(poll_until_done(addr, "hdr-1").trace, header);
+
+    // The result carries the adopted id, not the one derived from the spec.
+    let (status, body) = request(addr, "GET", "/jobs/hdr-1/result", None);
+    assert_eq!(status, 200, "{body}");
+    let result: JobResult = serde_json::from_str(&body).expect("result json");
+    assert_eq!(result.trace, header);
+
+    // The engine's stage spans hang under the adopted trace's root.
+    let children = job_span_children(addr, header);
+    for child in ["queue_wait", "prep", "optimize", "done"] {
+        assert!(
+            children.iter().any(|c| c == child),
+            "missing {child} under the job span: {children:?}"
+        );
+    }
+
+    // The stage exemplars name the adopted trace too.
+    let (_, metrics) = request(addr, "GET", "/metrics", None);
+    for family in ["job_prep_ms", "job_optimize_ms", "job_total_ms"] {
+        let line = format!("# EXEMPLAR {family}{{trace_id=\"{header}\"}} ");
+        assert!(metrics.contains(&line), "missing {line:?}: {metrics}");
+    }
+
+    let (status, _) = request(addr, "POST", "/shutdown", None);
+    assert_eq!(status, 200);
+    handle.join().expect("server thread");
 }
 
 #[test]

@@ -8,101 +8,36 @@
 //! [`KernelSnapshot::delta`], which also keeps readings meaningful under cargo's
 //! parallel test threads.
 
-use crate::Counter;
-
-/// The set of kernel-level profiling counters.
-#[derive(Debug)]
-pub struct Kernels {
-    /// Phase separators applied via the compressed phase-table path.
-    pub phase_table_applies: Counter,
-    /// Phase separators that fell back to the dense per-amplitude path.
-    pub dense_phase_applies: Counter,
-    /// Fused Grover rounds (phase apply + reflection in one sweep).
-    pub fused_grover_rounds: Counter,
-    /// Walsh–Hadamard transform passes over a statevector.
-    pub wht_passes: Counter,
-    /// Prefix-cache checkpoint hits (evolutions resumed mid-circuit).
-    pub prefix_checkpoint_hits: Counter,
-    /// Prefix-cache misses (evolutions started from round 0).
-    pub prefix_cold_starts: Counter,
-    /// Rounds skipped thanks to prefix checkpoints (work avoided).
-    pub prefix_rounds_saved: Counter,
-    /// Measurement shots drawn by the alias sampler.
-    pub shots_drawn: Counter,
-    /// Objective function evaluations across all optimizers.
-    pub objective_evals: Counter,
+crate::counter_set! {
+    /// The set of kernel-level profiling counters.
+    pub struct Kernels;
+    /// A point-in-time copy of every kernel counter.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct KernelSnapshot;
+    phase_table_applies: "kernel_phase_table_applies",
+        "Phase-separator applications served from a compressed class table.";
+    dense_phase_applies: "kernel_dense_phase_applies",
+        "Phase-separator applications that fell back to the dense per-state path.";
+    fused_grover_rounds: "kernel_fused_grover_rounds",
+        "QAOA rounds executed by the fused Grover phase-plus-mixer kernel.";
+    wht_passes: "kernel_wht_passes", "Walsh-Hadamard transform passes over a state vector.";
+    prefix_checkpoint_hits: "kernel_prefix_checkpoint_hits",
+        "Evolutions resumed from a prefix checkpoint.";
+    prefix_cold_starts: "kernel_prefix_cold_starts",
+        "Evolutions that started from the initial state with no usable checkpoint.";
+    prefix_rounds_saved: "kernel_prefix_rounds_saved",
+        "QAOA rounds skipped by resuming from prefix checkpoints.";
+    shots_drawn: "kernel_shots_drawn", "Measurement shots drawn by the alias sampler.";
+    objective_evals: "kernel_objective_evals",
+        "Objective-function evaluations across all optimizers.";
 }
 
 /// The process-wide counters every kernel records into.
-pub static KERNELS: Kernels = Kernels {
-    phase_table_applies: Counter::new(),
-    dense_phase_applies: Counter::new(),
-    fused_grover_rounds: Counter::new(),
-    wht_passes: Counter::new(),
-    prefix_checkpoint_hits: Counter::new(),
-    prefix_cold_starts: Counter::new(),
-    prefix_rounds_saved: Counter::new(),
-    shots_drawn: Counter::new(),
-    objective_evals: Counter::new(),
-};
-
-/// A point-in-time copy of every kernel counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct KernelSnapshot {
-    pub phase_table_applies: u64,
-    pub dense_phase_applies: u64,
-    pub fused_grover_rounds: u64,
-    pub wht_passes: u64,
-    pub prefix_checkpoint_hits: u64,
-    pub prefix_cold_starts: u64,
-    pub prefix_rounds_saved: u64,
-    pub shots_drawn: u64,
-    pub objective_evals: u64,
-}
+pub static KERNELS: Kernels = Kernels::new();
 
 /// Reads all kernel counters (relaxed; each field individually consistent).
 pub fn snapshot() -> KernelSnapshot {
-    KernelSnapshot {
-        phase_table_applies: KERNELS.phase_table_applies.get(),
-        dense_phase_applies: KERNELS.dense_phase_applies.get(),
-        fused_grover_rounds: KERNELS.fused_grover_rounds.get(),
-        wht_passes: KERNELS.wht_passes.get(),
-        prefix_checkpoint_hits: KERNELS.prefix_checkpoint_hits.get(),
-        prefix_cold_starts: KERNELS.prefix_cold_starts.get(),
-        prefix_rounds_saved: KERNELS.prefix_rounds_saved.get(),
-        shots_drawn: KERNELS.shots_drawn.get(),
-        objective_evals: KERNELS.objective_evals.get(),
-    }
-}
-
-impl KernelSnapshot {
-    /// The counts accumulated between `earlier` and `self` (saturating, so a
-    /// stale `earlier` from another snapshot interleaving never underflows).
-    pub fn delta(&self, earlier: &KernelSnapshot) -> KernelSnapshot {
-        KernelSnapshot {
-            phase_table_applies: self
-                .phase_table_applies
-                .saturating_sub(earlier.phase_table_applies),
-            dense_phase_applies: self
-                .dense_phase_applies
-                .saturating_sub(earlier.dense_phase_applies),
-            fused_grover_rounds: self
-                .fused_grover_rounds
-                .saturating_sub(earlier.fused_grover_rounds),
-            wht_passes: self.wht_passes.saturating_sub(earlier.wht_passes),
-            prefix_checkpoint_hits: self
-                .prefix_checkpoint_hits
-                .saturating_sub(earlier.prefix_checkpoint_hits),
-            prefix_cold_starts: self
-                .prefix_cold_starts
-                .saturating_sub(earlier.prefix_cold_starts),
-            prefix_rounds_saved: self
-                .prefix_rounds_saved
-                .saturating_sub(earlier.prefix_rounds_saved),
-            shots_drawn: self.shots_drawn.saturating_sub(earlier.shots_drawn),
-            objective_evals: self.objective_evals.saturating_sub(earlier.objective_evals),
-        }
-    }
+    KERNELS.snapshot()
 }
 
 #[cfg(test)]

@@ -7,13 +7,18 @@
 //! in the workspace graph so even the innermost Walsh–Hadamard butterfly can record
 //! a pass.
 //!
-//! Five pieces:
+//! Six pieces:
 //!
 //! * [`Counter`] / [`Gauge`] — monotonic and point-in-time scalars;
 //! * [`Histogram`] — fixed-bucket latency histograms with lock-free recording,
 //!   cumulative snapshots and quantile estimation (p50/p95/p99 for the benches);
 //! * [`encode`] — the Prometheus text-exposition (version 0.0.4) encoder the
 //!   service's `GET /metrics` endpoint serves;
+//! * [`registry`] — the metric registry: [`counter_set!`] and [`histogram_set!`]
+//!   declare each metric once (field, exposition name, help), generating the
+//!   counters, their snapshots and deltas, [`LatencyHistogram`]s with their
+//!   exemplars, and the exposition; and the [`Stage`] guard, which times one
+//!   stage of a traced job once and feeds its histogram, exemplar and span;
 //! * [`kernels`] — process-wide profiling counters threaded through the simulator
 //!   core (phase-table applications, WHT passes, dense fallbacks, prefix
 //!   checkpoint reuse, shots drawn);
@@ -26,11 +31,13 @@
 pub mod encode;
 pub mod hist;
 pub mod kernels;
+pub mod registry;
 pub mod span;
 mod trace;
 
 pub use encode::PromWriter;
 pub use hist::{Histogram, HistogramSnapshot};
+pub use registry::{LatencyHistogram, Stage};
 pub use span::{Span, SpanCollector, SpanId, TraceId};
 
 use std::sync::atomic::{AtomicU64, Ordering};
