@@ -1,12 +1,12 @@
-//! Ablation: Grover-mixer QAOA in the compressed distinct-value space vs the full
-//! statevector (DESIGN.md §6.3).
+//! Ablation: Grover-mixer QAOA in class space (one amplitude per distinct value) vs the
+//! full statevector (DESIGN.md §6.3).
 //!
-//! Both compute identical expectation values (see the property tests); the compressed
+//! Both compute identical expectation values (see the property tests); the class-space
 //! path's cost scales with the number of distinct objective values rather than `2ⁿ`,
 //! which is the enabling trick of §2.4.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use juliqaoa_core::{Angles, CompressedGroverSimulator, Simulator};
+use juliqaoa_core::{Angles, Simulator};
 use juliqaoa_mixers::Mixer;
 use juliqaoa_problems::{degeneracies_full, precompute_full, HammingRamp};
 use std::hint::black_box;
@@ -31,9 +31,10 @@ fn bench_grover_paths(c: &mut Criterion) {
             b.iter(|| black_box(full.expectation_with(&angles, &mut ws).expect("setup")));
         });
 
-        let comp = CompressedGroverSimulator::from_table(&degeneracies_full(&ramp, 4));
-        group.bench_with_input(BenchmarkId::new("compressed", n), &n, |b, _| {
-            b.iter(|| black_box(comp.expectation(&angles)));
+        let comp = Simulator::grover_classes(&degeneracies_full(&ramp, 4)).expect("setup");
+        let mut comp_ws = comp.workspace();
+        group.bench_with_input(BenchmarkId::new("class_space", n), &n, |b, _| {
+            b.iter(|| black_box(comp.expectation_with(&angles, &mut comp_ws).expect("setup")));
         });
     }
     group.finish();

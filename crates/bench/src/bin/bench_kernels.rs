@@ -11,7 +11,7 @@
 //!
 //! Usage: `cargo run --release -p juliqaoa_bench --bin bench_kernels [output.json]`
 
-use juliqaoa_bench::harness::BenchTimer;
+use juliqaoa_bench::harness::{git_describe, BenchTimer};
 use juliqaoa_bench::instances::paper_maxcut_instance;
 use juliqaoa_combinatorics::DickeSubspace;
 use juliqaoa_core::{adjoint_gradient, Angles, Simulator};
@@ -95,17 +95,6 @@ struct Snapshot {
     walsh_hadamard: Vec<WalshHadamardRow>,
     pauli_x_gradient: Vec<PauliXGradientRow>,
     xy_mixer: Vec<XyMixerRow>,
-}
-
-fn git_describe() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--tags", "--always", "--dirty"])
-        .stderr(std::process::Stdio::null())
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "none".into())
 }
 
 fn ms(d: std::time::Duration) -> f64 {

@@ -12,6 +12,12 @@
 //! the serial and parallel shard schedules produce **bit-identical** histograms (the
 //! sampler's determinism contract).
 //!
+//! The `grover_sampled_eval` rows time one sampled objective evaluation of a Grover-mixer
+//! job (random 3-SAT at clause density 6, p = 2, CVaR-0.2 over 2,048 shots) on the
+//! full-state simulator and in class space (`Simulator::grover_classes`, one amplitude
+//! per distinct value), with kernels pinned serial as the job service's workers run
+//! them.  Each row asserts the two agree on the exact expectation to 1e-10 relative.
+//!
 //! Usage:
 //!   `cargo run --release -p juliqaoa_bench --bin bench_sampling [output.json] [--smoke]`
 //!
@@ -19,14 +25,17 @@
 //! property (largest-dim draw rate within 5x of the smallest-dim rate — a loose
 //! bound that still fails if drawing ever becomes O(dim)).
 
-use juliqaoa_bench::instances::paper_maxcut_instance;
+use juliqaoa_bench::git_describe;
+use juliqaoa_bench::instances::{paper_maxcut_instance, paper_sat_instance_with};
 use juliqaoa_core::{Angles, Simulator};
 use juliqaoa_mixers::Mixer;
-use juliqaoa_problems::{precompute_full, MaxCut};
-use juliqaoa_sampling::{SampleState, StateSampler};
+use juliqaoa_optim::{Objective, SampledObjective};
+use juliqaoa_problems::{precompute_full, DegeneracyTable, MaxCut};
+use juliqaoa_sampling::{SampleState, ShotEstimator, StateSampler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
+use std::hint::black_box;
 use std::time::Instant;
 
 #[derive(Serialize)]
@@ -44,12 +53,90 @@ struct Row {
 }
 
 #[derive(Serialize)]
+struct GroverRow {
+    n: usize,
+    dim: usize,
+    classes: usize,
+    shots: u64,
+    full_state_us_per_eval: f64,
+    class_space_us_per_eval: f64,
+    speedup: f64,
+    max_relative_gap: f64,
+}
+
+#[derive(Serialize)]
 struct Snapshot {
     description: String,
+    git: String,
+    cpus: usize,
     threads: usize,
     par_threshold: usize,
     shot_shard_size: u64,
     rows: Vec<Row>,
+    grover_sampled_eval: Vec<GroverRow>,
+}
+
+/// Shots per sampled Grover evaluation, as in the `sampled-grid` service workload.
+const GROVER_SHOTS: u64 = 2048;
+
+/// Mean µs per cold `SampledObjective` evaluation over `points` (no prefix reuse:
+/// every evaluation evolves both rounds, builds its alias table and draws its shots).
+fn us_per_sampled_eval(sim: &Simulator, points: &[Vec<f64>]) -> f64 {
+    let estimator = ShotEstimator::CVaR { alpha: 0.2 };
+    let mut objective =
+        SampledObjective::new(sim, GROVER_SHOTS, estimator, 0x5A3).without_prefix_reuse();
+    black_box(objective.value(&points[0]));
+    let started = Instant::now();
+    for x in points {
+        black_box(objective.value(x));
+    }
+    started.elapsed().as_secs_f64() * 1e6 / points.len() as f64
+}
+
+fn grover_row(n: usize) -> GroverRow {
+    let values = precompute_full(&paper_sat_instance_with(n, 3, 6.0, 0));
+    let table = DegeneracyTable::from_entries(values.iter().map(|&v| (v, 1)));
+    let full = Simulator::new(values, Mixer::grover_full(n)).expect("consistent setup");
+    let classes = Simulator::grover_classes(&table).expect("consistent setup");
+    let mut rng = StdRng::seed_from_u64(11);
+    let points: Vec<Vec<f64>> = (0..2000)
+        .map(|_| Angles::random(2, &mut rng).to_flat())
+        .collect();
+
+    let max_relative_gap = points[..10]
+        .iter()
+        .map(|x| {
+            let angles = Angles::from_flat(x);
+            let a = full.expectation(&angles).expect("consistent setup");
+            let b = classes.expectation(&angles).expect("consistent setup");
+            (a - b).abs() / a.abs().max(b.abs()).max(1.0)
+        })
+        .fold(0.0, f64::max);
+    assert!(
+        max_relative_gap <= 1e-10,
+        "class space disagrees with the full state at n={n}: {max_relative_gap:e}"
+    );
+
+    // About a quarter second of full-state evaluations at every n.
+    let full_points = &points[..((1usize << 24) >> n).clamp(10, points.len())];
+    let full_us = us_per_sampled_eval(&full, full_points);
+    let class_us = us_per_sampled_eval(&classes, &points);
+    let row = GroverRow {
+        n,
+        dim: full.dim(),
+        classes: classes.dim(),
+        shots: GROVER_SHOTS,
+        full_state_us_per_eval: full_us,
+        class_space_us_per_eval: class_us,
+        speedup: full_us / class_us,
+        max_relative_gap,
+    };
+    eprintln!(
+        "grover n={n:2} dim={:>8} classes={:>3}  sampled eval: full {:10.1}µs  class space \
+         {:7.1}µs  ({:6.1}x)  max gap {:.1e}",
+        row.dim, row.classes, full_us, class_us, row.speedup, max_relative_gap
+    );
+    row
 }
 
 fn sampler_for(n: usize) -> StateSampler {
@@ -132,6 +219,17 @@ fn main() {
 
     let rows: Vec<Row> = ns.iter().map(|&n| row(n, shots)).collect();
 
+    let grover_ns: Vec<usize> = if smoke {
+        vec![10, 14]
+    } else {
+        vec![14, 16, 18, 20]
+    };
+    let grover_rows: Vec<GroverRow> = {
+        // Serial kernels, as the job service's workers run them.
+        let _serial = juliqaoa_linalg::enter_outer_parallelism();
+        grover_ns.iter().map(|&n| grover_row(n)).collect()
+    };
+
     if smoke {
         // O(1)-per-shot: the draw rate must be flat in dim.  5x covers cache effects
         // on CI boxes while still catching an O(dim) regression (the smoke dims span
@@ -148,12 +246,18 @@ fn main() {
         description: "alias-method shot sampling from QAOA final states (MaxCut G(n,0.5), \
                       transverse-field mixer, p=2): O(dim) table build vs O(1)-per-shot \
                       draw, serial vs sharded-parallel batching; histograms asserted \
-                      bit-identical across shard schedules"
+                      bit-identical across shard schedules. grover_sampled_eval: mean µs \
+                      per cold CVaR-0.2 sampled evaluation (2048 shots, p=2, random 3-SAT \
+                      at density 6, serial kernels) on the full-state simulator vs in \
+                      Grover class space; exact expectations asserted within 1e-10"
             .to_string(),
+        git: git_describe(),
+        cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
         threads: rayon::current_num_threads(),
         par_threshold: juliqaoa_linalg::par_threshold(),
         shot_shard_size: juliqaoa_sampling::SHOT_SHARD_SIZE,
         rows,
+        grover_sampled_eval: grover_rows,
     };
     let json = serde_json::to_string_pretty(&snapshot).expect("snapshot serialises");
     std::fs::write(&output, json).expect("snapshot file is writable");

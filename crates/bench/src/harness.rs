@@ -9,6 +9,19 @@ pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (out, start.elapsed())
 }
 
+/// `git describe --tags --always --dirty` of the working directory, or `"none"` outside
+/// a git checkout — the revision stamp the committed `BENCH_*.json` snapshots carry.
+pub fn git_describe() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--tags", "--always", "--dirty"])
+        .stderr(std::process::Stdio::null())
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "none".into())
+}
+
 /// A repeated-measurement timer: runs the closure several times and reports the minimum
 /// (the conventional low-noise estimator for micro-benchmarks) and the mean.
 pub struct BenchTimer {

@@ -9,6 +9,6 @@ pub mod harness;
 pub mod instances;
 pub mod jobs;
 
-pub use harness::{time_it, BenchTimer, Series};
+pub use harness::{git_describe, time_it, BenchTimer, Series};
 pub use instances::{paper_maxcut_instance, paper_sat_instance};
 pub use jobs::write_job_file;

@@ -23,9 +23,9 @@
 //! * [`prefix::PrefixCache`] — per-round checkpoint statevectors for incremental
 //!   re-evolution: an angle sweep that only changes the deepest rounds resumes from
 //!   the shared prefix instead of replaying the whole circuit, bit-identically.
-//! * [`grover::CompressedGroverSimulator`] — the §2.4 fast path: Grover-mixer QAOA in the
-//!   compressed space of distinct objective values and degeneracies, enabling very large
-//!   `n`.
+//! * [`Simulator::grover_classes`] (module [`grover`]) — the §2.4 fast path: Grover-mixer
+//!   QAOA in class space, one amplitude per distinct objective value, through the same
+//!   [`Simulator`]; this is what enables very large `n`.
 //! * [`multiangle::MultiAngleSimulator`] — multiple mixers (each with its own angle) per
 //!   layer, the "multi-angle QAOA" variation.
 
@@ -42,7 +42,6 @@ pub mod workspace;
 pub use angles::Angles;
 pub use error::QaoaError;
 pub use gradient::{adjoint_gradient, adjoint_gradient_cached, AdjointGradient};
-pub use grover::CompressedGroverSimulator;
 pub use prefix::{PrefixCache, PrefixStats};
 pub use result::SimulationResult;
 pub use simulator::{InitialState, Simulator};

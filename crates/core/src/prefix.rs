@@ -52,8 +52,9 @@
 //!   replay is one diagonal sweep plus the rotation back, skipping the phase
 //!   separator *and* the forward Hadamard transform;
 //! * **Grover mixers**: the state straight after the final phase separator, together
-//!   with the amplitude sum the fused table-driven round computed — the replay is
-//!   just the rank-1 update.
+//!   with the amplitude sum the fused table-driven round computed (none in class
+//!   space, whose replay recomputes the overlap) — the replay is just the rank-1
+//!   update.
 //!
 //! # Bit-identity scope
 //!

@@ -10,6 +10,9 @@
 //! 2. the mixer `e^{-iβ H_M}`: Walsh–Hadamard-diagonalised for Pauli-X mixers, a rank-1
 //!    update for the Grover mixer, or two subspace mat-vecs for Clique/Ring mixers.
 //!
+//! A Grover-mixer problem can also run in *class space* ([`Simulator::grover_classes`]):
+//! the same kernels over one amplitude per distinct objective value.
+//!
 //! Nothing in the hot loop allocates; all buffers live in a caller-held [`Workspace`].
 
 use crate::angles::Angles;
@@ -18,7 +21,7 @@ use crate::prefix::PrefixCache;
 use crate::result::SimulationResult;
 use crate::workspace::Workspace;
 use juliqaoa_linalg::{vector, Complex64};
-use juliqaoa_mixers::Mixer;
+use juliqaoa_mixers::{GroverMixer, Mixer};
 use juliqaoa_problems::PhaseClasses;
 use juliqaoa_telemetry::kernels::KERNELS;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,7 +40,8 @@ fn fresh_token() -> u64 {
 #[derive(Clone, Debug)]
 pub enum InitialState {
     /// The uniform superposition over the feasible set (the default: `|+⟩^{⊗n}` for
-    /// unconstrained problems, the Dicke state `|D^n_k⟩` for weight-k problems).
+    /// unconstrained problems, the Dicke state `|D^n_k⟩` for weight-k problems; in
+    /// Grover class space, the weighted mixer's reference `s_c = √(d_c/N)`).
     Uniform,
     /// A single feasible basis state, given by its dense index.
     Basis(usize),
@@ -193,6 +197,40 @@ impl Simulator {
         &self.mixers
     }
 
+    /// The reference state of the first [`GroverMixer::weighted`] mixer, if any: such a
+    /// simulator runs in Grover class space, where the uniform superposition over the
+    /// feasible set is that reference (see [`Simulator::grover_classes`]).
+    fn class_reference(&self) -> Option<&[f64]> {
+        self.mixers.iter().find_map(|m| match m {
+            Mixer::Grover(grover) => grover.reference(),
+            _ => None,
+        })
+    }
+
+    /// The phase classes and mixer of a fused GM-QAOA round: a compressible objective
+    /// and the uniform Grover mixer, whose overlap is the plain amplitude sum the
+    /// table-driven phase sweep accumulates.
+    fn fused_grover<'a>(&'a self, mixer: &'a Mixer) -> Option<(&'a PhaseClasses, &'a GroverMixer)> {
+        match (&self.phase_classes, mixer) {
+            (Some(classes), Mixer::Grover(grover)) if grover.reference().is_none() => {
+                Some((classes, grover))
+            }
+            _ => None,
+        }
+    }
+
+    /// Heap bytes the simulator holds: its objective values, their phase classes, its
+    /// mixers and a custom initial state.
+    pub fn bytes(&self) -> usize {
+        let classes = self.phase_classes.as_ref().map_or(0, PhaseClasses::bytes);
+        let mixers: usize = self.mixers.iter().map(Mixer::bytes).sum();
+        let initial = match &self.initial_state {
+            InitialState::Custom(v) => std::mem::size_of_val(v.as_slice()),
+            InitialState::Uniform | InitialState::Basis(_) => 0,
+        };
+        std::mem::size_of_val(self.obj_vals.as_slice()) + classes + mixers + initial
+    }
+
     /// Largest objective value (the optimum for maximization problems).
     pub fn max_objective(&self) -> f64 {
         self.obj_vals
@@ -220,7 +258,15 @@ impl Simulator {
     pub fn prepare_initial(&self, state: &mut [Complex64]) {
         assert_eq!(state.len(), self.dim);
         match &self.initial_state {
-            InitialState::Uniform => vector::fill_uniform(state),
+            InitialState::Uniform => match self.class_reference() {
+                Some(reference) => {
+                    for (z, &sc) in state.iter_mut().zip(reference) {
+                        *z = Complex64::from_real(sc);
+                    }
+                    vector::normalize(state);
+                }
+                None => vector::fill_uniform(state),
+            },
             InitialState::Basis(i) => {
                 state.iter_mut().for_each(|z| *z = Complex64::ZERO);
                 state[*i] = Complex64::ONE;
@@ -247,8 +293,13 @@ impl Simulator {
     }
 
     /// Applies the phase separator `e^{-iγ H_C}` to `ws.state` (table-driven when the
-    /// objective compresses, dense `cis` otherwise).
+    /// objective compresses, dense `cis` otherwise — which in class space is already
+    /// one `cis` per distinct value).
     fn apply_phase_separator(&self, gamma: f64, ws: &mut Workspace) {
+        let class_space = self.class_reference().is_some();
+        if class_space {
+            KERNELS.grover_class_rounds.inc();
+        }
         match &self.phase_classes {
             Some(classes) => {
                 KERNELS.phase_table_applies.inc();
@@ -260,7 +311,9 @@ impl Simulator {
                 );
             }
             None => {
-                KERNELS.dense_phase_applies.inc();
+                if !class_space {
+                    KERNELS.dense_phase_applies.inc();
+                }
                 vector::apply_phases(&mut ws.state, &self.obj_vals, gamma);
             }
         }
@@ -273,7 +326,7 @@ impl Simulator {
     /// evaluation runs exactly these operations on a byte copy of the state a cold
     /// evaluation would have reached.
     fn apply_round_kernels(&self, gamma: f64, beta: f64, mixer: &Mixer, ws: &mut Workspace) {
-        if let (Some(classes), Mixer::Grover(grover)) = (&self.phase_classes, mixer) {
+        if let Some((classes, grover)) = self.fused_grover(mixer) {
             // Fused GM-QAOA round: one cis per distinct objective value, and the
             // phase sweep also accumulates the amplitude sum the Grover rank-1
             // update needs — two passes over the state instead of three.
@@ -395,8 +448,9 @@ impl Simulator {
                         match fused_sum {
                             // The fused table round already summed the amplitudes.
                             Some(sum) => grover.apply_evolution_with_sum(beta, &mut ws.state, sum),
-                            // Dense path: the rank-1 update recomputes its sum with
-                            // the same kernel the cold evolution uses.
+                            // Dense path (class space included): the rank-1 update
+                            // recomputes its overlap with the kernel the cold
+                            // evolution uses.
                             None => grover.apply_evolution(beta, &mut ws.state),
                         }
                         served = true;
@@ -436,8 +490,8 @@ impl Simulator {
             } else if let (true, true, Mixer::Grover(grover)) = (is_final, write, mixer) {
                 // Grover final round: checkpoint straight after the phase separator
                 // so a β-only sweep replays just the rank-1 update.
-                let fused_sum = match &self.phase_classes {
-                    Some(classes) => {
+                let fused_sum = match self.fused_grover(mixer) {
+                    Some((classes, _)) => {
                         KERNELS.phase_table_applies.inc();
                         vector::build_phase_table(
                             classes.distinct_values(),
@@ -451,8 +505,7 @@ impl Simulator {
                         ))
                     }
                     None => {
-                        KERNELS.dense_phase_applies.inc();
-                        vector::apply_phases(&mut ws.state, &self.obj_vals, gamma);
+                        self.apply_phase_separator(gamma, ws);
                         None
                     }
                 };

@@ -1,46 +1,88 @@
-//! The Grover mixer `H_G = |ψ₀⟩⟨ψ₀|`.
+//! The Grover mixer `H_G = |s⟩⟨s|`.
 //!
-//! `|ψ₀⟩` is the uniform superposition over the feasible set (all `2ⁿ` states for
+//! `|s⟩` is the uniform superposition over the feasible set (all `2ⁿ` states for
 //! unconstrained problems, the Dicke state for Hamming-weight-k problems).  Because
 //! `H_G` is a rank-1 projector, its evolution has the closed form
 //!
-//! `e^{-iβ H_G} = 1 + (e^{-iβ} − 1)·|ψ₀⟩⟨ψ₀|`,
+//! `e^{-iβ H_G} = 1 + (e^{-iβ} − 1)·|s⟩⟨s|`,
 //!
-//! so one round costs a single reduction (`⟨ψ₀|ψ⟩`) plus a single axpy — no transforms,
-//! no matrices.  The mixer also conserves Hamming weight and gives fair sampling, which
-//! is what the compressed large-n simulation in `juliqaoa-core::grover` exploits.
+//! so one round costs a single reduction (`⟨s|ψ⟩`) plus a single axpy — no transforms,
+//! no matrices.  The mixer also conserves Hamming weight and gives fair sampling: all
+//! feasible states with the same objective value keep equal amplitudes.
+//!
+//! Fair sampling is what the *weighted* form serves.  In class space a state holds one
+//! entry `φ_c = √d_c·a_c` per distinct objective value `c` (shared by `d_c` of the `N`
+//! feasible states), and the uniform superposition becomes the real unit vector
+//! `s_c = √(d_c/N)`.  [`GroverMixer::weighted`] takes that reference vector; the
+//! rank-1 formulas are the same with `s` in place of the flat `1/√dim`.
 
 use juliqaoa_linalg::{vector, Complex64};
 
-/// The Grover mixer over a feasible set of `dim` states.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// The Grover mixer over a feasible set of `dim` states, or over `dim` value classes
+/// when built with a per-state reference vector.
+#[derive(Clone, Debug, PartialEq)]
 pub struct GroverMixer {
     dim: usize,
+    /// The reference state `|s⟩` entry by entry; `None` is the flat `1/√dim`.
+    reference: Option<Vec<f64>>,
 }
 
 impl GroverMixer {
     /// Creates the Grover mixer over a feasible set with `dim` states.
     pub fn new(dim: usize) -> Self {
         assert!(dim > 0, "Grover mixer needs a non-empty feasible set");
-        GroverMixer { dim }
+        GroverMixer {
+            dim,
+            reference: None,
+        }
     }
 
     /// Grover mixer over the full `2ⁿ` computational basis.
     pub fn full_space(n: usize) -> Self {
         assert!(n < 64);
-        GroverMixer { dim: 1 << n }
+        Self::new(1 << n)
     }
 
     /// Grover mixer over the weight-`k` Dicke subspace of `n` qubits.
     pub fn dicke(n: usize, k: usize) -> Self {
         GroverMixer {
             dim: juliqaoa_combinatorics::binomial(n, k) as usize,
+            reference: None,
         }
     }
 
-    /// Dimension of the feasible set.
+    /// The Grover mixer `|s⟩⟨s|` toward an arbitrary real unit reference state — in
+    /// class space, `s_c = √(d_c/N)` (see the module docs).
+    ///
+    /// # Panics
+    /// Panics if `reference` is empty.
+    pub fn weighted(reference: Vec<f64>) -> Self {
+        assert!(
+            !reference.is_empty(),
+            "Grover mixer needs a non-empty feasible set"
+        );
+        GroverMixer {
+            dim: reference.len(),
+            reference: Some(reference),
+        }
+    }
+
+    /// Dimension of the feasible set (or the number of value classes).
     pub fn dim(&self) -> usize {
         self.dim
+    }
+
+    /// The reference state of a [`GroverMixer::weighted`] mixer; `None` for the
+    /// uniform mixer.
+    pub fn reference(&self) -> Option<&[f64]> {
+        self.reference.as_deref()
+    }
+
+    /// Heap bytes the mixer holds: the reference vector, if any.
+    pub fn bytes(&self) -> usize {
+        self.reference
+            .as_ref()
+            .map_or(0, |s| s.len() * std::mem::size_of::<f64>())
     }
 
     /// Applies `e^{-iβ H_G}` to the state in place.
@@ -49,7 +91,16 @@ impl GroverMixer {
     /// Panics if the state length does not match the mixer dimension.
     pub fn apply_evolution(&self, beta: f64, state: &mut [Complex64]) {
         assert_eq!(state.len(), self.dim, "state dimension mismatch");
-        self.apply_evolution_with_sum(beta, state, vector::amplitude_sum(state));
+        match &self.reference {
+            // ψ += (e^{-iβ} − 1)·⟨s|ψ⟩·|s⟩.
+            Some(s) => {
+                let factor = (Complex64::cis(-beta) - Complex64::ONE) * overlap(s, state);
+                for (z, &sc) in state.iter_mut().zip(s) {
+                    *z += factor.scale(sc);
+                }
+            }
+            None => self.apply_evolution_with_sum(beta, state, vector::amplitude_sum(state)),
+        }
     }
 
     /// Applies `e^{-iβ H_G}` given the already-computed amplitude sum `Σ_x ψ_x`.
@@ -59,7 +110,8 @@ impl GroverMixer {
     /// two passes over the state instead of three.
     ///
     /// # Panics
-    /// Panics if the state length does not match the mixer dimension.
+    /// Panics if the state length does not match the mixer dimension, or if the mixer
+    /// is [`GroverMixer::weighted`]: a plain amplitude sum is not its overlap.
     pub fn apply_evolution_with_sum(
         &self,
         beta: f64,
@@ -67,10 +119,14 @@ impl GroverMixer {
         amplitude_sum: Complex64,
     ) {
         assert_eq!(state.len(), self.dim, "state dimension mismatch");
+        assert!(
+            self.reference.is_none(),
+            "the fused amplitude-sum entry serves only the uniform Grover mixer"
+        );
         let inv_sqrt = 1.0 / (self.dim as f64).sqrt();
-        // ⟨ψ₀|ψ⟩ = (Σ_x ψ_x)/√dim
+        // ⟨s|ψ⟩ = (Σ_x ψ_x)/√dim
         let overlap = amplitude_sum.scale(inv_sqrt);
-        // ψ += (e^{-iβ} − 1)·⟨ψ₀|ψ⟩·|ψ₀⟩, and |ψ₀⟩ has amplitude 1/√dim everywhere.
+        // ψ += (e^{-iβ} − 1)·⟨s|ψ⟩·|s⟩, and |s⟩ has amplitude 1/√dim everywhere.
         let factor = (Complex64::cis(-beta) - Complex64::ONE) * overlap.scale(inv_sqrt);
         if juliqaoa_linalg::parallel_kernels_enabled(state.len()) {
             use rayon::prelude::*;
@@ -80,16 +136,34 @@ impl GroverMixer {
         }
     }
 
-    /// Applies the Hamiltonian `H_G` itself (not its exponential): `ψ ← |ψ₀⟩⟨ψ₀|ψ⟩`.
+    /// Applies the Hamiltonian `H_G` itself (not its exponential): `ψ ← |s⟩⟨s|ψ⟩`.
     ///
     /// Needed by the adjoint-gradient sweep.
     pub fn apply_hamiltonian(&self, state: &mut [Complex64]) {
         assert_eq!(state.len(), self.dim, "state dimension mismatch");
-        let inv_dim = 1.0 / self.dim as f64;
-        // (|ψ₀⟩⟨ψ₀|ψ)_x = (Σ_y ψ_y)/dim for every x.
-        let value = vector::amplitude_sum(state).scale(inv_dim);
-        state.iter_mut().for_each(|z| *z = value);
+        match &self.reference {
+            Some(s) => {
+                let o = overlap(s, state);
+                for (z, &sc) in state.iter_mut().zip(s) {
+                    *z = o.scale(sc);
+                }
+            }
+            None => {
+                let inv_dim = 1.0 / self.dim as f64;
+                // (|s⟩⟨s|ψ)_x = (Σ_y ψ_y)/dim for every x.
+                let value = vector::amplitude_sum(state).scale(inv_dim);
+                state.iter_mut().for_each(|z| *z = value);
+            }
+        }
     }
+}
+
+/// `⟨s|ψ⟩ = Σ_c s_c·ψ_c` for a real reference `s`, summed in index order.
+fn overlap(s: &[f64], state: &[Complex64]) -> Complex64 {
+    state
+        .iter()
+        .zip(s)
+        .fold(Complex64::ZERO, |acc, (z, &sc)| acc + z.scale(sc))
 }
 
 #[cfg(test)]
@@ -224,6 +298,81 @@ mod tests {
         for (a, b) in got.iter().zip(expected.iter()) {
             assert!((*a - *b).abs() < 1e-12);
         }
+    }
+
+    /// Class space of a 3-class table with degeneracies (1, 4, 3), N = 8.
+    fn class_reference() -> Vec<f64> {
+        [1.0f64, 4.0, 3.0]
+            .iter()
+            .map(|d| (d / 8.0).sqrt())
+            .collect()
+    }
+
+    #[test]
+    fn weighted_mixer_with_a_flat_reference_matches_the_uniform_mixer() {
+        let dim = 6;
+        let flat = GroverMixer::weighted(vec![1.0 / (dim as f64).sqrt(); dim]);
+        let uniform = GroverMixer::new(dim);
+        assert_eq!(flat.dim(), dim);
+        assert!(uniform.reference().is_none());
+        let state: Vec<Complex64> = (0..dim)
+            .map(|i| Complex64::new(0.4 * i as f64 - 1.0, (i as f64 * 0.3).cos()))
+            .collect();
+        let (mut a, mut b) = (state.clone(), state.clone());
+        flat.apply_evolution(0.91, &mut a);
+        uniform.apply_evolution(0.91, &mut b);
+        assert!(vector::max_abs_diff(&a, &b) < 1e-14);
+        let (mut a, mut b) = (state.clone(), state);
+        flat.apply_hamiltonian(&mut a);
+        uniform.apply_hamiltonian(&mut b);
+        assert!(vector::max_abs_diff(&a, &b) < 1e-14);
+    }
+
+    #[test]
+    fn weighted_evolution_is_unitary_and_keeps_the_reference_an_eigenvector() {
+        let s = class_reference();
+        let mixer = GroverMixer::weighted(s.clone());
+        let mut state: Vec<Complex64> = s.iter().map(|&x| Complex64::from_real(x)).collect();
+        mixer.apply_evolution(0.7, &mut state);
+        for (z, &sc) in state.iter().zip(&s) {
+            assert!((*z - Complex64::cis(-0.7).scale(sc)).abs() < 1e-15);
+        }
+        let mut state: Vec<Complex64> = (0..3)
+            .map(|i| Complex64::new((i as f64).sin() + 0.2, 0.5 - i as f64))
+            .collect();
+        vector::normalize(&mut state);
+        mixer.apply_evolution(2.3, &mut state);
+        assert!((norm(&state) - 1.0).abs() < 1e-14);
+    }
+
+    #[test]
+    fn weighted_hamiltonian_is_the_projector_onto_the_reference() {
+        let s = class_reference();
+        let mixer = GroverMixer::weighted(s.clone());
+        let state = vec![
+            Complex64::new(1.0, 0.5),
+            Complex64::new(-0.3, 0.2),
+            Complex64::new(0.0, -1.0),
+        ];
+        let o = state
+            .iter()
+            .zip(&s)
+            .fold(Complex64::ZERO, |acc, (z, &sc)| acc + z.scale(sc));
+        let mut projected = state;
+        mixer.apply_hamiltonian(&mut projected);
+        for (z, &sc) in projected.iter().zip(&s) {
+            assert!((*z - o.scale(sc)).abs() < 1e-15);
+        }
+        assert_eq!(mixer.bytes(), 3 * 8);
+        assert_eq!(GroverMixer::new(3).bytes(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "uniform Grover mixer")]
+    fn the_fused_entry_rejects_a_weighted_mixer() {
+        let mixer = GroverMixer::weighted(class_reference());
+        let mut state = vec![Complex64::ONE; 3];
+        mixer.apply_evolution_with_sum(0.1, &mut state, Complex64::ONE);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! * [`pauli_x::PauliXMixer`] — any sum of products of Pauli-X operators (transverse
 //!   field, higher-order X strings).  Diagonalised analytically by `H^{⊗n}` (Eq. 2), so
 //!   evolution is two Walsh–Hadamard transforms plus a phase multiplication.
-//! * [`grover::GroverMixer`] — `|ψ₀⟩⟨ψ₀|` over the feasible set.  Evolution is a rank-1
-//!   update costing one pass over the state.
+//! * [`grover::GroverMixer`] — `|s⟩⟨s|` over the feasible set, or over its value
+//!   classes in the weighted form.  Evolution is a rank-1 update costing one pass over
+//!   the state.
 //! * [`xy::XYMixer`] — Clique and Ring XY mixers restricted to the weight-k Dicke
 //!   subspace, applied matrix-free.  JuliQAOA eigendecomposes these dense
 //!   `C(n,k)×C(n,k)` matrices (`O(dim³)`, the paper's limit at `n = 18`); here the

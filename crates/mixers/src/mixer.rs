@@ -17,7 +17,8 @@ use juliqaoa_linalg::{walsh, Complex64};
 pub enum Mixer {
     /// Sum of Pauli-X strings on the full `2ⁿ` space, diagonalised by `H^{⊗n}`.
     PauliX(PauliXMixer),
-    /// The Grover mixer `|ψ₀⟩⟨ψ₀|` on a feasible set of any dimension.
+    /// The Grover mixer `|s⟩⟨s|` on a feasible set of any dimension, or on its value
+    /// classes.
     Grover(GroverMixer),
     /// The Clique or Ring XY mixer on the weight-k subspace, applied matrix-free.
     XY(XYMixer),
@@ -66,7 +67,7 @@ impl Mixer {
     pub fn bytes(&self) -> usize {
         match self {
             Mixer::PauliX(m) => m.bytes(),
-            Mixer::Grover(_) => 0,
+            Mixer::Grover(m) => m.bytes(),
             Mixer::XY(m) => m.bytes(),
             Mixer::Subspace(m) => m.bytes(),
         }

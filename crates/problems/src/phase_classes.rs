@@ -76,6 +76,12 @@ impl PhaseClasses {
         &self.class_idx
     }
 
+    /// Heap bytes the compression holds: one `u16` class index per state plus one
+    /// `f64` per distinct value.
+    pub fn bytes(&self) -> usize {
+        2 * self.class_idx.len() + 8 * self.distinct.len()
+    }
+
     /// Number of distinct value classes.
     pub fn num_classes(&self) -> usize {
         self.distinct.len()

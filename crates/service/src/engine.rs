@@ -13,6 +13,13 @@
 //! seeded RNG — so a job's result is a pure function of its spec, independent of
 //! scheduling, thread count and cache state.
 //!
+//! Grover-mixer jobs, full or Dicke, run in *class space*: the slot's simulator is
+//! [`Simulator::grover_classes`] over the cached values' degeneracy table, one amplitude
+//! per distinct value (paper §2.4, fair sampling).  The optimizers, objectives, prefix
+//! caches and estimators run unchanged on it; only the readout's two state-level
+//! fields need per-state draws, made inside the sampled classes (see
+//! `class_space_draws`).
+//!
 //! Two caches sit under that statelessness, both transparent to results:
 //!
 //! 1. the **instance cache** above (objective vector + compression, keyed by
@@ -45,20 +52,21 @@ use crate::spec::{
     BuiltProblem, EstimatorSpec, JobResult, JobSpec, JobTimings, MixerSpec, OptimizerSpec,
     SampleReport, SamplingSpec, RATIO_HISTOGRAM_BINS,
 };
-use juliqaoa_combinatorics::DickeSubspace;
+use juliqaoa_combinatorics::{derive_stream_seed, fold_bits, DickeSubspace};
 use juliqaoa_core::{Angles, PrefixCache, QaoaError, Simulator};
-use juliqaoa_mixers::Mixer;
 use juliqaoa_optim::{
     basinhopping_with_control, grid_search_ordered, qaoa_axis_order, random_restart_with_control,
     BasinHoppingOptions, Objective, OptimizeResult, PrefixCacheHome, QaoaObjective,
     RandomRestartOptions, RunControl, SampledObjective,
 };
-use juliqaoa_problems::{precompute_dicke, precompute_full, InstanceId, PhaseClasses};
-use juliqaoa_sampling::{estimator, IndexMap};
+use juliqaoa_problems::{
+    precompute_dicke, precompute_full, DegeneracyTable, InstanceId, PhaseClasses,
+};
+use juliqaoa_sampling::{estimator, IndexMap, SampleCounts};
 use juliqaoa_telemetry::{SpanCollector, Stage};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -159,11 +167,7 @@ impl PreparedObjective {
     /// Approximate heap footprint, the weight charged against the cache's byte
     /// budget: the value vector plus the compression's index/value tables.
     pub fn approx_bytes(&self) -> u64 {
-        let classes_bytes = self
-            .classes
-            .as_ref()
-            .map(|c| 2 * c.len() + 8 * c.num_classes())
-            .unwrap_or(0);
+        let classes_bytes = self.classes.as_ref().map_or(0, PhaseClasses::bytes);
         (8 * self.values.len() + classes_bytes) as u64
     }
 }
@@ -198,7 +202,7 @@ juliqaoa_telemetry::counter_set! {
     prefix_misses: "engine_prefix_misses", "Prefix-checkpoint cache misses (cold starts).";
     prefix_rounds_saved: "engine_prefix_rounds_saved",
         "QAOA rounds skipped thanks to prefix checkpoints.";
-    // A subset of `jobs_executed`.
+    // Every sample job that reached the optimizer, timed-out ones included.
     sample_jobs: "engine_sample_jobs", "Jobs that ran shot-based sampling.";
     // Every optimizer evaluation plus each job's final readout.
     shots_drawn: "engine_shots_drawn", "Measurement shots drawn across all sample jobs.";
@@ -231,17 +235,24 @@ juliqaoa_telemetry::histogram_set! {
 /// a single parked `Option` hands warmth to one job and starts the rest cold.
 struct SimSlot {
     sim: Arc<Simulator>,
+    /// The degeneracy table a class-space (Grover) simulator was built from; class `c`
+    /// of the simulator is entry `c`.  The readout draws member states from it.
+    classes: Option<Arc<DegeneracyTable>>,
     pool: Vec<PrefixCache>,
 }
 
 impl SimSlot {
-    /// The slot's LRU weight: the simulator's copy of the prepared data, its mixers'
-    /// own memory (hop tables or a custom eigendecomposition) and the caches parked in
-    /// the pool right now.
-    fn weight(&self, prepared_bytes: u64) -> u64 {
-        let mixers: usize = self.sim.mixers().iter().map(Mixer::bytes).sum();
+    /// The slot's LRU weight: what the simulator holds (its copy of the prepared data
+    /// or, in class space, the class values and mixer reference; its mixers' hop tables
+    /// or custom eigendecomposition), the degeneracy table and the caches parked in the
+    /// pool right now.
+    fn weight(&self) -> u64 {
         let pooled: usize = self.pool.iter().map(|cache| cache.bytes()).sum();
-        prepared_bytes + (mixers + pooled) as u64
+        let classes = self
+            .classes
+            .as_ref()
+            .map_or(0, |table| std::mem::size_of_val(table.entries.as_slice()));
+        (self.sim.bytes() + classes + pooled) as u64
     }
 }
 
@@ -455,44 +466,48 @@ impl Engine {
         // Build outside the lock; racing workers may both build, but
         // `get_or_insert_weighted` hands every caller the one winning slot, so the
         // checkpoint pool is never split across two live copies.
-        let mixer = mixer_spec.build(problem).map_err(ServiceError::Spec)?;
-        let sim = Simulator::from_parts(
-            prepared.values.clone(),
-            prepared.classes.clone(),
-            vec![mixer],
-        )?;
+        let (sim, classes) = match mixer_spec {
+            // Every Grover job runs in class space over the values' degeneracy table,
+            // which the slot keeps for the readout's within-class draws.
+            MixerSpec::Grover => {
+                let values = prepared.values.iter().map(|&v| (v, 1));
+                let table = DegeneracyTable::from_entries(values);
+                (Simulator::grover_classes(&table)?, Some(Arc::new(table)))
+            }
+            _ => {
+                let sim = Simulator::from_parts(
+                    prepared.values.clone(),
+                    prepared.classes.clone(),
+                    vec![mixer_spec.build(problem).map_err(ServiceError::Spec)?],
+                )?;
+                (sim, None)
+            }
+        };
         let slot = SimSlot {
             sim: Arc::new(sim),
+            classes,
             pool: Vec::new(),
         };
-        // A fresh slot weighs the simulator's copy of the prepared data plus its
-        // mixer; the checkpoint pool's bytes are charged as they are actually parked
-        // (see `update_slot_weight`), so an idle slot never pays for warmth it does
-        // not hold — charging the whole-pool worst case up front would cut
-        // co-resident slots ~4× at larger `n` for no resident memory at all.
-        let weight = slot.weight(prepared.approx_bytes());
+        // A fresh slot weighs what its simulator holds; the checkpoint pool's bytes
+        // are charged as they are actually parked (see `update_slot_weight`), so an
+        // idle slot never pays for warmth it does not hold — charging the whole-pool
+        // worst case up front would cut co-resident slots ~4× at larger `n` for no
+        // resident memory at all.
+        let weight = slot.weight();
         Ok(self
             .sims
             .get_or_insert_weighted(key, Arc::new(Mutex::new(slot)), weight))
     }
 
-    /// Re-prices a slot in the LRU as the sum of its prepared data, its mixer and the
-    /// bytes its pool *actually* parks right now.  Called after every checkout (weight
-    /// drops) and park (weight grows).  Uses `update_weight`, never an insert: if the LRU
+    /// Re-prices a slot in the LRU as what its simulator holds plus the bytes its pool
+    /// *actually* parks right now.  Called after every checkout (weight drops) and
+    /// park (weight grows).  Uses `update_weight`, never an insert: if the LRU
     /// has already evicted this slot, a job still holding its `Arc` must not
     /// resurrect it and evict a live slot in its place — the orphaned pool simply
     /// dies with the last `Arc`.  Concurrent jobs may briefly leave the recorded
     /// weight one update stale; the next checkout or park corrects it.
-    fn update_slot_weight(
-        &self,
-        key: (InstanceId, MixerSpec),
-        slot: &Arc<Mutex<SimSlot>>,
-        prepared_bytes: u64,
-    ) {
-        let weight = slot
-            .lock()
-            .expect("sim slot poisoned")
-            .weight(prepared_bytes);
+    fn update_slot_weight(&self, key: (InstanceId, MixerSpec), slot: &Arc<Mutex<SimSlot>>) {
+        let weight = slot.lock().expect("sim slot poisoned").weight();
         self.sims.update_weight(&key, weight);
     }
 
@@ -755,7 +770,7 @@ impl Engine {
         // slot's pool.  Concurrent jobs on the same slot share the simulator, and up
         // to PARKED_POOL_CACHES of them start from warm checkpoints — results are
         // identical warm or cold.
-        let (sim, parked) = {
+        let (sim, classes, parked) = {
             let mut slot = slot.lock().expect("sim slot poisoned");
             let warmest = slot
                 .pool
@@ -764,11 +779,11 @@ impl Engine {
                 .max_by_key(|(_, cache)| cache.warmth())
                 .map(|(i, _)| i);
             let parked = warmest.map(|i| slot.pool.swap_remove(i));
-            (slot.sim.clone(), parked)
+            (slot.sim.clone(), slot.classes.clone(), parked)
         };
         if parked.is_some() {
             // The checked-out cache's bytes left the pool; re-price the slot.
-            self.update_slot_weight(slot_key, &slot, prepared.approx_bytes());
+            self.update_slot_weight(slot_key, &slot);
         }
         let home = match parked {
             Some(cache) => PrefixCacheHome::new(cache),
@@ -864,21 +879,9 @@ impl Engine {
             ],
         );
 
-        // Deadline bookkeeping comes first: a job whose deadline expired before the
-        // optimizer completed even one evaluation has no partial result to report —
-        // and a ±∞ "best value" would not survive JSON serialisation — so it dies
-        // here as a structured timeout error.  A deadline that expired after some
-        // progress falls through and reports `"timed_out"` with the best-so-far
-        // angles below.
         let timed_out = control.is_timed_out();
         if timed_out {
             self.counters.jobs_timed_out.inc();
-            if !res.value.is_finite() {
-                return Err(ServiceError::TimedOut(format!(
-                    "deadline expired before job {:?} completed any evaluation",
-                    spec.id
-                )));
-            }
         }
 
         // Sample jobs end with a readout at the best angles: the same seeded shot
@@ -912,6 +915,19 @@ impl Engine {
                     None => IndexMap::full(problem.n),
                 };
                 let (best_idx, best_objective) = estimator::best_sampled(&counts, obj_vals);
+                // A class-space histogram counts values; the state-level fields draw
+                // member states inside the sampled classes.
+                let (best_state, distinct_outcomes) = match &classes {
+                    Some(table) => class_space_draws(
+                        &prepared.values,
+                        table,
+                        &counts,
+                        best_idx,
+                        &res.x,
+                        s.seed,
+                    ),
+                    None => (best_idx, counts.distinct_outcomes() as u64),
+                };
                 let (alpha, eta) = match s.estimator {
                     EstimatorSpec::Mean => (None, None),
                     EstimatorSpec::CVaR { alpha } => (Some(alpha), None),
@@ -920,8 +936,6 @@ impl Engine {
                 // relaxed: the tally's writers finished with the objective drop above;
                 // the count is a reporting statistic either way.
                 let shots_total = shot_tally.load(Ordering::Relaxed);
-                self.counters.sample_jobs.inc();
-                self.counters.shots_drawn.add(shots_total);
                 Some(SampleReport {
                     shots: s.shots,
                     sample_seed: s.seed,
@@ -930,10 +944,10 @@ impl Engine {
                     eta,
                     estimate,
                     exact_expectation,
-                    best_bitstring: map.bitstring_label(best_idx),
+                    best_bitstring: map.bitstring_label(best_state),
                     best_objective,
                     optimal_frequency: estimator::optimal_frequency(&counts, obj_vals),
-                    distinct_outcomes: counts.distinct_outcomes() as u64,
+                    distinct_outcomes,
                     ratio_histogram: estimator::ratio_histogram(
                         &counts,
                         obj_vals,
@@ -953,6 +967,27 @@ impl Engine {
         } else {
             0.0
         };
+        // Every sample job that reached the optimizer folds its draws into the engine
+        // counters, a timed-out one included: its evaluations drew shots too.
+        if sampling.is_some() {
+            self.counters.sample_jobs.inc();
+            // relaxed: every objective and the readout are dropped; the count is a
+            // reporting statistic either way.
+            let shots = shot_tally.load(Ordering::Relaxed);
+            self.counters.shots_drawn.add(shots);
+        }
+
+        // A job whose deadline expired before the optimizer completed even one
+        // evaluation has no partial result to report — and a ±∞ "best value" would
+        // not survive JSON serialisation — so it dies here as a structured timeout
+        // error.  A deadline that expired after some progress falls through and
+        // reports `"timed_out"` with the best-so-far angles below.
+        if timed_out && !res.value.is_finite() {
+            return Err(ServiceError::TimedOut(format!(
+                "deadline expired before job {:?} completed any evaluation",
+                spec.id
+            )));
+        }
 
         // Every objective (and the readout) has been dropped; fold the reuse
         // counters into the engine and park the (possibly warmed) cache for the
@@ -987,7 +1022,7 @@ impl Engine {
                     }
                 }
                 // The parked bytes are now resident; re-price the slot in the LRU.
-                self.update_slot_weight(slot_key, &slot, prepared.approx_bytes());
+                self.update_slot_weight(slot_key, &slot);
             }
         }
 
@@ -1019,7 +1054,7 @@ impl Engine {
             mixer: spec.mixer.kind().to_string(),
             p: spec.p,
             seed: spec.seed,
-            dim: sim.dim(),
+            dim: prepared.values.len(),
             expectation,
             angles: res.x,
             objective_max: prepared.max,
@@ -1046,6 +1081,63 @@ impl Default for Engine {
     fn default() -> Self {
         Self::new(DEFAULT_CACHE_CAPACITY)
     }
+}
+
+/// Domain tag for the within-class member draws of a class-space readout (see
+/// `juliqaoa_combinatorics::seeding`).
+const MEMBER_DOMAIN: u64 = 0xC1A5;
+
+/// The two state-level readout fields of a class-space (Grover) job, as
+/// `(dense index of the best sampled state, distinct states sampled)`.  `counts` is a
+/// histogram over the entries of `table`, the classes of `values`.
+///
+/// Fair sampling makes every member of a class equally likely, so class `c`'s `k_c`
+/// shots draw `k_c` uniform member ranks in `[0, d_c)`, from a stream derived from the
+/// sampling seed, the readout point `x` and `c`.  Distinct outcomes are the distinct
+/// `(class, rank)` pairs.  Members are ranked in dense-index order, so the best class's
+/// smallest drawn rank is the full-state readout's "lowest sampled index"; one scan of
+/// `values` unranks it.  Both fields are therefore distributed exactly as a full-state
+/// draw's.  A class keeps at most `min(k_c, d_c)` ranks, and stops drawing once it has
+/// seen all `d_c` members, after which no draw can change either field.
+fn class_space_draws(
+    values: &[f64],
+    table: &DegeneracyTable,
+    counts: &SampleCounts,
+    best_class: usize,
+    x: &[f64],
+    seed: u64,
+) -> (usize, u64) {
+    let mut distinct = 0;
+    let mut best_rank = 0;
+    for (class, shots) in counts.iter_nonzero() {
+        let stream = fold_bits(x.iter().map(|v| v.to_bits()).chain([class as u64]));
+        let mut rng = StdRng::seed_from_u64(derive_stream_seed(seed, MEMBER_DOMAIN, stream));
+        let degeneracy = table.entries[class].1;
+        let mut seen = HashSet::with_capacity(shots.min(degeneracy) as usize);
+        let mut min_rank = u64::MAX;
+        for _ in 0..shots {
+            let rank = rand::Rng::gen_range(&mut rng, 0..degeneracy);
+            min_rank = min_rank.min(rank);
+            seen.insert(rank);
+            if seen.len() as u64 == degeneracy {
+                break;
+            }
+        }
+        distinct += seen.len() as u64;
+        if class == best_class {
+            best_rank = min_rank;
+        }
+    }
+    let best_bits = table.entries[best_class].0.to_bits();
+    let best_state = values
+        .iter()
+        .enumerate()
+        .filter(|(_, v)| v.to_bits() == best_bits)
+        .nth(best_rank as usize)
+        .map(|(i, _)| i)
+        // lint:allow(R3, ranks are drawn below the class's degeneracy, which counts exactly these members)
+        .expect("the best class has a member at every drawn rank");
+    (best_state, distinct)
 }
 
 #[cfg(test)]
@@ -1162,6 +1254,59 @@ mod tests {
             "slot weight {} misses the mixer's {mixer_bytes} bytes",
             engine.sims.total_weight()
         );
+
+        // A Grover slot holds its class table, not the 2ⁿ prepared values, and is
+        // charged for exactly that plus whatever its pool parks.
+        let engine = Engine::new(8);
+        let grover = JobSpec {
+            problem: ProblemSpec::MaxCutGnp { n: 14, instance: 0 },
+            mixer: MixerSpec::Grover,
+            ..quick_job("grover", 0, 1)
+        };
+        engine.run_job(&grover, &RunControl::new()).unwrap();
+        assert_eq!(engine.cached_simulators(), 1);
+        let pooled: usize = engine
+            .sims
+            .values()
+            .iter()
+            .flat_map(|slot| {
+                let slot = slot.lock().unwrap();
+                slot.pool
+                    .iter()
+                    .map(|cache| cache.bytes())
+                    .collect::<Vec<_>>()
+            })
+            .sum();
+        assert!(
+            engine.sims.total_weight() < 4096 + pooled as u64,
+            "class-space slot weighs {} with {pooled} parked bytes",
+            engine.sims.total_weight()
+        );
+    }
+
+    #[test]
+    fn class_space_draws_keep_at_most_one_rank_per_member() {
+        // Class 0.0 has 5 members, class 1.0 has 3 (interleaved in dense order).  Far
+        // more shots than members must leave at most d_c distinct ranks per class and
+        // a best state that is a member of the best class.
+        let values = [0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0];
+        let table = DegeneracyTable::from_entries(values.iter().map(|&v| (v, 1)));
+        let counts = juliqaoa_sampling::StateSampler::from_probabilities([0.7, 0.3].into_iter(), 9)
+            .sample_counts(200_000);
+        assert!(counts.count(0) > 1000 && counts.count(1) > 1000);
+        let (best_state, distinct) = class_space_draws(&values, &table, &counts, 1, &[0.4], 3);
+        assert_eq!(distinct, 5 + 3);
+        // Every member was drawn, so the best class's smallest rank is its first member.
+        assert_eq!(best_state, 1);
+
+        // Fewer shots than members: never more distinct outcomes than shots.
+        let counts = juliqaoa_sampling::StateSampler::from_probabilities([0.5, 0.5].into_iter(), 2)
+            .sample_counts(1);
+        let sampled = usize::from(counts.count(0) == 0);
+        let (best_state, distinct) =
+            class_space_draws(&values, &table, &counts, sampled, &[0.4], 3);
+        assert_eq!(distinct, 1);
+        assert_eq!(values[best_state], table.entries[sampled].0);
     }
 
     #[test]
@@ -1283,35 +1428,73 @@ mod tests {
 
     #[test]
     fn cvar_sample_job_runs_end_to_end_and_is_reproducible() {
-        let engine = Engine::new(8);
-        let spec = sample_job("cvar", EstimatorSpec::CVaR { alpha: 0.2 }, 2048);
-        let a = engine.run_job(&spec, &RunControl::new()).unwrap();
-        assert_eq!(a.status, "done");
-        let report = a.sampling.as_ref().expect("sample jobs carry a report");
-        // The readout redraws the optimizer's own streams at the best point, so the
-        // reported estimate IS the optimized value.
-        assert_eq!(report.estimate.to_bits(), a.expectation.to_bits());
-        assert_eq!(report.estimator, "cvar");
-        assert_eq!(report.alpha, Some(0.2));
-        assert_eq!(report.shots, 2048);
-        assert_eq!(report.ratio_histogram.iter().sum::<u64>(), 2048);
-        assert_eq!(report.shots_total, (a.function_evals as u64 + 1) * 2048);
-        assert!(report.distinct_outcomes > 0);
-        assert_eq!(report.best_bitstring.len(), 7);
-        assert!(report.best_objective <= a.objective_max);
-        // CVaR-0.2 sits between the exact expectation and the objective maximum.
-        assert!(report.estimate >= report.exact_expectation - 1e-9);
-        assert!(report.estimate <= a.objective_max + 1e-9);
-        // Bit-identical on a fresh engine (pure function of the spec).
-        let engine2 = Engine::new(8);
-        let b = engine2.run_job(&spec, &RunControl::new()).unwrap();
-        assert_eq!(a.expectation.to_bits(), b.expectation.to_bits());
-        assert_eq!(a.angles, b.angles);
-        assert_eq!(a.sampling, b.sampling);
-        // Counters: one sample job, every evaluation plus the readout drew shots.
-        let stats = engine.stats();
-        assert_eq!(stats.sample_jobs, 1);
-        assert_eq!(stats.shots_drawn, report.shots_total);
+        let grover = |id: &str, problem: ProblemSpec| {
+            let mut spec = sample_job(id, EstimatorSpec::CVaR { alpha: 0.2 }, 2048);
+            spec.problem = problem;
+            spec.mixer = MixerSpec::Grover;
+            spec
+        };
+        for spec in [
+            sample_job("cvar", EstimatorSpec::CVaR { alpha: 0.2 }, 2048),
+            // Class space, on the full space and on a Dicke subspace.
+            grover("cvar-grover", ProblemSpec::MaxCutGnp { n: 7, instance: 0 }),
+            grover(
+                "cvar-grover-dicke",
+                ProblemSpec::DensestKSubgraphGnp {
+                    n: 8,
+                    k: 4,
+                    instance: 0,
+                },
+            ),
+        ] {
+            let id = spec.id.as_str();
+            let engine = Engine::new(8);
+            let a = engine.run_job(&spec, &RunControl::new()).unwrap();
+            assert_eq!(a.status, "done");
+            let report = a.sampling.as_ref().expect("sample jobs carry a report");
+            // The readout redraws the optimizer's own streams at the best point, so
+            // the reported estimate IS the optimized value.
+            assert_eq!(report.estimate.to_bits(), a.expectation.to_bits(), "{id}");
+            assert_eq!(report.estimator, "cvar");
+            assert_eq!(report.alpha, Some(0.2));
+            assert_eq!(report.shots, 2048);
+            assert_eq!(report.ratio_histogram.iter().sum::<u64>(), 2048);
+            assert_eq!(report.shots_total, (a.function_evals as u64 + 1) * 2048);
+            assert!(report.distinct_outcomes > 0);
+            assert!(report.distinct_outcomes <= report.shots, "{id}");
+            assert!(report.best_objective <= a.objective_max);
+            // The best bitstring is a feasible state of the reported objective, and
+            // the result's dimension is the feasible set's.
+            let problem = spec.problem.build().unwrap();
+            assert_eq!(report.best_bitstring.len(), problem.n, "{id}");
+            let state = u64::from_str_radix(&report.best_bitstring, 2).unwrap();
+            assert_eq!(
+                problem.cost.evaluate(state).to_bits(),
+                report.best_objective.to_bits(),
+                "{id}"
+            );
+            match problem.subspace_k {
+                Some(k) => {
+                    assert_eq!(state.count_ones() as usize, k, "{id}");
+                    let dicke = juliqaoa_combinatorics::binomial(problem.n, k) as usize;
+                    assert_eq!(a.dim, dicke, "{id}");
+                }
+                None => assert_eq!(a.dim, 1 << problem.n, "{id}"),
+            }
+            // CVaR-0.2 sits between the exact expectation and the objective maximum.
+            assert!(report.estimate >= report.exact_expectation - 1e-9);
+            assert!(report.estimate <= a.objective_max + 1e-9);
+            // Bit-identical on a fresh engine (pure function of the spec).
+            let engine2 = Engine::new(8);
+            let b = engine2.run_job(&spec, &RunControl::new()).unwrap();
+            assert_eq!(a.expectation.to_bits(), b.expectation.to_bits());
+            assert_eq!(a.angles, b.angles);
+            assert_eq!(a.sampling, b.sampling);
+            // Counters: one sample job, every evaluation plus the readout drew shots.
+            let stats = engine.stats();
+            assert_eq!(stats.sample_jobs, 1);
+            assert_eq!(stats.shots_drawn, report.shots_total);
+        }
     }
 
     #[test]
@@ -1419,6 +1602,29 @@ mod tests {
             "a partial result still counts as executed"
         );
         assert_eq!(stats.jobs_failed, 0);
+
+        // A sample job cut short the same way skips its readout, but the shots its
+        // evaluations drew still reach the engine's counters.
+        let engine = Engine::new(8);
+        let shots = 256;
+        job.sampling = Some(SamplingSpec {
+            shots,
+            seed: 5,
+            estimator: EstimatorSpec::Mean,
+        });
+        let control = RunControl::new().deadline_in(Duration::from_millis(150));
+        let res = engine.run_job(&job, &control).unwrap();
+        assert_eq!(res.status, "timed_out");
+        assert!(res.sampling.is_none(), "a timed-out job skips its readout");
+        assert!(res.function_evals > 0);
+        let stats = engine.stats();
+        assert_eq!(stats.sample_jobs, 1);
+        assert!(
+            stats.shots_drawn >= res.function_evals as u64 * shots,
+            "{} shots for {} evaluations",
+            stats.shots_drawn,
+            res.function_evals
+        );
     }
 
     #[test]

@@ -605,13 +605,17 @@ pub struct SampleReport {
     pub estimate: f64,
     /// The exact `⟨C⟩` at the same angles, for estimator-vs-exact comparison.
     pub exact_expectation: f64,
-    /// The best sampled basis state, as an `n`-character binary ket label.
+    /// The best sampled basis state, as an `n`-character binary ket label: the
+    /// lowest-indexed sampled state of the best sampled value.  Grover jobs sample
+    /// value classes; each of a class's shots then draws a uniform member rank inside
+    /// the class (fair sampling), and this is the best class's smallest drawn rank.
     pub best_bitstring: String,
     /// The objective value of the best sampled state.
     pub best_objective: f64,
     /// Empirical frequency of sampling a globally optimal state.
     pub optimal_frequency: f64,
-    /// Distinct basis states measured.
+    /// Distinct basis states measured; for Grover jobs, the distinct
+    /// `(class, member rank)` pairs of the within-class draws.
     pub distinct_outcomes: u64,
     /// Histogram of normalised sample quality `(C−min)/(max−min)` over
     /// [`RATIO_HISTOGRAM_BINS`] equal bins (last bin closed).

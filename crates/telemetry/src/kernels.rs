@@ -20,6 +20,8 @@ crate::counter_set! {
         "Phase-separator applications that fell back to the dense per-state path.";
     fused_grover_rounds: "kernel_fused_grover_rounds",
         "QAOA rounds executed by the fused Grover phase-plus-mixer kernel.";
+    grover_class_rounds: "kernel_grover_class_rounds",
+        "QAOA rounds executed in Grover class space, one amplitude per distinct value.";
     wht_passes: "kernel_wht_passes", "Walsh-Hadamard transform passes over a state vector.";
     prefix_checkpoint_hits: "kernel_prefix_checkpoint_hits",
         "Evolutions resumed from a prefix checkpoint.";

@@ -2,7 +2,7 @@
 //!
 //! Three stages:
 //!
-//! 1. cross-check the compressed simulator against the full statevector simulator at a
+//! 1. cross-check the class-space simulator against the full statevector simulator at a
 //!    size where both run (n = 12);
 //! 2. run an n = 24 MaxCut Grover-QAOA where the degeneracy table is counted in parallel
 //!    over all 16.7M states (the per-worker counting scheme of §2.4);
@@ -27,15 +27,15 @@ fn main() {
     let obj_vals = precompute_full(&cost);
     let full = Simulator::new(obj_vals, Mixer::grover_full(n)).expect("consistent setup");
     let table = degeneracies_full(&cost, rayon::current_num_threads());
-    let compressed = CompressedGroverSimulator::from_table(&table);
+    let classes = Simulator::grover_classes(&table).expect("consistent setup");
     let angles = Angles::random(5, &mut rng);
     let e_full = full.expectation(&angles).expect("consistent setup");
-    let e_comp = compressed.expectation(&angles);
+    let e_comp = classes.expectation(&angles).expect("consistent setup");
     println!("n = {n}: full statevector ⟨C⟩ = {e_full:.10}");
-    println!("n = {n}: compressed       ⟨C⟩ = {e_comp:.10}");
+    println!("n = {n}: class space      ⟨C⟩ = {e_comp:.10}");
     println!(
         "        distinct values: {} (vs {} states)\n",
-        compressed.num_distinct(),
+        classes.dim(),
         1u64 << n
     );
 
@@ -46,9 +46,11 @@ fn main() {
     let start = Instant::now();
     let table = degeneracies_full(&cost, rayon::current_num_threads());
     let count_time = start.elapsed();
-    let compressed = CompressedGroverSimulator::from_table(&table);
+    let classes = Simulator::grover_classes(&table).expect("consistent setup");
     let start = Instant::now();
-    let e = compressed.expectation(&Angles::random(20, &mut rng));
+    let e = classes
+        .expectation(&Angles::random(20, &mut rng))
+        .expect("consistent setup");
     let sim_time = start.elapsed();
     println!(
         "n = {n}: degeneracy counting over 2^{n} states took {count_time:.2?} on {} threads",
@@ -56,7 +58,7 @@ fn main() {
     );
     println!(
         "n = {n}: p = 20 Grover-QAOA round in {sim_time:.2?} over {} distinct values, ⟨C⟩ = {e:.4}\n",
-        compressed.num_distinct()
+        classes.dim()
     );
 
     // --- Stage 3: n = 100 from an analytic degeneracy table -----------------------------
@@ -71,15 +73,18 @@ fn main() {
             )
         })
         .collect();
-    let sim = CompressedGroverSimulator::from_entries(entries);
+    let total_states: f64 = entries.iter().map(|&(_, d)| d).sum();
+    let sim = Simulator::grover_class_entries(entries).expect("consistent setup");
     let start = Instant::now();
     let p = 50;
-    let e = sim.expectation(&Angles::linear_ramp(p, 0.4));
+    let e = sim
+        .expectation(&Angles::linear_ramp(p, 0.4))
+        .expect("consistent setup");
     let elapsed = start.elapsed();
     println!(
         "n = {n}: p = {p} Grover-QAOA with an analytic degeneracy table ({} distinct values, ~2^{:.1} states) in {elapsed:.2?}",
-        sim.num_distinct(),
-        sim.total_states().log2()
+        sim.dim(),
+        total_states.log2()
     );
     println!("n = {n}: ⟨Hamming weight⟩ = {e:.4} (uniform superposition would give 50)");
 }

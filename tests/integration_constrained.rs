@@ -147,11 +147,11 @@ fn grover_dicke_fast_path_matches_subspace_simulation() {
     let obj = precompute_dicke(&cost, &sub);
     let full = Simulator::new(obj, Mixer::Grover(GroverMixer::dicke(n, k))).unwrap();
     let table = degeneracies_dicke(&cost, n, k, 4);
-    let compressed = CompressedGroverSimulator::from_table(&table);
+    let compressed = Simulator::grover_classes(&table).unwrap();
     for seed in 0..3 {
         let angles = Angles::random(3, &mut StdRng::seed_from_u64(60 + seed));
         let a = full.simulate(&angles).unwrap();
-        let b = compressed.simulate(&angles);
+        let b = compressed.simulate(&angles).unwrap();
         assert!((a.expectation_value() - b.expectation_value()).abs() < 1e-9);
         assert!((a.ground_state_probability() - b.ground_state_probability()).abs() < 1e-9);
     }

@@ -80,11 +80,11 @@ fn grover_fast_path_agrees_with_full_simulation_on_ksat() {
     let sat = KSat::random_with_density(n, 3, 6.0, &mut StdRng::seed_from_u64(3));
     let obj = precompute_full(&sat);
     let full = Simulator::new(obj, Mixer::grover_full(n)).unwrap();
-    let compressed = CompressedGroverSimulator::from_table(&degeneracies_full(&sat, 4));
+    let compressed = Simulator::grover_classes(&degeneracies_full(&sat, 4)).unwrap();
     for seed in 0..3 {
         let angles = Angles::random(4, &mut StdRng::seed_from_u64(10 + seed));
         let a = full.simulate(&angles).unwrap();
-        let b = compressed.simulate(&angles);
+        let b = compressed.simulate(&angles).unwrap();
         assert!((a.expectation_value() - b.expectation_value()).abs() < 1e-9);
         assert!((a.ground_state_probability() - b.ground_state_probability()).abs() < 1e-9);
     }

@@ -6,7 +6,7 @@
 //! cold `evolve_into` **exactly** (`to_bits` equality, not a tolerance), for:
 //!
 //! * every mixer family (Pauli-X transverse field, custom Pauli-X products, Grover,
-//!   XY ring on the Dicke subspace),
+//!   XY ring on the Dicke subspace) and the Grover mixer in class space,
 //! * round counts `p ∈ 1..=4`,
 //! * both the table-driven and the dense phase-separator paths,
 //! * evaluation sequences with every reuse shape: exact repeats (full hits), suffix
@@ -16,7 +16,7 @@
 
 use juliqaoa::linalg::Complex64;
 use juliqaoa::prelude::*;
-use juliqaoa::problems::DensestKSubgraph;
+use juliqaoa::problems::{degeneracies_full, DensestKSubgraph};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,7 +30,7 @@ fn assert_states_bit_equal(a: &[Complex64], b: &[Complex64]) -> Result<(), TestC
     Ok(())
 }
 
-/// Builds one of the four mixer/problem combinations under test.
+/// Builds one of the five mixer/problem combinations under test.
 fn build_simulator(mixer_choice: usize, seed: u64, dense: bool) -> Simulator {
     let n = 7;
     let k = 3;
@@ -48,11 +48,13 @@ fn build_simulator(mixer_choice: usize, seed: u64, dense: bool) -> Simulator {
                 Mixer::ring(n, k),
             )
         }
-        _ => Simulator::new(
+        3 => Simulator::new(
             precompute_full(&MaxCut::new(graph)),
             // A "custom" mixer: all X strings of orders 1 and 2.
             Mixer::PauliX(PauliXMixer::uniform_products(n, &[1, 2])),
         ),
+        // The Grover mixer in class space: one amplitude per distinct cut value.
+        _ => Simulator::grover_classes(&degeneracies_full(&MaxCut::new(graph), 1)),
     }
     .expect("consistent setup");
     if dense {
@@ -68,7 +70,7 @@ proptest! {
     #[test]
     fn cached_evaluation_sequences_match_cold_evolution_bitwise(
         seed in 0u64..1000,
-        mixer_choice in 0usize..4,
+        mixer_choice in 0usize..5,
         p in 1usize..5,
         dense in 0usize..2,
         base in proptest::collection::vec(-3.2..3.2f64, 8),
@@ -110,7 +112,7 @@ proptest! {
     #[test]
     fn suffix_sweep_matches_cold_evolution_for_every_mixer(
         seed in 0u64..1000,
-        mixer_choice in 0usize..4,
+        mixer_choice in 0usize..5,
         dense in 0usize..2,
         base in proptest::collection::vec(-3.2..3.2f64, 6)
     ) {
@@ -144,7 +146,7 @@ proptest! {
     #[test]
     fn cached_adjoint_gradient_matches_uncached_bitwise(
         seed in 0u64..1000,
-        mixer_choice in 0usize..4,
+        mixer_choice in 0usize..5,
         p in 1usize..4,
         angles in proptest::collection::vec(-3.2..3.2f64, 6)
     ) {

@@ -124,10 +124,10 @@ proptest! {
         let cost = MaxCut::new(graph);
         let obj = precompute_full(&cost);
         let full = Simulator::new(obj, Mixer::grover_full(n)).unwrap();
-        let compressed = CompressedGroverSimulator::from_table(&degeneracies_full(&cost, 2));
+        let compressed = Simulator::grover_classes(&degeneracies_full(&cost, 2)).unwrap();
         let parsed = Angles::from_flat(&angles);
         let a = full.simulate(&parsed).unwrap();
-        let b = compressed.simulate(&parsed);
+        let b = compressed.simulate(&parsed).unwrap();
         prop_assert!((a.expectation_value() - b.expectation_value()).abs() < 1e-8);
         prop_assert!((a.ground_state_probability() - b.ground_state_probability()).abs() < 1e-8);
     }
