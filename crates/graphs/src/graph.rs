@@ -126,6 +126,51 @@ impl Graph {
     pub fn total_weight(&self) -> f64 {
         self.edges.iter().map(|e| e.weight).sum()
     }
+
+    /// Checks the invariants [`Graph::add_weighted_edge`] enforces, for a graph that
+    /// did not come through it (a deserialised one): every endpoint is below `n`, no
+    /// edge is a self-loop or repeats a pair, and `adjacency` holds `n` lists with
+    /// exactly each vertex's neighbours from the edge list, in any order.  Returns
+    /// the first violation.
+    pub fn validate(&self) -> Result<(), String> {
+        // Checked first, so `expected` below is no larger than the lists it mirrors.
+        if self.adjacency.len() != self.n {
+            return Err(format!(
+                "graph has {} adjacency lists for n={}",
+                self.adjacency.len(),
+                self.n
+            ));
+        }
+        let mut expected = vec![Vec::new(); self.n];
+        let mut pairs = std::collections::HashSet::new();
+        for &Edge { u, v, .. } in &self.edges {
+            if u >= self.n || v >= self.n {
+                return Err(format!(
+                    "edge ({u}, {v}) has an endpoint out of range for n={}",
+                    self.n
+                ));
+            }
+            if u == v {
+                return Err(format!("edge ({u}, {v}) is a self-loop"));
+            }
+            if !pairs.insert((u.min(v), u.max(v))) {
+                return Err(format!("edge ({u}, {v}) repeats a pair"));
+            }
+            expected[u].push(v);
+            expected[v].push(u);
+        }
+        for (vertex, (listed, expected)) in self.adjacency.iter().zip(&mut expected).enumerate() {
+            let mut listed = listed.clone();
+            listed.sort_unstable();
+            expected.sort_unstable();
+            if listed != *expected {
+                return Err(format!(
+                    "adjacency of vertex {vertex} does not match the edge list"
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -197,5 +242,53 @@ mod tests {
     fn out_of_range_panics() {
         let mut g = Graph::new(3);
         g.add_edge(0, 3);
+    }
+
+    #[test]
+    fn validate_accepts_built_graphs_and_reports_each_violation() {
+        let built = Graph::from_weighted_edges(4, &[(2, 0, 1.5), (1, 3, 1.0), (0, 1, -2.0)]);
+        assert_eq!(built.validate(), Ok(()));
+        let edge = |u, v| Edge { u, v, weight: 1.0 };
+        let broken = |edges: Vec<Edge>, adjacency: Vec<Vec<usize>>| Graph {
+            n: 3,
+            edges,
+            adjacency,
+        };
+        let cases = [
+            (
+                broken(vec![edge(0, 1)], vec![vec![1], vec![0]]),
+                "2 adjacency lists",
+            ),
+            (
+                broken(vec![edge(0, 7)], vec![vec![7], vec![], vec![]]),
+                "out of range",
+            ),
+            (
+                broken(vec![edge(1, 1)], vec![vec![], vec![1, 1], vec![]]),
+                "self-loop",
+            ),
+            (
+                broken(
+                    vec![edge(0, 1), edge(1, 0)],
+                    vec![vec![1, 1], vec![0, 0], vec![]],
+                ),
+                "repeats a pair",
+            ),
+            (
+                broken(vec![edge(0, 1)], vec![vec![2], vec![0], vec![]]),
+                "vertex 0",
+            ),
+            (broken(vec![], vec![vec![1], vec![0], vec![]]), "vertex 0"),
+        ];
+        for (graph, message) in cases {
+            let err = graph.validate().unwrap_err();
+            assert!(err.contains(message), "{err}");
+        }
+        // Neighbour order within a list does not matter.
+        let reordered = broken(
+            vec![edge(0, 1), edge(0, 2)],
+            vec![vec![2, 1], vec![0], vec![0]],
+        );
+        assert_eq!(reordered.validate(), Ok(()));
     }
 }

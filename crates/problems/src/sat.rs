@@ -53,13 +53,29 @@ impl KSat {
     /// # Panics
     /// Panics if any literal references a variable `≥ n` or a clause is empty.
     pub fn new(n: usize, clauses: Vec<Vec<Literal>>) -> Self {
-        for clause in &clauses {
-            assert!(!clause.is_empty(), "empty clause");
-            for lit in clause {
-                assert!(lit.var < n, "literal variable {} out of range", lit.var);
+        let sat = KSat { n, clauses };
+        if let Err(e) = sat.validate() {
+            panic!("{e}");
+        }
+        sat
+    }
+
+    /// Checks the invariants [`KSat::new`] enforces, for an instance that did not
+    /// come through it (a deserialised one): no clause is empty and no literal
+    /// references a variable `≥ n`.  Returns the first violation.
+    pub fn validate(&self) -> Result<(), String> {
+        for (i, clause) in self.clauses.iter().enumerate() {
+            if clause.is_empty() {
+                return Err(format!("clause {i} is empty"));
+            }
+            if let Some(lit) = clause.iter().find(|lit| lit.var >= self.n) {
+                return Err(format!(
+                    "clause {i} references variable {} out of range for n={}",
+                    lit.var, self.n
+                ));
             }
         }
-        KSat { n, clauses }
+        Ok(())
     }
 
     /// Generates a random k-SAT instance with `num_clauses` clauses.  Each clause picks
@@ -214,5 +230,22 @@ mod tests {
     #[should_panic]
     fn out_of_range_literal_panics() {
         let _ = KSat::new(2, vec![vec![Literal::pos(2)]]);
+    }
+
+    #[test]
+    fn validate_reports_the_first_violation() {
+        assert_eq!(
+            KSat::random(6, 3, 20, &mut StdRng::seed_from_u64(1)).validate(),
+            Ok(())
+        );
+        let sat = |clauses| KSat { n: 4, clauses };
+        let err = sat(vec![vec![Literal::pos(1)], vec![]])
+            .validate()
+            .unwrap_err();
+        assert_eq!(err, "clause 1 is empty");
+        let err = sat(vec![vec![Literal::neg(4)], vec![]])
+            .validate()
+            .unwrap_err();
+        assert_eq!(err, "clause 0 references variable 4 out of range for n=4");
     }
 }

@@ -1403,6 +1403,16 @@ mod tests {
         bad_mixer.mixer = MixerSpec::Clique;
         assert!(engine.run_job(&bad_mixer, &RunControl::new()).is_err());
         assert_eq!(engine.stats().jobs_failed, 2);
+        // Explicit instances that bypassed their constructors' checks.
+        for problem in crate::spec::tests::invalid_explicit_problems() {
+            let mut bad_instance = quick_job("bad3", 0, 1);
+            bad_instance.problem = problem;
+            assert!(matches!(
+                engine.run_job(&bad_instance, &RunControl::new()),
+                Err(ServiceError::Spec(_))
+            ));
+        }
+        assert_eq!(engine.stats().jobs_failed, 4);
     }
 
     #[test]

@@ -35,23 +35,30 @@
 //! must be used instead of mutating the environment (`set_var` racing `getenv` is
 //! undefined behaviour on glibc).
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Once};
 
 /// Panic a named job for its first `times` attempts.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PanicFault {
     /// The job id to hit.
     pub id: String,
     /// How many attempts panic before the job is allowed to succeed
-    /// (`u32::MAX` ⇒ every attempt: a job that always panics).
+    /// (`u32::MAX` ⇒ every attempt: a job that always panics).  Defaults to 1.
+    #[serde(default = "one")]
     pub times: u32,
 }
 
-/// A declarative, seeded set of faults to inject into this process.
-#[derive(Clone, Debug, Default, PartialEq)]
+fn one() -> u32 {
+    1
+}
+
+/// A declarative, seeded set of faults to inject into this process.  Every field
+/// is optional on the wire: a missing one takes its [`Default`] value.
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct FaultPlan {
     /// Plan label, echoed in logs so reruns can assert they replayed one plan.
     pub seed: u64,
@@ -60,124 +67,18 @@ pub struct FaultPlan {
     /// 0-based journal-write indices that fail with an injected I/O error.
     pub fail_writes: Vec<u64>,
     /// Journal write at which to write a torn prefix and abort the process.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub torn_write_at: Option<u64>,
     /// Milliseconds to stall every instance preparation.
     pub prep_delay_ms: u64,
     /// Abort the process once this many jobs (counted process-wide) have reached a
     /// terminal state — the deterministic backend-kill for cluster chaos tests.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub kill_after_jobs: Option<u64>,
     /// Drop health-probe connections (`/healthz`, `/readyz`) without responding.
     pub probe_blackhole: bool,
     /// Milliseconds to stall every HTTP response before it is written.
     pub slow_response_ms: u64,
-}
-
-impl Serialize for FaultPlan {
-    fn to_value(&self) -> Value {
-        let panic_jobs: Vec<Value> = self
-            .panic_jobs
-            .iter()
-            .map(|f| {
-                Value::Object(vec![
-                    ("id".into(), f.id.to_value()),
-                    ("times".into(), f.times.to_value()),
-                ])
-            })
-            .collect();
-        let mut fields = vec![
-            ("seed".to_string(), self.seed.to_value()),
-            ("panic_jobs".to_string(), Value::Array(panic_jobs)),
-            ("fail_writes".to_string(), self.fail_writes.to_value()),
-            ("prep_delay_ms".to_string(), self.prep_delay_ms.to_value()),
-            (
-                "probe_blackhole".to_string(),
-                self.probe_blackhole.to_value(),
-            ),
-            (
-                "slow_response_ms".to_string(),
-                self.slow_response_ms.to_value(),
-            ),
-        ];
-        if let Some(k) = self.torn_write_at {
-            fields.push(("torn_write_at".to_string(), k.to_value()));
-        }
-        if let Some(k) = self.kill_after_jobs {
-            fields.push(("kill_after_jobs".to_string(), k.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for FaultPlan {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        if v.as_object().is_none() {
-            return Err("fault plan must be a JSON object".into());
-        }
-        let u64_or = |name: &str, default: u64| -> Result<u64, String> {
-            match v.get_field(name) {
-                None | Some(Value::Null) => Ok(default),
-                Some(f) => f
-                    .as_u64()
-                    .ok_or_else(|| format!("fault plan: {name} must be an unsigned integer")),
-            }
-        };
-        let panic_jobs = match v.get_field("panic_jobs") {
-            None | Some(Value::Null) => Vec::new(),
-            Some(list) => list
-                .as_array()
-                .ok_or("fault plan: panic_jobs must be an array")?
-                .iter()
-                .map(|f| {
-                    let id = f
-                        .get_field("id")
-                        .and_then(Value::as_str)
-                        .ok_or("fault plan: panic_jobs entries need a string id")?
-                        .to_string();
-                    let times = match f.get_field("times") {
-                        None | Some(Value::Null) => 1,
-                        Some(t) => t
-                            .as_u64()
-                            .ok_or("fault plan: panic_jobs times must be an unsigned integer")?
-                            .min(u32::MAX as u64) as u32,
-                    };
-                    Ok(PanicFault { id, times })
-                })
-                .collect::<Result<_, String>>()?,
-        };
-        let fail_writes = match v.get_field("fail_writes") {
-            None | Some(Value::Null) => Vec::new(),
-            Some(list) => Vec::<u64>::from_value(list)?,
-        };
-        let torn_write_at = match v.get_field("torn_write_at") {
-            None | Some(Value::Null) => None,
-            Some(k) => Some(
-                k.as_u64()
-                    .ok_or("fault plan: torn_write_at must be an unsigned integer")?,
-            ),
-        };
-        let kill_after_jobs = match v.get_field("kill_after_jobs") {
-            None | Some(Value::Null) => None,
-            Some(k) => Some(
-                k.as_u64()
-                    .ok_or("fault plan: kill_after_jobs must be an unsigned integer")?,
-            ),
-        };
-        let probe_blackhole = match v.get_field("probe_blackhole") {
-            None | Some(Value::Null) => false,
-            Some(Value::Bool(b)) => *b,
-            Some(_) => return Err("fault plan: probe_blackhole must be a boolean".into()),
-        };
-        Ok(FaultPlan {
-            seed: u64_or("seed", 0)?,
-            panic_jobs,
-            fail_writes,
-            torn_write_at,
-            prep_delay_ms: u64_or("prep_delay_ms", 0)?,
-            kill_after_jobs,
-            probe_blackhole,
-            slow_response_ms: u64_or("slow_response_ms", 0)?,
-        })
-    }
 }
 
 impl FaultPlan {
@@ -374,6 +275,51 @@ pub(crate) mod tests {
         );
         assert!(FaultPlan::parse("[1, 2]").is_err());
         assert!(FaultPlan::parse("@/no/such/fault_plan.json").is_err());
+        // The sparse plans CI and the cluster chaos suite send.
+        let sparse_plans = [
+            (
+                r#"{"panic_jobs":[{"id":"ci-panic","times":4294967295}]}"#,
+                FaultPlan {
+                    panic_jobs: vec![PanicFault {
+                        id: "ci-panic".into(),
+                        times: u32::MAX,
+                    }],
+                    ..FaultPlan::default()
+                },
+            ),
+            (
+                r#"{"seed": 1, "torn_write_at": 2}"#,
+                FaultPlan {
+                    seed: 1,
+                    torn_write_at: Some(2),
+                    ..FaultPlan::default()
+                },
+            ),
+            (
+                r#"{"kill_after_jobs": 2}"#,
+                FaultPlan {
+                    kill_after_jobs: Some(2),
+                    ..FaultPlan::default()
+                },
+            ),
+            (
+                r#"{"slow_response_ms": 300}"#,
+                FaultPlan {
+                    slow_response_ms: 300,
+                    ..FaultPlan::default()
+                },
+            ),
+            (
+                r#"{"probe_blackhole": true}"#,
+                FaultPlan {
+                    probe_blackhole: true,
+                    ..FaultPlan::default()
+                },
+            ),
+        ];
+        for (json, expected) in sparse_plans {
+            assert_eq!(FaultPlan::parse(json).unwrap(), expected, "{json}");
+        }
     }
 
     // The consumption counters are process-global, so the behavioural tests

@@ -8,10 +8,12 @@
 //! therefore one cache entry) even if one was written as a generator reference and the
 //! other as an explicit edge list.
 //!
-//! The tagged enums (`ProblemSpec`, `MixerSpec`, `OptimizerSpec`) carry data, which the
-//! vendored serde derive does not support, so their `Serialize`/`Deserialize` impls are
-//! written by hand against the shim's [`Value`] tree: each serialises as an object with
-//! a `"kind"` discriminant plus its parameters.
+//! The wire format is derived.  The problem, mixer, optimizer and estimator enums
+//! serialise as objects whose `"kind"` tag comes first, followed by the variant's
+//! parameters in declaration order; on input a mixer or the `mean` estimator may also
+//! be a bare string such as `"grover"`.  `JobSpec` omits `sampling` and `timeout_ms`
+//! when they are `None`, and reads them as `None` when absent or `null`.  That JSON is
+//! canonical: it is what the router forwards and what [`derive_trace_id`] folds.
 
 use juliqaoa_combinatorics::seeding::{derive_stream_seed, fold_bits};
 use juliqaoa_graphs::Graph;
@@ -20,7 +22,7 @@ use juliqaoa_problems::{
     KSat, MaxCut, MaxKVertexCover,
 };
 use juliqaoa_telemetry::TraceId;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Frozen domain tag for trace-id derivation — see [`derive_trace_id`].
 const TRACE_ID_DOMAIN: u64 = 0x7E1E_7ACE_5A9C_0DE5;
@@ -32,10 +34,10 @@ const TRACE_ID_DOMAIN: u64 = 0x7E1E_7ACE_5A9C_0DE5;
 /// the workspace's frozen seeding scheme — so the router, a backend serve
 /// process, a batch shard and the engine all derive the *same* id without
 /// exchanging any state, and determinism diffs over results stay byte-clean
-/// with tracing on.  The hand-written [`Serialize`] impls below make the JSON
-/// form canonical (fixed field order, absent optional fields omitted).
+/// with tracing on.  The derived [`Serialize`] impls make the JSON form
+/// canonical (fields in declaration order, absent optional fields omitted).
 pub fn derive_trace_id(instance_raw: u64, spec: &JobSpec) -> TraceId {
-    // lint:allow(R3, the hand-written Serialize impls below are infallible - no maps with non-string keys or fallible serializers)
+    // lint:allow(R3, a JobSpec serialises through derived impls over plain data - no maps with non-string keys or fallible serializers)
     let json = serde_json::to_string(spec).expect("job specs always serialize");
     let spec_fold = fold_bits(json.bytes().map(u64::from));
     TraceId::from_raw(derive_stream_seed(
@@ -46,9 +48,11 @@ pub fn derive_trace_id(instance_raw: u64, spec: &JobSpec) -> TraceId {
 }
 
 /// A problem instance reference: explicit data or a seeded generator.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum ProblemSpec {
     /// The paper's seeded `G(n, 0.5)` MaxCut family.
+    #[serde(rename = "maxcut_gnp")]
     MaxCutGnp {
         /// Number of vertices/qubits.
         n: usize,
@@ -56,11 +60,13 @@ pub enum ProblemSpec {
         instance: u64,
     },
     /// MaxCut on an explicit graph.
+    #[serde(rename = "maxcut")]
     MaxCut {
         /// The graph.
         graph: Graph,
     },
     /// The paper's seeded random k-SAT family at a clause density.
+    #[serde(rename = "ksat_random")]
     KSatRandom {
         /// Number of variables/qubits.
         n: usize,
@@ -72,6 +78,7 @@ pub enum ProblemSpec {
         instance: u64,
     },
     /// An explicit k-SAT instance.
+    #[serde(rename = "ksat")]
     KSat {
         /// The clauses.
         sat: KSat,
@@ -137,6 +144,8 @@ impl ProblemSpec {
 
     /// Validates parameters and returns `(n, subspace_k)` *without* realising the
     /// instance — no graph/clause generation, no allocation proportional to `2ⁿ`.
+    /// Explicit instances are checked against their constructors' invariants,
+    /// since deserialising one bypasses the constructor.
     ///
     /// This is what request handlers should call: it is cheap enough for an accept
     /// loop, while [`ProblemSpec::build`] is worker-thread work.
@@ -148,6 +157,7 @@ impl ProblemSpec {
             }
             ProblemSpec::MaxCut { graph } => {
                 check_n(graph.num_vertices())?;
+                graph.validate()?;
                 Ok((graph.num_vertices(), None))
             }
             ProblemSpec::KSatRandom { n, k, density, .. } => {
@@ -162,6 +172,7 @@ impl ProblemSpec {
             }
             ProblemSpec::KSat { sat } => {
                 check_n(sat.num_qubits())?;
+                sat.validate()?;
                 Ok((sat.num_qubits(), None))
             }
             ProblemSpec::DensestKSubgraphGnp { n, k, .. }
@@ -272,7 +283,8 @@ fn check_subspace(n: usize, k: usize) -> Result<(), String> {
 }
 
 /// The mixer family to pair with the problem; dimensions come from the problem.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum MixerSpec {
     /// Transverse-field `Σ X_i` (unconstrained problems only).
     TransverseField,
@@ -329,11 +341,13 @@ impl MixerSpec {
 }
 
 /// The shot estimator a sampled job optimizes (see `juliqaoa_sampling::estimator`).
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum EstimatorSpec {
     /// The sample mean of the measured objective values.
     Mean,
     /// CVaR-α: the mean of the best `⌈α·shots⌉` samples, `0 < α ≤ 1`.
+    #[serde(rename = "cvar")]
     CVaR {
         /// Tail fraction.
         alpha: f64,
@@ -378,7 +392,7 @@ pub const MAX_SHOTS: u64 = 1 << 30;
 /// The shot-sampling extension of a job: present ⇒ the job is a `"sample"` job whose
 /// optimizer drives the shot estimator instead of the exact expectation, and whose
 /// result carries the measured histogram and best sampled bitstring.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SamplingSpec {
     /// Shots per objective evaluation (and for the final readout at the best angles).
     pub shots: u64,
@@ -409,7 +423,8 @@ impl SamplingSpec {
 }
 
 /// The classical angle-finding strategy for a job.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum OptimizerSpec {
     /// BFGS from `restarts` random starting points (Listing 3's `find_angles_rand`).
     RandomRestart {
@@ -417,6 +432,7 @@ pub enum OptimizerSpec {
         restarts: usize,
     },
     /// Basin hopping from a random start.
+    #[serde(rename = "basinhopping")]
     BasinHopping {
         /// Number of hops.
         n_hops: usize,
@@ -426,30 +442,16 @@ pub enum OptimizerSpec {
         temperature: f64,
     },
     /// Brute-force grid scan over `[0, 2π)^{2p}`.
+    #[serde(rename = "gridsearch")]
     GridSearch {
         /// Points per axis.
         resolution: usize,
     },
 }
 
-impl OptimizerSpec {
-    /// The `"kind"` discriminant used on the wire.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            OptimizerSpec::RandomRestart { .. } => "random_restart",
-            OptimizerSpec::BasinHopping { .. } => "basinhopping",
-            OptimizerSpec::GridSearch { .. } => "gridsearch",
-        }
-    }
-}
-
 /// One QAOA experiment: problem × mixer × rounds × optimizer × seed, optionally
 /// extended into a `"sample"` job by a [`SamplingSpec`].
-///
-/// Serde is hand-written (not derived) because `sampling` is optional on the wire:
-/// job files written before the sampling subsystem existed must keep loading, and a
-/// `"sample"` job is simply one whose spec carries the extra object.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct JobSpec {
     /// Client-chosen job identifier; unique within a batch / service run.
     pub id: String,
@@ -465,12 +467,14 @@ pub struct JobSpec {
     pub seed: u64,
     /// `Some` ⇒ shot-based job: the optimizer drives the estimator over sampled
     /// bitstrings and the result reports the measured histogram.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub sampling: Option<SamplingSpec>,
     /// Client-requested deadline on the job's execution, in milliseconds of run
     /// time (queue wait excluded).  The engine polls the deadline cooperatively at
     /// optimizer boundaries; an expired job reports `"timed_out"` with its partial
     /// best-so-far angles rather than an error.  `None` defers to the server's
     /// default; servers clamp requests to their configured maximum.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub timeout_ms: Option<u64>,
 }
 
@@ -625,289 +629,19 @@ pub struct SampleReport {
     pub shots_total: u64,
 }
 
-// ---------------------------------------------------------------------------
-// Hand-written serde for the tagged enums
-// ---------------------------------------------------------------------------
-
-fn obj(kind: &str, fields: Vec<(&str, Value)>) -> Value {
-    let mut out = vec![("kind".to_string(), Value::Str(kind.to_string()))];
-    out.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
-    Value::Object(out)
-}
-
-fn field<'v>(v: &'v Value, name: &str, kind: &str) -> Result<&'v Value, String> {
-    v.get_field(name)
-        .ok_or_else(|| format!("{kind}: missing field {name:?}"))
-}
-
-fn usize_field(v: &Value, name: &str, kind: &str) -> Result<usize, String> {
-    field(v, name, kind)?
-        .as_u64()
-        .map(|x| x as usize)
-        .ok_or_else(|| format!("{kind}: field {name:?} must be an unsigned integer"))
-}
-
-fn u64_field(v: &Value, name: &str, kind: &str) -> Result<u64, String> {
-    field(v, name, kind)?
-        .as_u64()
-        .ok_or_else(|| format!("{kind}: field {name:?} must be an unsigned integer"))
-}
-
-fn f64_field(v: &Value, name: &str, kind: &str) -> Result<f64, String> {
-    field(v, name, kind)?
-        .as_f64()
-        .ok_or_else(|| format!("{kind}: field {name:?} must be a number"))
-}
-
-fn kind_of<'v>(v: &'v Value, what: &str) -> Result<&'v str, String> {
-    v.get_field("kind")
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("{what} must be an object with a string \"kind\" field"))
-}
-
-impl Serialize for ProblemSpec {
-    fn to_value(&self) -> Value {
-        match self {
-            ProblemSpec::MaxCutGnp { n, instance } => obj(
-                self.kind(),
-                vec![("n", n.to_value()), ("instance", instance.to_value())],
-            ),
-            ProblemSpec::MaxCut { graph } => obj(self.kind(), vec![("graph", graph.to_value())]),
-            ProblemSpec::KSatRandom {
-                n,
-                k,
-                density,
-                instance,
-            } => obj(
-                self.kind(),
-                vec![
-                    ("n", n.to_value()),
-                    ("k", k.to_value()),
-                    ("density", density.to_value()),
-                    ("instance", instance.to_value()),
-                ],
-            ),
-            ProblemSpec::KSat { sat } => obj(self.kind(), vec![("sat", sat.to_value())]),
-            ProblemSpec::DensestKSubgraphGnp { n, k, instance }
-            | ProblemSpec::MaxKVertexCoverGnp { n, k, instance } => obj(
-                self.kind(),
-                vec![
-                    ("n", n.to_value()),
-                    ("k", k.to_value()),
-                    ("instance", instance.to_value()),
-                ],
-            ),
-        }
-    }
-}
-
-impl Deserialize for ProblemSpec {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        let kind = kind_of(v, "problem spec")?;
-        match kind {
-            "maxcut_gnp" => Ok(ProblemSpec::MaxCutGnp {
-                n: usize_field(v, "n", kind)?,
-                instance: u64_field(v, "instance", kind)?,
-            }),
-            "maxcut" => Ok(ProblemSpec::MaxCut {
-                graph: Graph::from_value(field(v, "graph", kind)?)?,
-            }),
-            "ksat_random" => Ok(ProblemSpec::KSatRandom {
-                n: usize_field(v, "n", kind)?,
-                k: usize_field(v, "k", kind)?,
-                density: f64_field(v, "density", kind)?,
-                instance: u64_field(v, "instance", kind)?,
-            }),
-            "ksat" => Ok(ProblemSpec::KSat {
-                sat: KSat::from_value(field(v, "sat", kind)?)?,
-            }),
-            "densest_k_subgraph_gnp" => Ok(ProblemSpec::DensestKSubgraphGnp {
-                n: usize_field(v, "n", kind)?,
-                k: usize_field(v, "k", kind)?,
-                instance: u64_field(v, "instance", kind)?,
-            }),
-            "max_k_vertex_cover_gnp" => Ok(ProblemSpec::MaxKVertexCoverGnp {
-                n: usize_field(v, "n", kind)?,
-                k: usize_field(v, "k", kind)?,
-                instance: u64_field(v, "instance", kind)?,
-            }),
-            other => Err(format!("unknown problem kind {other:?}")),
-        }
-    }
-}
-
-impl Serialize for MixerSpec {
-    fn to_value(&self) -> Value {
-        obj(self.kind(), vec![])
-    }
-}
-
-impl Deserialize for MixerSpec {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        // Accept both the tagged-object form and a bare string.
-        let kind = match v {
-            Value::Str(s) => s.as_str(),
-            other => kind_of(other, "mixer spec")?,
-        };
-        match kind {
-            "transverse_field" => Ok(MixerSpec::TransverseField),
-            "grover" => Ok(MixerSpec::Grover),
-            "clique" => Ok(MixerSpec::Clique),
-            "ring" => Ok(MixerSpec::Ring),
-            other => Err(format!("unknown mixer kind {other:?}")),
-        }
-    }
-}
-
-impl Serialize for OptimizerSpec {
-    fn to_value(&self) -> Value {
-        match self {
-            OptimizerSpec::RandomRestart { restarts } => {
-                obj(self.kind(), vec![("restarts", restarts.to_value())])
-            }
-            OptimizerSpec::BasinHopping {
-                n_hops,
-                step_size,
-                temperature,
-            } => obj(
-                self.kind(),
-                vec![
-                    ("n_hops", n_hops.to_value()),
-                    ("step_size", step_size.to_value()),
-                    ("temperature", temperature.to_value()),
-                ],
-            ),
-            OptimizerSpec::GridSearch { resolution } => {
-                obj(self.kind(), vec![("resolution", resolution.to_value())])
-            }
-        }
-    }
-}
-
-impl Deserialize for OptimizerSpec {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        let kind = kind_of(v, "optimizer spec")?;
-        match kind {
-            "random_restart" => Ok(OptimizerSpec::RandomRestart {
-                restarts: usize_field(v, "restarts", kind)?,
-            }),
-            "basinhopping" => Ok(OptimizerSpec::BasinHopping {
-                n_hops: usize_field(v, "n_hops", kind)?,
-                step_size: f64_field(v, "step_size", kind)?,
-                temperature: f64_field(v, "temperature", kind)?,
-            }),
-            "gridsearch" => Ok(OptimizerSpec::GridSearch {
-                resolution: usize_field(v, "resolution", kind)?,
-            }),
-            other => Err(format!("unknown optimizer kind {other:?}")),
-        }
-    }
-}
-
-impl Serialize for EstimatorSpec {
-    fn to_value(&self) -> Value {
-        match self {
-            EstimatorSpec::Mean => obj(self.kind(), vec![]),
-            EstimatorSpec::CVaR { alpha } => obj(self.kind(), vec![("alpha", alpha.to_value())]),
-            EstimatorSpec::Gibbs { eta } => obj(self.kind(), vec![("eta", eta.to_value())]),
-        }
-    }
-}
-
-impl Deserialize for EstimatorSpec {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        // Accept both the tagged-object form and a bare string (like mixers).
-        let kind = match v {
-            Value::Str(s) => s.as_str(),
-            other => kind_of(other, "estimator spec")?,
-        };
-        match kind {
-            "mean" => Ok(EstimatorSpec::Mean),
-            "cvar" => Ok(EstimatorSpec::CVaR {
-                alpha: f64_field(v, "alpha", kind)?,
-            }),
-            "gibbs" => Ok(EstimatorSpec::Gibbs {
-                eta: f64_field(v, "eta", kind)?,
-            }),
-            other => Err(format!("unknown estimator kind {other:?}")),
-        }
-    }
-}
-
-impl Serialize for SamplingSpec {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("shots".into(), self.shots.to_value()),
-            ("seed".into(), self.seed.to_value()),
-            ("estimator".into(), self.estimator.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for SamplingSpec {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        Ok(SamplingSpec {
-            shots: u64_field(v, "shots", "sampling spec")?,
-            seed: u64_field(v, "seed", "sampling spec")?,
-            estimator: EstimatorSpec::from_value(field(v, "estimator", "sampling spec")?)?,
-        })
-    }
-}
-
-impl Serialize for JobSpec {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("id".to_string(), self.id.to_value()),
-            ("problem".to_string(), self.problem.to_value()),
-            ("mixer".to_string(), self.mixer.to_value()),
-            ("p".to_string(), self.p.to_value()),
-            ("optimizer".to_string(), self.optimizer.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-        ];
-        // Omitted entirely for exact jobs, so pre-sampling job files round-trip
-        // byte-compatibly.
-        if let Some(sampling) = &self.sampling {
-            fields.push(("sampling".to_string(), sampling.to_value()));
-        }
-        // Likewise omitted when absent: pre-deadline job files stay byte-stable.
-        if let Some(timeout_ms) = self.timeout_ms {
-            fields.push(("timeout_ms".to_string(), timeout_ms.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for JobSpec {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        if v.as_object().is_none() {
-            return Err("job spec must be an object".into());
-        }
-        let sampling = match v.get_field("sampling") {
-            None | Some(Value::Null) => None,
-            Some(s) => Some(SamplingSpec::from_value(s)?),
-        };
-        let timeout_ms = match v.get_field("timeout_ms") {
-            None | Some(Value::Null) => None,
-            Some(t) => Some(t.as_u64().ok_or_else(|| {
-                "job spec: field \"timeout_ms\" must be an unsigned integer".to_string()
-            })?),
-        };
-        Ok(JobSpec {
-            id: String::from_value(field(v, "id", "job spec")?)?,
-            problem: ProblemSpec::from_value(field(v, "problem", "job spec")?)?,
-            mixer: MixerSpec::from_value(field(v, "mixer", "job spec")?)?,
-            p: usize_field(v, "p", "job spec")?,
-            optimizer: OptimizerSpec::from_value(field(v, "optimizer", "job spec")?)?,
-            seed: u64_field(v, "seed", "job spec")?,
-            sampling,
-            timeout_ms,
-        })
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Explicit instances that break their constructors' invariants: a MaxCut
+    /// edge endpoint `≥ n`, and a k-SAT variable `≥ n` plus an empty clause.
+    pub(crate) fn invalid_explicit_problems() -> [ProblemSpec; 2] {
+        [
+            r#"{"kind":"maxcut","graph":{"n":4,"edges":[{"u":0,"v":1,"weight":1},{"u":0,"v":70,"weight":1}],"adjacency":[[1,70],[0],[],[]]}}"#,
+            r#"{"kind":"ksat","sat":{"n":4,"clauses":[[{"var":9,"negated":false}],[]]}}"#,
+        ]
+        .map(|json| serde_json::from_str(json).unwrap())
+    }
 
     fn sample_jobs() -> Vec<JobSpec> {
         vec![
@@ -1137,6 +871,24 @@ mod tests {
         assert_eq!(MixerSpec::Clique.build(&constrained).unwrap().dim(), 20);
         assert_eq!(MixerSpec::Grover.build(&constrained).unwrap().dim(), 20);
         assert_eq!(MixerSpec::Grover.build(&unconstrained).unwrap().dim(), 64);
+    }
+
+    #[test]
+    fn explicit_instances_are_validated_by_shape() {
+        let [graph, sat] = invalid_explicit_problems();
+        let err = graph.shape().unwrap_err();
+        assert!(err.contains("(0, 70)"), "{err}");
+        let err = sat.shape().unwrap_err();
+        assert!(err.contains("variable 9"), "{err}");
+        // Valid explicit instances still pass.
+        let graph = ProblemSpec::MaxCut {
+            graph: paper_maxcut_instance(6, 1),
+        };
+        assert_eq!(graph.shape(), Ok((6, None)));
+        let sat = ProblemSpec::KSat {
+            sat: KSat::new(4, vec![vec![juliqaoa_problems::Literal::pos(3)]]),
+        };
+        assert_eq!(sat.shape(), Ok((4, None)));
     }
 
     #[test]

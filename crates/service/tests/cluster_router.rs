@@ -602,6 +602,44 @@ fn unaddressable_job_ids_are_refused_at_the_router() {
 }
 
 #[test]
+fn explicit_instances_that_break_their_invariants_are_refused_on_both_tiers() {
+    let backend = start_backend();
+    let (router, router_handle) = start_router(vec![backend.addr.to_string()], None);
+    let job = |problem: &str| {
+        format!(
+            r#"{{"id":"bad","problem":{problem},"mixer":"transverse_field","p":1,
+                "optimizer":{{"kind":"gridsearch","resolution":4}},"seed":1}}"#
+        )
+    };
+    let cases = [
+        (
+            r#"{"kind":"maxcut","graph":{"n":4,"edges":[{"u":0,"v":70,"weight":1}],"adjacency":[[70],[],[],[]]}}"#,
+            "(0, 70)",
+        ),
+        (
+            r#"{"kind":"ksat","sat":{"n":4,"clauses":[[{"var":9,"negated":false}],[]]}}"#,
+            "variable 9",
+        ),
+    ];
+    for (problem, named) in cases {
+        for tier in [router, backend.addr] {
+            let (status, body) = request(tier, "POST", "/jobs", Some(&job(problem)));
+            assert_eq!(status, 400, "{tier}: {body}");
+            assert!(body.contains(named), "{body}");
+        }
+    }
+    let (_, body) = request(router, "GET", "/stats", None);
+    let stats: RouterStatsBody = serde_json::from_str(&body).expect("stats json");
+    assert_eq!(stats.jobs_routed, 0);
+    assert_eq!(request(router, "POST", "/shutdown", None).0, 200);
+    router_handle.join().unwrap();
+    backend
+        .stop
+        .store(true, std::sync::atomic::Ordering::SeqCst);
+    backend.handle.join().unwrap();
+}
+
+#[test]
 fn trace_fanout_skips_a_tripped_backend_instead_of_stalling_the_router() {
     // One live backend and one wedged listener that accepts connections (the
     // kernel completes the handshake) but never answers.  The router serves
