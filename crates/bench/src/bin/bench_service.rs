@@ -63,9 +63,6 @@ struct WorkloadRow {
     instance_builds: u64,
     prefix_hits: u64,
     prefix_misses: u64,
-    /// Prefix hits per worker — how much checkpoint warmth each concurrent worker
-    /// actually collected (a single parked cache starves all but one worker).
-    prefix_hits_per_worker: f64,
     /// FNV-1a digest over the sorted `(id, expectation bits, angle bits)` results:
     /// equal digests across worker counts prove bit-identical results.
     results_digest: String,
@@ -215,7 +212,6 @@ fn run_workload(
         instance_builds: stats.instance_builds,
         prefix_hits: stats.prefix_hits,
         prefix_misses: stats.prefix_misses,
-        prefix_hits_per_worker: stats.prefix_hits as f64 / workers.max(1) as f64,
         results_digest,
         job_total_ms_p50: latency.quantile(0.50),
         job_total_ms_p95: latency.quantile(0.95),

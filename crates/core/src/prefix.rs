@@ -70,28 +70,17 @@
 use crate::angles::Angles;
 use juliqaoa_linalg::Complex64;
 use juliqaoa_telemetry::kernels::KERNELS;
-use std::sync::OnceLock;
 
 /// Default byte budget for one cache: 256 MiB, enough for `p ≤ 8` full checkpoints at
 /// `n = 20` and deliberately larger than any service-sized (`n ≤ 16`) sweep needs.
-/// Override at startup with the `JULIQAOA_PREFIX_BUDGET` environment variable (bytes).
 pub const DEFAULT_PREFIX_BUDGET_BYTES: usize = 256 << 20;
 
 /// Hard cap on stored checkpoints, a backstop against absurd round counts.
 const MAX_CHECKPOINTS: usize = 64;
 
-static ENV_BUDGET: OnceLock<usize> = OnceLock::new();
-
-/// The active default budget: `JULIQAOA_PREFIX_BUDGET` if set to a valid positive
-/// integer at first use, [`DEFAULT_PREFIX_BUDGET_BYTES`] otherwise.
+/// The default budget, [`DEFAULT_PREFIX_BUDGET_BYTES`].
 pub fn default_prefix_budget() -> usize {
-    *ENV_BUDGET.get_or_init(|| {
-        std::env::var("JULIQAOA_PREFIX_BUDGET")
-            .ok()
-            .and_then(|raw| raw.trim().parse::<usize>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or(DEFAULT_PREFIX_BUDGET_BYTES)
-    })
+    DEFAULT_PREFIX_BUDGET_BYTES
 }
 
 /// A full-round checkpoint: the round's angles (as bit patterns) and the statevector
@@ -202,11 +191,6 @@ impl PrefixCache {
             spare: Vec::new(),
             stats: PrefixStats::default(),
         }
-    }
-
-    /// The byte budget this cache was built with.
-    pub fn budget_bytes(&self) -> usize {
-        self.budget_bytes
     }
 
     /// Number of full-round checkpoints currently stored.

@@ -1,8 +1,10 @@
 //! R5 — lexical lock-order audit.
 //!
-//! Deadlocks in this codebase would hide exactly where PR 5 put the
-//! concurrency: the sharded-LRU / PrepFlight / PrefixCacheHome trio, where one
-//! thread takes lock A then B while another takes B then A.  This rule extracts
+//! Deadlocks in this codebase would hide where one thread holds two locks:
+//! the engine's single-flight prep, which takes the in-flight table before the
+//! instance cache, or a `PrefixCacheHome`, whose stats and parking slot are
+//! separate locks — wherever one thread takes lock A then B while another takes
+//! B then A.  This rule extracts
 //! every `.lock()` acquisition per file, tracks which guards are lexically
 //! still live (a guard dies when its enclosing brace block closes), records the
 //! order edges `held → acquired`, and flags every edge that participates in a

@@ -178,9 +178,9 @@ pub enum GradientMethod {
 /// checkpoints a sweep accumulated.  A home outlives the run: objectives built with
 /// [`QaoaObjective::with_cache_home`] check a cache out of the home (or get a fresh
 /// one with the same budget) and return it — counters merged — when dropped.  After
-/// the optimizer returns, the caller reads the aggregated [`PrefixStats`] and can
-/// carry the cache to the next run over the same simulator (e.g. a job service keying
-/// caches by instance).
+/// the optimizer returns, the caller reads the aggregated [`PrefixStats`], and a
+/// later objective over the same simulator (e.g. a job's sampling readout at the
+/// optimum) resumes from the run's checkpoints.  The cache dies with the home.
 ///
 /// With several workers, only one objective gets the parked cache; the rest run with
 /// fresh caches, and at check-in the deepest cache wins the parking slot
@@ -193,17 +193,6 @@ pub struct PrefixCacheHome {
 }
 
 impl PrefixCacheHome {
-    /// A home seeded with an existing cache (typically checked out of a longer-lived
-    /// store between jobs).
-    pub fn new(cache: PrefixCache) -> Self {
-        let budget = cache.budget_bytes();
-        PrefixCacheHome {
-            slot: Mutex::new(Some(cache)),
-            budget,
-            stats: Mutex::new(PrefixStats::default()),
-        }
-    }
-
     /// An empty home handing out fresh caches with the given byte budget.
     pub fn with_budget(budget: usize) -> Self {
         PrefixCacheHome {
@@ -224,9 +213,8 @@ impl PrefixCacheHome {
 
     /// Returns a cache to the home, merging its counters into the aggregate.  When
     /// several objectives race back (parallel drivers build one per worker), the
-    /// *deepest* cache parks — [`PrefixCache::merge_deeper`] — so the warmest
-    /// checkpoints survive for the next run instead of whichever cache returned
-    /// first.
+    /// *deepest* cache parks — [`PrefixCache::merge_deeper`] — so the next checkout
+    /// gets the warmest checkpoints instead of whichever cache returned first.
     pub fn check_in(&self, mut cache: PrefixCache) {
         let stats = cache.take_stats();
         self.stats
@@ -243,11 +231,6 @@ impl PrefixCacheHome {
     /// Aggregated reuse counters across every objective that lived in this home.
     pub fn stats(&self) -> PrefixStats {
         *self.stats.lock().expect("prefix home poisoned")
-    }
-
-    /// Consumes the home, yielding the parked cache (if any objective returned one).
-    pub fn into_cache(self) -> Option<PrefixCache> {
-        self.slot.into_inner().expect("prefix home poisoned")
     }
 }
 
@@ -292,13 +275,6 @@ impl<'a> QaoaObjective<'a> {
     pub fn without_prefix_reuse(mut self) -> Self {
         self.prefix = None;
         self.home = None;
-        self
-    }
-
-    /// Replaces the objective's prefix cache (e.g. one warmed by a previous run over
-    /// the same simulator).
-    pub fn with_prefix_cache(mut self, cache: PrefixCache) -> Self {
-        self.prefix = Some(cache);
         self
     }
 
@@ -554,7 +530,6 @@ mod tests {
         }
         let stats = home.stats();
         assert!(stats.hits >= 2, "warm cache must survive the round trip");
-        assert!(home.into_cache().is_some());
     }
 
     #[test]

@@ -87,8 +87,8 @@ impl<'a> SampledObjective<'a> {
 
     /// Checks this objective's prefix cache out of `home`, returning it (with its
     /// reuse counters) when the objective is dropped — the same parking protocol as
-    /// [`crate::objective::QaoaObjective::with_cache_home`], so a job engine's
-    /// per-instance checkpoints survive across sampled jobs too.  Sampling is
+    /// [`crate::objective::QaoaObjective::with_cache_home`], so a job's sampled
+    /// objectives and its readout share one set of checkpoints.  Sampling is
     /// unaffected: prefix reuse only changes how the forward state is reached,
     /// bit-identically.
     pub fn with_cache_home(mut self, home: &'a PrefixCacheHome) -> Self {

@@ -9,8 +9,8 @@
 //!   in ring order from there — the failover sequence is part of placement, not a
 //!   runtime coin flip.  Placement depends only on the backend address list, so any
 //!   two routers configured with the same `--backends` agree on every route, and a
-//!   job's instance keeps hitting the same backend's caches (PR 5's single-flight
-//!   prep and checkpoint pools become per-shard for free).
+//!   job's instance keeps hitting the same backend's caches (its instance cache,
+//!   single-flight prep and simulator slots become per-shard for free).
 //! * **Health** ([`Backend`]): an Up/Degraded/Down state machine driven by probe
 //!   and proxy outcomes, with a circuit breaker — `trip_after` consecutive failures
 //!   open the circuit (Down), and after a *seeded* cooldown derived from the shared

@@ -24,36 +24,30 @@
 //!
 //! 1. the **instance cache** above (objective vector + compression, keyed by
 //!    [`InstanceId`]);
-//! 2. the **simulator slot cache**: per `(instance, mixer)` pair, a shared
-//!    [`Simulator`] (so repeat jobs skip re-cloning the `2ⁿ` objective into a fresh
-//!    simulator) plus a bounded pool of parked [`PrefixCache`]s whose per-round
-//!    checkpoint statevectors survive from one job to the next.  Prefix reuse is
-//!    bit-identical by construction, so the determinism guarantee is untouched.
+//! 2. the **simulator slot cache**: per `(instance, mixer)` pair, an immutable shared
+//!    [`Simulator`], so repeat jobs skip re-cloning the `2ⁿ` objective and rebuilding
+//!    the mixer (for Grover jobs, the class table and weighted mixer).
 //!
-//! # Concurrency scaling
+//! Each cache is one [`LruCache`] behind one mutex, bounded to the engine's entry
+//! capacity and [`DEFAULT_CACHE_BYTES`]; a job takes a cache lock a handful of times,
+//! for microseconds each.  Instance preparation is **single-flight**: concurrent
+//! misses on one [`InstanceId`] coalesce, one worker builds the `2ⁿ` pre-computation
+//! while the rest block on the in-flight entry and share the result (counted in
+//! `prep_coalesced`), so a thundering herd on a cold instance pays one build, not one
+//! per worker.
 //!
-//! The engine is built so job throughput scales with the worker count instead of
-//! serialising on shared state:
-//!
-//! * both caches are [`ShardedLru`]s — lookups on different keys never share a lock;
-//! * instance preparation is **single-flight**: concurrent misses on one
-//!   [`InstanceId`] coalesce, one worker builds the `2ⁿ` pre-computation while the
-//!   rest block on the in-flight entry and share the result (counted in
-//!   `prep_coalesced`), so a thundering herd on a cold hot instance pays one build,
-//!   not one per worker;
-//! * each simulator slot parks a small **pool** of prefix caches, not a single
-//!   `Option` — concurrent jobs on the same `(instance, mixer)` each check out a
-//!   warm set of checkpoints, and returns merge *deepest-wins*
-//!   ([`PrefixCache::merge_deeper`]) instead of keeping whichever cache came back
-//!   first.
+//! Prefix checkpoints belong to the job: each job gets a fresh [`PrefixCacheHome`]
+//! that carries the optimizer's checkpoints to the sampling readout and is dropped
+//! when the job ends.  Prefix reuse is bit-identical by construction, so it changes a
+//! job's cost, never its answer.
 
-use crate::lru::ShardedLru;
+use crate::lru::LruCache;
 use crate::spec::{
     BuiltProblem, EstimatorSpec, JobResult, JobSpec, JobTimings, MixerSpec, OptimizerSpec,
     SampleReport, SamplingSpec, RATIO_HISTOGRAM_BINS,
 };
 use juliqaoa_combinatorics::{derive_stream_seed, fold_bits, DickeSubspace};
-use juliqaoa_core::{Angles, PrefixCache, QaoaError, Simulator};
+use juliqaoa_core::{Angles, QaoaError, Simulator};
 use juliqaoa_optim::{
     basinhopping_with_control, grid_search_ordered, qaoa_axis_order, random_restart_with_control,
     BasinHoppingOptions, Objective, OptimizeResult, PrefixCacheHome, QaoaObjective,
@@ -67,6 +61,7 @@ use juliqaoa_telemetry::{SpanCollector, Stage};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -229,55 +224,36 @@ juliqaoa_telemetry::histogram_set! {
     total_ms: "job_total_ms", "End-to-end milliseconds per job inside the engine.";
 }
 
-/// A shared simulator plus the parked checkpoint pool for one `(instance, mixer)`
-/// pair.  The pool holds up to [`PARKED_POOL_CACHES`] prefix caches so *each* of a
-/// small worker pool's concurrent jobs on the slot can start from warm checkpoints —
-/// a single parked `Option` hands warmth to one job and starts the rest cold.
+/// The shared simulator for one `(instance, mixer)` pair, immutable once built.
 struct SimSlot {
-    sim: Arc<Simulator>,
+    sim: Simulator,
     /// The degeneracy table a class-space (Grover) simulator was built from; class `c`
     /// of the simulator is entry `c`.  The readout draws member states from it.
-    classes: Option<Arc<DegeneracyTable>>,
-    pool: Vec<PrefixCache>,
+    classes: Option<DegeneracyTable>,
 }
 
 impl SimSlot {
     /// The slot's LRU weight: what the simulator holds (its copy of the prepared data
     /// or, in class space, the class values and mixer reference; its mixers' hop tables
-    /// or custom eigendecomposition), the degeneracy table and the caches parked in the
-    /// pool right now.
+    /// or custom eigendecomposition) plus the degeneracy table.
     fn weight(&self) -> u64 {
-        let pooled: usize = self.pool.iter().map(|cache| cache.bytes()).sum();
         let classes = self
             .classes
             .as_ref()
             .map_or(0, |table| std::mem::size_of_val(table.entries.as_slice()));
-        (self.sim.bytes() + classes + pooled) as u64
+        (self.sim.bytes() + classes) as u64
     }
 }
 
-/// The simulator-slot cache: shared, individually locked slots per `(instance, mixer)`.
-type SimSlotCache = ShardedLru<(InstanceId, MixerSpec), Arc<Mutex<SimSlot>>>;
-
-/// Maximum prefix caches parked per simulator slot.  Sized for a small worker pool
-/// hammering one hot instance: each concurrent job checks a warm cache out and parks
-/// it back.  More would pin statevector memory for warmth nobody collects.
-const PARKED_POOL_CACHES: usize = 4;
-
-/// Statevector-sized buffers one parked prefix cache may pin.  [`Engine::run_job`]
-/// refuses to park a cache that has grown beyond this allowance (deep-`p` sweeps
-/// simply restart cold next job), and the slot's LRU weight is re-priced to the
-/// *actually parked* bytes at every checkout and park, so the byte budget on the
-/// slot LRU tracks real resident memory instead of a worst-case reservation.
-const PARKED_PREFIX_STATES: usize = 8;
-
-/// Bytes of one statevector element (`Complex64`).
-const STATE_ELEM_BYTES: usize = 16;
-
-/// Lock shards for the instance and simulator-slot caches.  Sized comfortably above
-/// any worker count this service runs with, so concurrent lookups on different keys
-/// effectively never contend.
-const CACHE_SHARDS: usize = 8;
+/// Clones the value cached under `key` out of a locked LRU, marking it most recently
+/// used; the lock is held only for the lookup.
+fn lookup<K: Eq + Hash + Clone, V: Clone>(cache: &Mutex<LruCache<K, V>>, key: &K) -> Option<V> {
+    cache
+        .lock()
+        .expect("engine cache poisoned")
+        .get(key)
+        .cloned()
+}
 
 /// Single-flight coordination for one in-progress instance preparation: the builder
 /// publishes exactly once, waiters block on the condvar.
@@ -326,12 +302,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// The shared execution engine: instance cache, simulator slots and counters.
 pub struct Engine {
-    cache: ShardedLru<InstanceId, Arc<PreparedObjective>>,
+    cache: Mutex<LruCache<InstanceId, Arc<PreparedObjective>>>,
     /// In-flight preparations, for single-flight coalescing.  A plain mutex is fine
     /// here: it is touched only on instance-cache misses, and the expensive build
     /// happens outside it.
     inflight: Mutex<HashMap<InstanceId, Arc<PrepFlight>>>,
-    sims: SimSlotCache,
+    sims: Mutex<LruCache<(InstanceId, MixerSpec), Arc<SimSlot>>>,
     counters: EngineCounters,
     telemetry: EngineTelemetry,
     /// Optional span collector: when the serving or batch tier installs one, the
@@ -358,7 +334,7 @@ impl JobObjective<'_> {
     ) -> JobObjective<'a> {
         match sampling {
             None => JobObjective::Exact(QaoaObjective::new(sim).with_cache_home(home)),
-            // Sampled objectives share the same parked prefix cache as exact jobs
+            // Sampled objectives share the job's prefix cache home as exact jobs do
             // (the forward evolution is identical work) and tally every draw —
             // including the ones hidden inside FD gradient probes — so the engine's
             // shots_drawn counter is exact.  Shot streams are derived per
@@ -399,31 +375,31 @@ impl Objective for JobObjective<'_> {
     }
 }
 
-/// Default maximum number of cached instances.
+/// Default entry capacity of each engine cache (instances and simulator slots).
 pub const DEFAULT_CACHE_CAPACITY: usize = 64;
 
-/// Byte budget for the instance cache.  Entry count alone is the wrong bound: a
-/// prepared `n = 24` objective is ~170 MiB, so [`DEFAULT_CACHE_CAPACITY`] of them
-/// would pin ~11 GiB.  The cache evicts by least-recent use until both bounds hold;
-/// typical `n ≈ 16` entries (~0.6 MiB) never touch this limit.
+/// Byte budget for each of the engine's two caches (instances and simulator slots).
+/// Entry count alone is the wrong bound: a prepared `n = 24` objective is ~170 MiB,
+/// so [`DEFAULT_CACHE_CAPACITY`] of them would pin ~11 GiB.  Each cache evicts by
+/// least-recent use until both bounds hold; typical `n ≈ 16` entries (~0.6 MiB) never
+/// touch this limit.
 pub const DEFAULT_CACHE_BYTES: u64 = 2 << 30;
 
 impl Engine {
-    /// An engine whose cache holds at most `cache_capacity` prepared instances,
-    /// bounded to [`DEFAULT_CACHE_BYTES`] total.
+    /// An engine whose instance cache and simulator-slot cache each hold at most
+    /// `cache_capacity` entries (at least one) and [`DEFAULT_CACHE_BYTES`].
     pub fn new(cache_capacity: usize) -> Self {
+        let capacity = cache_capacity.max(1);
         Engine {
-            cache: ShardedLru::with_shards(
-                CACHE_SHARDS,
-                cache_capacity.max(1),
+            cache: Mutex::new(LruCache::with_weight_budget(
+                capacity,
                 Some(DEFAULT_CACHE_BYTES),
-            ),
+            )),
             inflight: Mutex::new(HashMap::new()),
-            sims: ShardedLru::with_shards(
-                CACHE_SHARDS,
-                cache_capacity.max(1),
+            sims: Mutex::new(LruCache::with_weight_budget(
+                capacity,
                 Some(DEFAULT_CACHE_BYTES),
-            ),
+            )),
             counters: EngineCounters::new(),
             telemetry: EngineTelemetry::default(),
             spans: Mutex::new(None),
@@ -451,28 +427,26 @@ impl Engine {
     }
 
     /// Fetches (or builds and caches) the shared simulator slot for a problem/mixer
-    /// pair.  The slot also parks the checkpoint pool between jobs so prefix
-    /// statevectors survive from one job to the next on the same instance.
+    /// pair.
     fn simulator_slot(
         &self,
         problem: &BuiltProblem,
         mixer_spec: &MixerSpec,
         prepared: &PreparedObjective,
-    ) -> Result<Arc<Mutex<SimSlot>>, ServiceError> {
+    ) -> Result<Arc<SimSlot>, ServiceError> {
         let key = (problem.instance_id, *mixer_spec);
-        if let Some(slot) = self.sims.get(&key) {
+        if let Some(slot) = lookup(&self.sims, &key) {
             return Ok(slot);
         }
-        // Build outside the lock; racing workers may both build, but
-        // `get_or_insert_weighted` hands every caller the one winning slot, so the
-        // checkpoint pool is never split across two live copies.
+        // Build outside the lock.  Two workers racing on one key may both build, and
+        // the last insert wins; slots hold no mutable state, so either copy serves.
         let (sim, classes) = match mixer_spec {
             // Every Grover job runs in class space over the values' degeneracy table,
             // which the slot keeps for the readout's within-class draws.
             MixerSpec::Grover => {
                 let values = prepared.values.iter().map(|&v| (v, 1));
                 let table = DegeneracyTable::from_entries(values);
-                (Simulator::grover_classes(&table)?, Some(Arc::new(table)))
+                (Simulator::grover_classes(&table)?, Some(table))
             }
             _ => {
                 let sim = Simulator::from_parts(
@@ -483,32 +457,13 @@ impl Engine {
                 (sim, None)
             }
         };
-        let slot = SimSlot {
-            sim: Arc::new(sim),
-            classes,
-            pool: Vec::new(),
-        };
-        // A fresh slot weighs what its simulator holds; the checkpoint pool's bytes
-        // are charged as they are actually parked (see `update_slot_weight`), so an
-        // idle slot never pays for warmth it does not hold — charging the whole-pool
-        // worst case up front would cut co-resident slots ~4× at larger `n` for no
-        // resident memory at all.
+        let slot = Arc::new(SimSlot { sim, classes });
         let weight = slot.weight();
-        Ok(self
-            .sims
-            .get_or_insert_weighted(key, Arc::new(Mutex::new(slot)), weight))
-    }
-
-    /// Re-prices a slot in the LRU as what its simulator holds plus the bytes its pool
-    /// *actually* parks right now.  Called after every checkout (weight drops) and
-    /// park (weight grows).  Uses `update_weight`, never an insert: if the LRU
-    /// has already evicted this slot, a job still holding its `Arc` must not
-    /// resurrect it and evict a live slot in its place — the orphaned pool simply
-    /// dies with the last `Arc`.  Concurrent jobs may briefly leave the recorded
-    /// weight one update stale; the next checkout or park corrects it.
-    fn update_slot_weight(&self, key: (InstanceId, MixerSpec), slot: &Arc<Mutex<SimSlot>>) {
-        let weight = slot.lock().expect("sim slot poisoned").weight();
-        self.sims.update_weight(&key, weight);
+        self.sims
+            .lock()
+            .expect("simulator slot cache poisoned")
+            .insert_weighted(key, slot.clone(), weight);
+        Ok(slot)
     }
 
     /// Fetches (or computes and caches) the pre-computation for a built problem.
@@ -521,7 +476,7 @@ impl Engine {
     /// becomes the new builder, so a poisoned build never wedges the instance.
     pub fn prepare(&self, problem: &BuiltProblem) -> (Arc<PreparedObjective>, bool) {
         loop {
-            if let Some(found) = self.cache.get(&problem.instance_id) {
+            if let Some(found) = lookup(&self.cache, &problem.instance_id) {
                 self.counters.cache_hits.inc();
                 return (found, true);
             }
@@ -536,8 +491,8 @@ impl Engine {
                         // lock has already filled the cache (it inserts *before*
                         // retiring its flight), and registering as a new builder
                         // here would duplicate its 2ⁿ build.  Lock order is always
-                        // inflight → cache shard, so this cannot deadlock.
-                        if let Some(found) = self.cache.get(&problem.instance_id) {
+                        // inflight → cache, so this cannot deadlock.
+                        if let Some(found) = lookup(&self.cache, &problem.instance_id) {
                             self.counters.cache_hits.inc();
                             return (found, true);
                         }
@@ -581,6 +536,8 @@ impl Engine {
                     // reaches every one of them.
                     let weight = prepared.approx_bytes();
                     self.cache
+                        .lock()
+                        .expect("instance cache poisoned")
                         .insert_weighted(problem.instance_id, prepared.clone(), weight);
                     self.inflight
                         .lock()
@@ -611,22 +568,15 @@ impl Engine {
 
     /// Number of instances currently cached.
     pub fn cached_instances(&self) -> usize {
-        self.cache.len()
+        self.cache.lock().expect("instance cache poisoned").len()
     }
 
     /// Number of `(instance, mixer)` simulator slots currently cached.
     pub fn cached_simulators(&self) -> usize {
-        self.sims.len()
-    }
-
-    /// Total prefix caches currently parked across all simulator-slot pools — how
-    /// many concurrent jobs could start from warm checkpoints right now.
-    pub fn parked_prefix_caches(&self) -> usize {
         self.sims
-            .values()
-            .iter()
-            .map(|slot| slot.lock().expect("sim slot poisoned").pool.len())
-            .sum()
+            .lock()
+            .expect("simulator slot cache poisoned")
+            .len()
     }
 
     /// Records a job that died in a panic after a `catch_unwind` recovered it —
@@ -764,31 +714,11 @@ impl Engine {
             // lint:allow(R3, intentional fault-injection hook - the panic is the feature under test)
             panic!("fault injection: job {:?} panicked mid-run", spec.id);
         }
-        let slot_key = (problem.instance_id, spec.mixer);
         let slot = self.simulator_slot(&problem, &spec.mixer, &prepared)?;
-        // Check the shared simulator and the warmest parked prefix cache out of the
-        // slot's pool.  Concurrent jobs on the same slot share the simulator, and up
-        // to PARKED_POOL_CACHES of them start from warm checkpoints — results are
-        // identical warm or cold.
-        let (sim, classes, parked) = {
-            let mut slot = slot.lock().expect("sim slot poisoned");
-            let warmest = slot
-                .pool
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, cache)| cache.warmth())
-                .map(|(i, _)| i);
-            let parked = warmest.map(|i| slot.pool.swap_remove(i));
-            (slot.sim.clone(), slot.classes.clone(), parked)
-        };
-        if parked.is_some() {
-            // The checked-out cache's bytes left the pool; re-price the slot.
-            self.update_slot_weight(slot_key, &slot);
-        }
-        let home = match parked {
-            Some(cache) => PrefixCacheHome::new(cache),
-            None => PrefixCacheHome::with_budget(juliqaoa_core::prefix::default_prefix_budget()),
-        };
+        let sim = &slot.sim;
+        // The job's own checkpoints: they carry the optimizer's prefixes to the
+        // readout and are dropped with the job.
+        let home = PrefixCacheHome::with_budget(juliqaoa_core::prefix::default_prefix_budget());
         let prep_ms = prep.finish_span(
             trace,
             spans.as_deref(),
@@ -811,7 +741,7 @@ impl Engine {
                     return Err(ServiceError::Spec("restarts must be at least 1".into()));
                 }
                 random_restart_with_control(
-                    || JobObjective::build(&sim, &home, sampling, &shot_tally),
+                    || JobObjective::build(sim, &home, sampling, &shot_tally),
                     dim,
                     &RandomRestartOptions {
                         restarts,
@@ -826,7 +756,7 @@ impl Engine {
                 step_size,
                 temperature,
             } => {
-                let mut objective = JobObjective::build(&sim, &home, sampling, &shot_tally);
+                let mut objective = JobObjective::build(sim, &home, sampling, &shot_tally);
                 let x0: Vec<f64> = (0..dim)
                     .map(|_| rand::Rng::gen_range(&mut rng, 0.0..tau))
                     .collect();
@@ -858,7 +788,7 @@ impl Engine {
                 // Deepest round fastest: consecutive grid points share a (p−1)-round
                 // circuit prefix, which the objective's cache replays incrementally.
                 grid_search_ordered(
-                    || JobObjective::build(&sim, &home, sampling, &shot_tally),
+                    || JobObjective::build(sim, &home, sampling, &shot_tally),
                     dim,
                     0.0,
                     tau,
@@ -887,8 +817,8 @@ impl Engine {
         // Sample jobs end with a readout at the best angles: the same seeded shot
         // streams the optimizer saw at that point, reported as a histogram plus the
         // best sampled bitstring (the answer a hardware run would hand back).  The
-        // readout runs before the cache home is parked so it replays the prefix the
-        // optimizer just left at `res.x` and its reuse counters fold into the job's.
+        // readout shares the job's cache home, so it replays the prefix the optimizer
+        // just left at `res.x` and its reuse counters fold into the job's.
         let readout = Stage::start(&self.telemetry.sampling_readout_ms);
         let sample_report = match sampling {
             None => None,
@@ -898,7 +828,7 @@ impl Engine {
             Some(s) => {
                 let obj_vals = sim.objective_values();
                 let shot_estimator = s.estimator.build();
-                let mut readout = SampledObjective::new(&sim, s.shots, shot_estimator, s.seed)
+                let mut readout = SampledObjective::new(sim, s.shots, shot_estimator, s.seed)
                     .with_cache_home(&home)
                     .with_shot_tally(&shot_tally);
                 let counts = readout.counts_at(&res.x);
@@ -917,7 +847,7 @@ impl Engine {
                 let (best_idx, best_objective) = estimator::best_sampled(&counts, obj_vals);
                 // A class-space histogram counts values; the state-level fields draw
                 // member states inside the sampled classes.
-                let (best_state, distinct_outcomes) = match &classes {
+                let (best_state, distinct_outcomes) = match &slot.classes {
                     Some(table) => class_space_draws(
                         &prepared.values,
                         table,
@@ -989,42 +919,12 @@ impl Engine {
             )));
         }
 
-        // Every objective (and the readout) has been dropped; fold the reuse
-        // counters into the engine and park the (possibly warmed) cache for the
-        // next job on this slot.
+        // Every objective (and the readout) has been dropped; fold the job's reuse
+        // counters into the engine.
         let pstats = home.stats();
         self.counters.prefix_hits.add(pstats.hits);
         self.counters.prefix_misses.add(pstats.misses);
         self.counters.prefix_rounds_saved.add(pstats.rounds_saved);
-        if let Some(cache) = home.into_cache() {
-            // Park only caches within the per-cache allowance; an oversized cache
-            // (very deep p) is dropped rather than pinning unbounded statevector
-            // memory for one slot.
-            let allowance = PARKED_PREFIX_STATES * sim.dim() * STATE_ELEM_BYTES;
-            if cache.bytes() <= allowance {
-                {
-                    let mut slot = slot.lock().expect("sim slot poisoned");
-                    if slot.pool.len() < PARKED_POOL_CACHES {
-                        slot.pool.push(cache);
-                    } else if let Some(coldest) = slot
-                        .pool
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, pooled)| pooled.warmth())
-                        .map(|(i, _)| i)
-                    {
-                        // Full pool: deepest wins.  `merge_deeper` keeps whichever
-                        // of the returning cache and the coldest pooled entry serves
-                        // deeper prefixes, so a warmer cache is never discarded for
-                        // returning late.
-                        let evicted = slot.pool.swap_remove(coldest);
-                        slot.pool.push(cache.merge_deeper(evicted));
-                    }
-                }
-                // The parked bytes are now resident; re-price the slot in the LRU.
-                self.update_slot_weight(slot_key, &slot);
-            }
-        }
 
         let expectation = -res.value;
         let quality = if prepared.max > prepared.min {
@@ -1249,14 +1149,14 @@ mod tests {
         let prepared_bytes = engine.prepare(&problem).0.approx_bytes();
         assert!(mixer_bytes > 0);
         assert_eq!(engine.cached_simulators(), 1);
+        let weight = engine.sims.lock().unwrap().total_weight();
         assert!(
-            engine.sims.total_weight() >= prepared_bytes + mixer_bytes,
-            "slot weight {} misses the mixer's {mixer_bytes} bytes",
-            engine.sims.total_weight()
+            weight >= prepared_bytes + mixer_bytes,
+            "slot weight {weight} misses the mixer's {mixer_bytes} bytes"
         );
 
         // A Grover slot holds its class table, not the 2ⁿ prepared values, and is
-        // charged for exactly that plus whatever its pool parks.
+        // charged for exactly that.
         let engine = Engine::new(8);
         let grover = JobSpec {
             problem: ProblemSpec::MaxCutGnp { n: 14, instance: 0 },
@@ -1265,23 +1165,8 @@ mod tests {
         };
         engine.run_job(&grover, &RunControl::new()).unwrap();
         assert_eq!(engine.cached_simulators(), 1);
-        let pooled: usize = engine
-            .sims
-            .values()
-            .iter()
-            .flat_map(|slot| {
-                let slot = slot.lock().unwrap();
-                slot.pool
-                    .iter()
-                    .map(|cache| cache.bytes())
-                    .collect::<Vec<_>>()
-            })
-            .sum();
-        assert!(
-            engine.sims.total_weight() < 4096 + pooled as u64,
-            "class-space slot weighs {} with {pooled} parked bytes",
-            engine.sims.total_weight()
-        );
+        let weight = engine.sims.lock().unwrap().total_weight();
+        assert!(weight < 4096, "class-space slot weighs {weight}");
     }
 
     #[test]
@@ -1334,43 +1219,35 @@ mod tests {
     }
 
     #[test]
-    fn a_follower_job_on_a_warm_slot_checks_out_the_parked_cache_and_records_hits() {
-        // Regression test for the parked-cache write-back policy: the warmth a job
-        // leaves behind must actually reach the next job on the slot.  The
-        // hand-off is observable in the pool count — the follower checks the parked
-        // cache *out* (so the pool holds one cache after it returns, not two) — and
-        // in the follower recording prefix hits of its own.  Serial scan (guard
-        // held) keeps the counters deterministic.
+    fn prefix_reuse_does_not_depend_on_earlier_jobs() {
+        // Checkpoints live and die with their job: three identical grid jobs on one
+        // engine (and so one warm simulator slot) record the same prefix hits and
+        // misses and the same result bits.  Serial scan (guard held) keeps the
+        // counters deterministic.
         let _guard = juliqaoa_linalg::enter_outer_parallelism();
-        let grid_job = |id: &str| {
-            let mut job = quick_job(id, 0, 3);
-            job.p = 2;
-            job.optimizer = OptimizerSpec::GridSearch { resolution: 4 };
-            job
-        };
+        let mut job = quick_job("grid", 0, 3);
+        job.p = 2;
+        job.optimizer = OptimizerSpec::GridSearch { resolution: 4 };
         let engine = Engine::new(8);
-        let warm = engine
-            .run_job(&grid_job("warmup"), &RunControl::new())
-            .unwrap();
-        assert_eq!(engine.parked_prefix_caches(), 1, "warm-up parks its cache");
-        let before = engine.stats();
-        let follow = engine
-            .run_job(&grid_job("follower"), &RunControl::new())
-            .unwrap();
-        let follower_hits = engine.stats().prefix_hits - before.prefix_hits;
-        assert!(
-            follower_hits > 0,
-            "a follower on a warm slot must record prefix hits"
-        );
+        let runs: Vec<_> = (0..3)
+            .map(|_| {
+                let before = engine.stats();
+                let res = engine.run_job(&job, &RunControl::new()).unwrap();
+                let after = engine.stats();
+                let reuse = (
+                    after.prefix_hits - before.prefix_hits,
+                    after.prefix_misses - before.prefix_misses,
+                );
+                let bits: Vec<u64> = res.angles.iter().map(|a| a.to_bits()).collect();
+                (reuse, res.expectation.to_bits(), bits)
+            })
+            .collect();
+        assert!(runs[0].0 .0 > 0, "a grid job must reuse prefixes");
         assert_eq!(
-            engine.parked_prefix_caches(),
-            1,
-            "the follower must check out the parked cache (a second pooled cache \
-             would mean the hand-off never happened)"
+            runs[1], runs[0],
+            "the second job saw the first one's checkpoints"
         );
-        // Warmth never changes answers.
-        assert_eq!(warm.expectation.to_bits(), follow.expectation.to_bits());
-        assert_eq!(warm.angles, follow.angles);
+        assert_eq!(runs[2], runs[0], "the third job saw earlier checkpoints");
     }
 
     #[test]
@@ -1545,7 +1422,7 @@ mod tests {
             }
         }
         assert_eq!(engine.stats().sample_jobs, 3);
-        // Sampled forward passes ride the same parked prefix caches as exact jobs.
+        // Sampled forward passes ride the job's prefix cache as exact jobs do.
         assert!(engine.stats().prefix_hits > 0);
     }
 

@@ -62,7 +62,7 @@ pub use engine::{
 };
 pub use fault::{FaultPlan, PanicFault, WriteFault};
 pub use journal::{FsyncPolicy, Journal, LineCheck, RecoveryReport};
-pub use lru::{LruCache, ShardedLru};
+pub use lru::LruCache;
 pub use ops::OpsConfig;
 pub use retry::RetryPolicy;
 pub use router::{Router, RouterConfig, RouterStatsBody};

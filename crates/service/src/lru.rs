@@ -1,4 +1,4 @@
-//! A small hand-rolled LRU map for cached instance pre-computations.
+//! A small hand-rolled LRU map for the engine's instance and simulator-slot caches.
 //!
 //! The container has no network access, so no `lru` crate: this is a plain
 //! `HashMap` with a monotonically increasing access tick per entry and
@@ -14,8 +14,7 @@
 //! them would pin ~11 GiB; the weight budget is what actually protects the box.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher, Hash};
-use std::sync::Mutex;
+use std::hash::Hash;
 
 /// A least-recently-used map with a fixed entry capacity and an optional total-weight
 /// budget.
@@ -111,33 +110,14 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     fn evict_lru(&mut self) {
-        self.pop_lru();
-    }
-
-    /// Updates an existing entry's weight in place *without* touching its recency,
-    /// returning whether the key was present.  Used by [`ShardedLru::update_weight`].
-    pub(crate) fn set_weight(&mut self, key: &K, weight: u64) -> bool {
-        match self.map.get_mut(key) {
-            Some(entry) => {
-                self.total_weight = self.total_weight - entry.weight + weight;
-                entry.weight = weight;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Evicts the least-recently-used entry, returning its weight (`None` when
-    /// empty).  Used by [`ShardedLru`] to enforce its global weight budget.
-    pub(crate) fn pop_lru(&mut self) -> Option<u64> {
         let oldest = self
             .map
             .iter()
             .min_by_key(|(_, e)| e.tick)
-            .map(|(k, _)| k.clone())?;
-        let entry = self.map.remove(&oldest)?;
-        self.total_weight -= entry.weight;
-        Some(entry.weight)
+            .map(|(k, _)| k.clone());
+        if let Some(entry) = oldest.and_then(|k| self.map.remove(&k)) {
+            self.total_weight -= entry.weight;
+        }
     }
 
     /// Number of cached entries.
@@ -158,235 +138,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Sum of the weights of the cached entries.
     pub fn total_weight(&self) -> u64 {
         self.total_weight
-    }
-
-    /// Clones every cached value out, in no particular order.
-    pub fn values(&self) -> Vec<V>
-    where
-        V: Clone,
-    {
-        self.map.values().map(|e| e.value.clone()).collect()
-    }
-}
-
-/// A sharded, internally locked LRU: `shards` independent [`LruCache`]s, each behind
-/// its own mutex, with entries routed by key hash.
-///
-/// One global mutex around an LRU serialises every worker in a pool even though the
-/// critical sections are microseconds — under load the lock, not the cache, becomes
-/// the contended resource.  Sharding splits that lock `shards` ways; concurrent
-/// lookups on different keys proceed in parallel, and same-key traffic (the hot
-/// instance everyone is sweeping) contends only with itself.
-///
-/// Bounds: the weight budget is **global and exact** — a shared atomic total tracks
-/// every shard, and an insert that pushes past the budget evicts least-recently-used
-/// entries from its own shard first, then round-robin across the others, until the
-/// total fits (never holding more than one shard lock at a time).  As with
-/// [`LruCache`], a single entry heavier than the whole budget is cached alone.  The
-/// entry capacity is enforced per shard at `capacity / shards`, rounded up with 2×
-/// slack — hash skew can land more keys than `capacity / shards` on one shard, and
-/// evicting hot entries on a count bound while memory is fine is the worse failure
-/// mode; the weight budget is what actually protects the box.  Capacities at or
-/// below the shard count collapse to a single shard with the exact capacity — a
-/// deliberately tiny cache (`capacity = 1`) must still evict.
-#[derive(Debug)]
-pub struct ShardedLru<K: Eq + Hash + Clone, V: Clone> {
-    shards: Vec<Mutex<LruCache<K, V>>>,
-    weight_budget: Option<u64>,
-    total_weight: std::sync::atomic::AtomicU64,
-    hasher: BuildHasherDefault<DefaultHasher>,
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> ShardedLru<K, V> {
-    /// A cache split over `shards` locks, bounded by `capacity` entries (approximate
-    /// once actually sharded, see the type docs) and `weight_budget` total bytes
-    /// (exact and global).
-    ///
-    /// # Panics
-    /// Panics if `shards` or `capacity` is zero, or the budget is `Some(0)`.
-    pub fn with_shards(shards: usize, capacity: usize, weight_budget: Option<u64>) -> Self {
-        assert!(shards > 0, "sharded LRU needs at least one shard");
-        assert!(capacity > 0, "sharded LRU capacity must be positive");
-        assert!(
-            weight_budget != Some(0),
-            "sharded LRU weight budget must be positive"
-        );
-        let shards = if capacity <= shards { 1 } else { shards };
-        let per_shard_capacity = if shards == 1 {
-            capacity
-        } else {
-            capacity.div_ceil(shards).saturating_mul(2)
-        };
-        ShardedLru {
-            shards: (0..shards)
-                // Shards carry no weight budget of their own: the global budget is
-                // enforced here, across shards, after every insert.
-                .map(|_| Mutex::new(LruCache::with_weight_budget(per_shard_capacity, None)))
-                .collect(),
-            weight_budget,
-            total_weight: std::sync::atomic::AtomicU64::new(0),
-            hasher: BuildHasherDefault::default(),
-        }
-    }
-
-    fn shard_index(&self, key: &K) -> usize {
-        self.hasher.hash_one(key) as usize % self.shards.len()
-    }
-
-    /// Looks up a key (marking it most-recently used in its shard), cloning the value
-    /// out so the shard lock is held only for the lookup.
-    pub fn get(&self, key: &K) -> Option<V> {
-        self.shards[self.shard_index(key)]
-            .lock()
-            .expect("LRU shard poisoned")
-            .get(key)
-            .cloned()
-    }
-
-    /// Applies the shard-local weight change observed across an operation to the
-    /// shared total.
-    fn apply_weight_delta(&self, before: u64, after: u64) {
-        use std::sync::atomic::Ordering;
-        if after >= before {
-            self.total_weight
-                // relaxed: deltas commute; the budget check tolerates transient skew.
-                .fetch_add(after - before, Ordering::Relaxed);
-        } else {
-            self.total_weight
-                // relaxed: deltas commute; the budget check tolerates transient skew.
-                .fetch_sub(before - after, Ordering::Relaxed);
-        }
-    }
-
-    /// Evicts least-recently-used entries — the insert's own shard first, then
-    /// round-robin — until the global total fits the budget or only one entry
-    /// remains (the oversized-entry-cached-alone rule, as in [`LruCache`]).  The
-    /// just-inserted entry is MRU in its shard, so it is only protected explicitly
-    /// when it is that shard's lone entry.
-    fn enforce_budget(&self, start: usize) {
-        use std::sync::atomic::Ordering;
-        let Some(budget) = self.weight_budget else {
-            return;
-        };
-        let n = self.shards.len();
-        // relaxed: advisory budget check; per-shard mutation is under the shard lock,
-        // and a stale total at worst delays or over-runs eviction by one entry.
-        while self.total_weight.load(Ordering::Relaxed) > budget {
-            if self.len() <= 1 {
-                // The lone survivor may legitimately exceed the budget on its own.
-                return;
-            }
-            let mut evicted_any = false;
-            for offset in 0..n {
-                // relaxed: same advisory budget check as the loop condition above.
-                if self.total_weight.load(Ordering::Relaxed) <= budget {
-                    return;
-                }
-                let idx = (start + offset) % n;
-                let mut shard = self.shards[idx].lock().expect("LRU shard poisoned");
-                // Never evict the just-inserted entry: it is MRU in the start
-                // shard, so it is only at risk there when it is alone.
-                if idx == start && shard.len() <= 1 {
-                    continue;
-                }
-                if let Some(freed) = shard.pop_lru() {
-                    // relaxed: commutative delta; see apply_weight_delta.
-                    self.total_weight.fetch_sub(freed, Ordering::Relaxed);
-                    evicted_any = true;
-                }
-            }
-            if !evicted_any {
-                return;
-            }
-        }
-    }
-
-    /// Inserts a value with a weight; evicts (this shard first, then others) until
-    /// the global weight budget holds.
-    pub fn insert_weighted(&self, key: K, value: V, weight: u64) {
-        let idx = self.shard_index(&key);
-        {
-            let mut shard = self.shards[idx].lock().expect("LRU shard poisoned");
-            let before = shard.total_weight();
-            shard.insert_weighted(key, value, weight);
-            let after = shard.total_weight();
-            self.apply_weight_delta(before, after);
-        }
-        self.enforce_budget(idx);
-    }
-
-    /// Re-prices an entry that is still cached, leaving its recency untouched;
-    /// returns whether the key was present.  Unlike [`Self::insert_weighted`] this
-    /// never (re-)inserts — so a caller holding a reference to an already-evicted
-    /// value cannot resurrect it and evict a live entry in its place.
-    pub fn update_weight(&self, key: &K, weight: u64) -> bool {
-        let idx = self.shard_index(key);
-        let updated = {
-            let mut shard = self.shards[idx].lock().expect("LRU shard poisoned");
-            let before = shard.total_weight();
-            let updated = shard.set_weight(key, weight);
-            let after = shard.total_weight();
-            self.apply_weight_delta(before, after);
-            updated
-        };
-        if updated {
-            self.enforce_budget(idx);
-        }
-        updated
-    }
-
-    /// Atomic get-or-insert: returns the cached value if the key is (now) present,
-    /// otherwise inserts `value` and returns it.  Racing builders both construct, but
-    /// every caller leaves holding the *same* winning value — so shared state (a
-    /// simulator slot, a checkpoint pool) is never split across two live copies.
-    pub fn get_or_insert_weighted(&self, key: K, value: V, weight: u64) -> V {
-        let idx = self.shard_index(&key);
-        let out = {
-            let mut shard = self.shards[idx].lock().expect("LRU shard poisoned");
-            if let Some(found) = shard.get(&key) {
-                return found.clone();
-            }
-            let before = shard.total_weight();
-            shard.insert_weighted(key, value.clone(), weight);
-            let after = shard.total_weight();
-            self.apply_weight_delta(before, after);
-            value
-        };
-        self.enforce_budget(idx);
-        out
-    }
-
-    /// Total entries across all shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("LRU shard poisoned").len())
-            .sum()
-    }
-
-    /// Whether every shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Sum of entry weights across all shards (the globally budgeted total).
-    pub fn total_weight(&self) -> u64 {
-        // relaxed: monitoring read; may lag concurrent inserts/evictions.
-        self.total_weight.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Number of shards (distinct locks).
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Clones every cached value out, shard by shard (no global lock is ever held).
-    /// For metrics and tests; `O(len)`.
-    pub fn values(&self) -> Vec<V> {
-        self.shards
-            .iter()
-            .flat_map(|s| s.lock().expect("LRU shard poisoned").values())
-            .collect()
     }
 }
 
@@ -463,104 +214,6 @@ mod tests {
         c.insert_weighted("a", 2, 3);
         assert_eq!(c.total_weight(), 3);
         assert_eq!(c.get(&"a"), Some(&2));
-    }
-
-    #[test]
-    fn sharded_lru_round_trips_and_counts_across_shards() {
-        let c: ShardedLru<u32, u32> = ShardedLru::with_shards(4, 64, None);
-        assert!(c.is_empty());
-        assert_eq!(c.shards(), 4);
-        for k in 0..32u32 {
-            c.insert_weighted(k, k * 10, 1);
-        }
-        assert_eq!(c.len(), 32);
-        assert_eq!(c.total_weight(), 32);
-        for k in 0..32u32 {
-            assert_eq!(c.get(&k), Some(k * 10));
-        }
-        assert_eq!(c.get(&999), None);
-    }
-
-    #[test]
-    fn sharded_lru_weight_budget_is_a_global_bound() {
-        // The budget is enforced across shards, not partitioned: however the keys
-        // hash, the total never exceeds 64, and the cache keeps exactly the 8
-        // entries that fit.
-        let c: ShardedLru<u32, u32> = ShardedLru::with_shards(4, 1024, Some(64));
-        for k in 0..100u32 {
-            c.insert_weighted(k, k, 8);
-            assert!(c.total_weight() <= 64, "weight {}", c.total_weight());
-        }
-        assert_eq!(c.len(), 8, "exactly budget/weight entries survive");
-        // The most recent insert always survives its own enforcement pass.
-        assert_eq!(c.get(&99), Some(99));
-    }
-
-    #[test]
-    fn sharded_lru_oversized_entry_is_cached_alone_globally() {
-        let c: ShardedLru<u32, u32> = ShardedLru::with_shards(4, 1024, Some(10));
-        c.insert_weighted(1, 10, 4);
-        c.insert_weighted(2, 20, 4);
-        assert_eq!(c.total_weight(), 8);
-        // Heavier than the whole budget: everything else is evicted (whatever
-        // shard it lives in) and the giant is cached alone, as in LruCache.
-        c.insert_weighted(3, 30, 50);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.get(&3), Some(30));
-        assert_eq!(c.total_weight(), 50);
-        // The next normal insert evicts the over-budget giant.
-        c.insert_weighted(4, 40, 4);
-        assert_eq!(c.get(&3), None);
-        assert_eq!(c.get(&4), Some(40));
-        assert_eq!(c.total_weight(), 4);
-    }
-
-    #[test]
-    fn sharded_lru_reinsert_updates_the_global_weight() {
-        let c: ShardedLru<u32, u32> = ShardedLru::with_shards(4, 1024, Some(100));
-        c.insert_weighted(7, 1, 60);
-        c.insert_weighted(7, 2, 10);
-        assert_eq!(c.total_weight(), 10);
-        assert_eq!(c.get(&7), Some(2));
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn sharded_lru_get_or_insert_returns_one_winner() {
-        let c: ShardedLru<u32, &'static str> = ShardedLru::with_shards(2, 8, None);
-        assert_eq!(c.get_or_insert_weighted(7, "first", 1), "first");
-        // The racing "second" build loses: every caller sees the parked winner.
-        assert_eq!(c.get_or_insert_weighted(7, "second", 1), "first");
-        assert_eq!(c.get(&7), Some("first"));
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn sharded_lru_is_shareable_across_threads() {
-        let c: std::sync::Arc<ShardedLru<u64, u64>> =
-            std::sync::Arc::new(ShardedLru::with_shards(8, 256, None));
-        let handles: Vec<_> = (0..4u64)
-            .map(|t| {
-                let c = c.clone();
-                std::thread::spawn(move || {
-                    for i in 0..64u64 {
-                        let k = t * 1000 + i;
-                        c.insert_weighted(k, k + 1, 1);
-                        assert_eq!(c.get(&k), Some(k + 1));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(c.len(), 256);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_shards_panics() {
-        let _ = ShardedLru::<u32, u32>::with_shards(0, 4, None);
     }
 
     #[test]

@@ -49,7 +49,8 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Maximum queued (not yet running) jobs before `POST /jobs` returns 429.
     pub queue_capacity: usize,
-    /// Instance-cache capacity of the shared engine.
+    /// Entry capacity of each of the shared engine's two caches: prepared
+    /// instances and `(instance, mixer)` simulator slots.
     pub cache_capacity: usize,
     /// Optional JSONL file finished results are appended to (same checksummed
     /// journal format as batch mode, so serve-mode output can seed a later

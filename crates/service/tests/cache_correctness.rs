@@ -141,3 +141,25 @@ fn eviction_keeps_results_correct() {
     assert!(tiny.stats().cache_misses > 2);
     assert_eq!(big.stats().cache_misses, 2);
 }
+
+#[test]
+fn capacity_bounds_both_caches_exactly() {
+    // `Engine::new(9)` promises at most 9 entries in each cache, whatever keys arrive.
+    let engine = Engine::new(9);
+    for instance in 0..27 {
+        let spec = JobSpec {
+            p: 1,
+            optimizer: OptimizerSpec::GridSearch { resolution: 1 },
+            ..job(
+                &format!("distinct-{instance}"),
+                ProblemSpec::MaxCutGnp { n: 6, instance },
+                MixerSpec::TransverseField,
+                1,
+            )
+        };
+        engine.run_job(&spec, &RunControl::new()).unwrap();
+    }
+    assert_eq!(engine.stats().cache_misses, 27);
+    assert_eq!(engine.cached_instances(), 9);
+    assert_eq!(engine.cached_simulators(), 9);
+}

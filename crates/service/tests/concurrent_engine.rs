@@ -1,11 +1,9 @@
 //! Concurrency contracts of the shared engine:
 //!
 //! * N threads hammering one `(instance, mixer)` slot produce results bit-identical
-//!   to serial execution — caches and pools change cost, never answers;
+//!   to serial execution — caches change cost, never answers;
 //! * instance preparation is single-flight: concurrent misses on one instance
-//!   coalesce into exactly one build (asserted via the engine's build counter);
-//! * the slot's checkpoint pool parks one cache per concurrent job instead of
-//!   keeping only the first one back.
+//!   coalesce into exactly one build (asserted via the engine's build counter).
 
 use juliqaoa_optim::RunControl;
 use juliqaoa_problems::{CostFunction, InstanceId};
@@ -172,50 +170,6 @@ fn concurrent_misses_on_one_instance_build_exactly_once() {
         stats.prep_coalesced as usize,
         WORKERS - 1,
         "every non-builder must wait on the in-flight build, not duplicate it"
-    );
-}
-
-#[test]
-fn concurrent_jobs_each_park_a_checkpoint_cache() {
-    // Regression test for the old single-`Option` write-back, where concurrent jobs
-    // on one slot returned two warmed caches and the slot kept only the first.
-    let engine = Arc::new(Engine::new(8));
-
-    // Job A: long grid sweep.  Start it, then wait until it has built the slot.
-    let a = {
-        let engine = engine.clone();
-        std::thread::spawn(move || {
-            let _guard = juliqaoa_linalg::enter_outer_parallelism();
-            let mut job = slot_job("concurrent-a", 1);
-            job.optimizer = OptimizerSpec::GridSearch { resolution: 7 };
-            engine.run_job(&job, &RunControl::new()).unwrap()
-        })
-    };
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    while engine.cached_simulators() == 0 {
-        assert!(std::time::Instant::now() < deadline, "job A never started");
-        std::thread::yield_now();
-    }
-    // Job B starts while A is still sweeping: it finds the slot's pool empty (A
-    // checked nothing out — the pool was empty) and runs cold.
-    let b = {
-        let engine = engine.clone();
-        std::thread::spawn(move || {
-            let _guard = juliqaoa_linalg::enter_outer_parallelism();
-            engine
-                .run_job(&slot_job("concurrent-b", 2), &RunControl::new())
-                .unwrap()
-        })
-    };
-    a.join().unwrap();
-    b.join().unwrap();
-
-    assert_eq!(engine.cached_simulators(), 1, "one shared slot");
-    assert_eq!(
-        engine.parked_prefix_caches(),
-        2,
-        "both concurrently-warmed caches must park (deepest-wins pool, \
-         not first-returner-wins)"
     );
 }
 
