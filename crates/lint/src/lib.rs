@@ -23,6 +23,7 @@
 //! | R6 | Prometheus metric names match `[a-z_]+` statically |
 //! | R7 | seed arithmetic only in `combinatorics::seeding` |
 //! | R8 | HTTP responses only via the shared `http::write_json*` helpers |
+//! | R9 | no `sleep` on the request path (`ops`, `server`, `router`, `http`, `cluster`) |
 //!
 //! Suppress a finding with `// lint:allow(RN, reason)` on its line or one of
 //! the two lines above; the reason is mandatory and checked.

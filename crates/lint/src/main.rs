@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Walks the workspace sources (root `src/` + every `crates/*/src/`), runs
-//! rules R1–R8, and prints findings as rustc-style `file:line: rule[RN]:
+//! rules R1–R9, and prints findings as rustc-style `file:line: rule[RN]:
 //! message` lines (or the frozen JSON schema with `--json`).  Exit status: `0`
 //! clean, `1` findings, `2` usage or I/O error.  Run it from anywhere inside
 //! the repo; the workspace root is auto-discovered.
@@ -17,7 +17,7 @@ fn usage() -> &'static str {
     "usage: qaoa-lint [--root <path>] [--json] [--list-rules]\n\
      \n\
      Checks the workspace's determinism/panic-safety/atomics contracts:\n\
-     rules R1..R8 (see README \"Static analysis\" or --list-rules).\n\
+     rules R1..R9 (see README \"Static analysis\" or --list-rules).\n\
      Exit status: 0 clean, 1 findings, 2 error."
 }
 
@@ -30,6 +30,7 @@ fn list_rules() -> &'static str {
      R6  Prometheus metric names match [a-z_]+ statically\n\
      R7  seed arithmetic only in combinatorics::seeding\n\
      R8  HTTP responses only via the shared http::write_json* helpers\n\
+     R9  no sleep on the request path (service ops/server/router/http/cluster)\n\
      \n\
      Suppress with: // lint:allow(RN, reason) — the reason is mandatory."
 }

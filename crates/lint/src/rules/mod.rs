@@ -17,13 +17,14 @@ pub mod r5_lock_order;
 pub mod r6_metric_names;
 pub mod r7_seed_arith;
 pub mod r8_http_responses;
+pub mod r9_request_path_sleep;
 
 use crate::strip::Scrubbed;
 use crate::tokens::Tok;
 use std::collections::HashMap;
 
 /// Every enforceable rule id (R0 is the meta-rule for malformed suppressions).
-pub const RULE_IDS: [&str; 8] = ["R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8"];
+pub const RULE_IDS: [&str; 9] = ["R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9"];
 
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,7 +33,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line.
     pub line: usize,
-    /// Rule id (`R1`..`R8`, or `R0` for malformed suppressions).
+    /// Rule id (`R1`..`R9`, or `R0` for malformed suppressions).
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
@@ -162,6 +163,7 @@ pub fn run_all(ctx: &FileCtx) -> FileReport {
     r6_metric_names::check(ctx, &mut raw);
     r7_seed_arith::check(ctx, &mut raw);
     r8_http_responses::check(ctx, &mut raw);
+    r9_request_path_sleep::check(ctx, &mut raw);
 
     let allows = parse_allows(ctx.sc);
     let allowed = |line: usize, rule: &str| {

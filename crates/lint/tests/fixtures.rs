@@ -144,6 +144,29 @@ fn r8_exempts_the_http_module_itself() {
 }
 
 #[test]
+fn r9_fires_on_sleeps_in_the_request_path_modules() {
+    let r = analyze_source(
+        "crates/service/src/ops.rs",
+        &fixture("r9_request_path_sleep.rs"),
+    );
+    assert_eq!(rules(&r), vec!["R9", "R9"], "{:#?}", r.findings);
+    assert_eq!(r.suppressed, 1);
+}
+
+#[test]
+fn r9_leaves_batch_mode_alone() {
+    let r = analyze_source(
+        "crates/service/src/batch.rs",
+        &fixture("r9_request_path_sleep.rs"),
+    );
+    assert!(
+        !rules(&r).contains(&"R9"),
+        "R9 fired outside the request path: {:#?}",
+        r.findings
+    );
+}
+
+#[test]
 fn findings_carry_rustc_style_renderings() {
     let r = analyze_source("crates/optim/src/fixture.rs", &fixture("r2_float_cmp.rs"));
     let first = &r.findings[0];

@@ -22,9 +22,10 @@
 //! `serve` and `route` share the listener and trace flags (`--addr`,
 //! `--read-timeout-ms`, `--write-timeout-ms`, `--max-body-bytes`, `--trace-out`,
 //! `--trace-ring-cap`), and both list their endpoints at `GET /`.  They install a
-//! SIGTERM handler: on receipt the process stops accepting connections and drains
-//! (in-flight jobs under the `--drain-ms` budget for serve; the prober thread for
-//! route).
+//! SIGTERM handler, which raises [`STOP_REQUESTED`].  On it serve refuses new jobs
+//! with a `503` but keeps answering reads and probes while its in-flight jobs
+//! drain under the `--drain-ms` budget, then exits; route stops its prober and
+//! exits.
 
 use juliqaoa_service::{
     load_job_file, run_batch_sharded, run_batch_with, BatchOptions, Engine, FsyncPolicy, JobFile,
@@ -35,7 +36,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Set by the SIGTERM handler; polled by the serve accept loop.
+/// Set by the SIGTERM handler.  The tier's accept loop blocks in `accept()`;
+/// its stop watcher sees this flag within 20 ms and wakes it.
 static STOP_REQUESTED: AtomicBool = AtomicBool::new(false);
 
 fn main() -> ExitCode {

@@ -1,7 +1,7 @@
 //! The ops layer the serve and route tiers are thin users of.
 //!
-//! Both HTTP tiers answer the same way: one nonblocking accept loop polled
-//! every 10 ms, one connection at a time under the timeouts and body cap of
+//! Both HTTP tiers answer the same way: one accept loop that blocks in
+//! `accept()`, one connection at a time under the timeouts and body cap of
 //! their [`OpsConfig`], and dispatch through a declarative route table.  Each
 //! tier declares its routes once, beside their handlers, as
 //! `(method, path, summary, handler)` entries (`Route`, `Tier::ROUTES`); a
@@ -13,20 +13,32 @@
 //! `GET /version`, `GET /trace` (the process's span ring — stage spans and
 //! lifecycle events alike), `GET /trace/:id` (one trace's spans as a tree,
 //! merged with the tier's `Tier::remote_spans`) and `POST /shutdown`.
+//!
+//! No timer wakes the accept loop; an event does.  `POST /shutdown` runs on the
+//! accept thread, so the loop sees its flag as soon as that connection ends.
+//! Any other stop (an external flag, the end of serve's drain) wakes the
+//! blocked `accept()` by opening one connection to the listener's own address
+//! ([`wake`]), and a connection accepted once the loop is stopped is dropped
+//! unread.  The only poller is [`serve_until`]'s stop watcher, which no request
+//! ever waits on.
 
 use crate::http::{read_request_limited, write_error, write_json, Request, DEFAULT_MAX_BODY_BYTES};
 use crate::spans::{default_trace_cap, span_to_value, trace_body, trace_collector, version_value};
 use crate::spec::JobSpec;
 use juliqaoa_telemetry::{Span, SpanCollector, TraceId};
 use serde::{Serialize, Value};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How long the accept loop sleeps when no connection is waiting.
-const POLL: Duration = Duration::from_millis(10);
+/// How often the stop watcher looks at an external stop flag, and re-sends its
+/// wake-up until the accept loop has returned.
+const WATCH: Duration = Duration::from_millis(20);
+
+/// Connect timeout of a wake-up connection.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Listener, request-limit and trace settings shared by `serve` and `route`.
 #[derive(Clone, Debug)]
@@ -70,18 +82,18 @@ pub(crate) struct Ops {
     /// The process's one span ring: stage spans and lifecycle events, mirrored
     /// to `--trace-out`.
     pub spans: Arc<SpanCollector>,
-    /// Set by `POST /shutdown`; the accept loop stops at its next poll.
+    /// Set by `POST /shutdown`, which runs on the accept thread: the loop
+    /// stops as soon as that connection ends.
     pub stop_requested: AtomicBool,
     /// When the tier was bound (the uptime gauges).
     pub started: Instant,
 }
 
 impl Ops {
-    /// Binds the listener (nonblocking, for the poll loop) and opens the span
-    /// ring and its trace file.
+    /// Binds the (blocking) listener and opens the span ring and its trace
+    /// file.
     pub(crate) fn bind(config: &OpsConfig) -> std::io::Result<(TcpListener, Ops)> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let ops = Ops {
             spans: trace_collector(config.trace_path.as_deref(), config.trace_ring_cap)?,
             config: config.clone(),
@@ -192,27 +204,83 @@ fn routes<S: Tier>() -> impl Iterator<Item = &'static Route<S>> {
 }
 
 /// Serves connections until `stop` is raised or `POST /shutdown` arrives.
-pub(crate) fn serve_until<S: Tier>(listener: &TcpListener, tier: &S, stop: &AtomicBool) {
-    while !stop.load(Ordering::SeqCst) && !tier.ops().stop_requested.load(Ordering::SeqCst) {
-        accept_one(listener, tier);
+///
+/// A stop-watcher thread runs beside the loop: it looks at `stop` every 20 ms
+/// and, once it is raised, wakes the loop ([`wake`]) on every tick until the
+/// loop has returned.  It exits with the loop.
+pub(crate) fn serve_until<S: Tier>(
+    listener: &TcpListener,
+    tier: &S,
+    stop: &AtomicBool,
+) -> std::io::Result<()> {
+    let returned = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .name("qaoa-stop-watcher".into())
+            .spawn_scoped(scope, || {
+                while !returned.load(Ordering::SeqCst) {
+                    if stop.load(Ordering::SeqCst) {
+                        wake(listener);
+                    }
+                    // lint:allow(R9, the stop watcher is the one poller; no request waits on it)
+                    std::thread::sleep(WATCH);
+                }
+            })?;
+        // Raised on return and on unwind alike: the watcher never outlives the
+        // loop, and the scope never waits on a watcher that cannot see it end.
+        let _returned = RaiseOnDrop(&returned);
+        serve_while(listener, tier, || {
+            stop.load(Ordering::SeqCst) || tier.ops().stop_requested.load(Ordering::SeqCst)
+        });
+        Ok(())
+    })
+}
+
+/// Raises its flag when dropped.
+struct RaiseOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for RaiseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
     }
 }
 
-/// Serves the waiting connection, if any; otherwise sleeps one poll interval.
-pub(crate) fn accept_one<S: Tier>(listener: &TcpListener, tier: &S) {
-    match listener.accept() {
-        Ok((mut stream, _)) => handle_connection(tier, &mut stream),
-        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
-        Err(_) => {}
+/// Serves connections, blocked in `accept()` between them, until `stopped()`
+/// holds.  Whatever makes it hold from another thread must then [`wake`] the
+/// loop.  A connection accepted once `stopped()` holds is dropped unread: it
+/// is a wake-up, or a client that arrived after the stop.
+pub(crate) fn serve_while<S: Tier>(listener: &TcpListener, tier: &S, stopped: impl Fn() -> bool) {
+    while !stopped() {
+        if let Ok((mut stream, _)) = listener.accept() {
+            if !stopped() {
+                handle_connection(tier, &mut stream);
+            }
+        }
     }
+}
+
+/// Wakes an accept loop blocked on `listener` with one connection to the
+/// listener's own address (an unspecified IP, `0.0.0.0` or `::`, replaced by
+/// loopback), closed unsent.  A failed connect is left to the caller to retry.
+pub(crate) fn wake(listener: &TcpListener) {
+    if let Ok(addr) = listener.local_addr() {
+        let _ = TcpStream::connect_timeout(&reachable(addr), WAKE_TIMEOUT);
+    }
+}
+
+/// `addr` with an unspecified IP replaced by loopback of the same family.
+fn reachable(mut addr: SocketAddr) -> SocketAddr {
+    match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    addr
 }
 
 /// Handles one connection end to end.
 fn handle_connection<S: Tier>(tier: &S, stream: &mut TcpStream) {
     let config = &tier.ops().config;
-    // The accepted socket must not inherit nonblocking mode: request reads
-    // rely on the configured read timeout, not on a WouldBlock spin.
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(config.read_timeout_ms.max(1))));
     let _ = stream.set_write_timeout(Some(Duration::from_millis(config.write_timeout_ms.max(1))));
     let request = match read_request_limited(stream, config.max_body_bytes) {
@@ -377,6 +445,14 @@ mod tests {
         assert_eq!(route("/jobs/:id").matches("/jobs"), None);
         assert_eq!(route("/jobs").matches("/jobsx"), None);
         assert_eq!(route("/").matches("/jobs"), None);
+    }
+
+    #[test]
+    fn a_wake_up_reaches_a_wildcard_listener_over_loopback() {
+        let addr = |s: &str| s.parse::<SocketAddr>().expect("socket address");
+        assert_eq!(reachable(addr("0.0.0.0:7878")), addr("127.0.0.1:7878"));
+        assert_eq!(reachable(addr("[::]:7878")), addr("[::1]:7878"));
+        assert_eq!(reachable(addr("10.1.2.3:80")), addr("10.1.2.3:80"));
     }
 
     #[test]

@@ -51,7 +51,7 @@ use juliqaoa_telemetry::{encode, PromWriter, Span, Stage, TraceId};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -218,31 +218,32 @@ impl Router {
     }
 
     /// [`Router::run`], but also stops when `stop` becomes true (SIGTERM hook).
+    /// The prober stops as soon as the accept loop returns.
     pub fn run_until(self, stop: &AtomicBool) -> std::io::Result<()> {
-        let prober_stop = Arc::new(AtomicBool::new(false));
+        // Nothing is ever sent: dropping the sender stops the prober.
+        let (stop_prober, prober_stop) = mpsc::channel::<()>();
         let prober = {
             let state = self.state.clone();
-            let stop = prober_stop.clone();
             std::thread::Builder::new()
                 .name("qaoa-router-prober".into())
-                .spawn(move || prober_loop(&state, &stop))?
+                .spawn(move || prober_loop(&state, &prober_stop))?
         };
-        ops::serve_until(&self.listener, &*self.state, stop);
-        prober_stop.store(true, Ordering::SeqCst);
+        let served = ops::serve_until(&self.listener, &*self.state, stop);
+        drop(stop_prober);
         let _ = prober.join();
-        Ok(())
+        served
     }
 }
 
 /// Health-probe loop: one `/readyz` round per interval, circuit-breaker state
 /// driven by the outcomes.  Down backends are only probed when their seeded
-/// half-open cooldown has elapsed.
-fn prober_loop(state: &RouterState, stop: &AtomicBool) {
+/// half-open cooldown has elapsed.  Returns once `stop`'s sender is dropped.
+fn prober_loop(state: &RouterState, stop: &mpsc::Receiver<()>) {
     let interval = Duration::from_millis(state.cluster.config().probe_interval_ms.max(10));
     let timeout = Duration::from_millis(state.cluster.config().probe_timeout_ms.max(1));
-    while !stop.load(Ordering::SeqCst) {
+    loop {
         for index in 0..state.cluster.backends().len() {
-            if stop.load(Ordering::SeqCst) {
+            if let Err(mpsc::TryRecvError::Disconnected) = stop.try_recv() {
                 return;
             }
             if !state.cluster.should_probe(index) {
@@ -277,12 +278,9 @@ fn prober_loop(state: &RouterState, stop: &AtomicBool) {
             };
             state.trace_transition(transition);
         }
-        // Sleep in small steps so shutdown is prompt even with long intervals.
-        let mut slept = Duration::ZERO;
-        while slept < interval && !stop.load(Ordering::SeqCst) {
-            let step = (interval - slept).min(Duration::from_millis(20));
-            std::thread::sleep(step);
-            slept += step;
+        // Wait out the interval on the stop channel: a stop ends the wait.
+        if let Err(mpsc::RecvTimeoutError::Disconnected) = stop.recv_timeout(interval) {
+            return;
         }
     }
 }
@@ -361,6 +359,7 @@ fn place(
         if attempt > 0 {
             // Seeded failover pacing: the schedule is a pure function of
             // (retry seed, job id, attempt), so chaos runs replay exactly.
+            // lint:allow(R9, seeded failover backoff between attempts on a failing backend)
             std::thread::sleep(state.cluster.config().retry.delay(id, attempt - 1));
         }
         // Propagate the trace id so the backend adopts it instead of

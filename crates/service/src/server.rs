@@ -36,6 +36,7 @@ use std::collections::{HashMap, VecDeque};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -354,11 +355,11 @@ impl Server {
     }
 
     /// [`Server::run`], but also stops when `stop` becomes true — the hook the
-    /// binary uses to turn SIGTERM into a graceful drain.  The listener is
-    /// polled nonblockingly so an external stop is noticed between connections,
-    /// not only after the next client happens to connect.
+    /// binary uses to turn SIGTERM into a graceful drain.  The accept loop
+    /// blocks in `accept()`; the ops layer's stop watcher sees `stop` within
+    /// 20 ms and wakes it, so an external stop needs no client to connect.
     pub fn run_until(self, stop: &AtomicBool) -> std::io::Result<()> {
-        ops::serve_until(&self.listener, &*self.state, stop);
+        ops::serve_until(&self.listener, &*self.state, stop)?;
         self.drain()
     }
 
@@ -370,46 +371,58 @@ impl Server {
     /// The listener keeps answering *while* the pool drains — `/readyz` says
     /// 503 (drain observed, stop routing here), `/healthz` stays 200 (alive,
     /// don't restart) — so a router's health prober never races the SIGTERM
-    /// shutdown window against a connection-refused error.
+    /// shutdown window against a connection-refused error.  The thread that
+    /// joins the workers ends the drain: it closes the watchdog's channel and
+    /// wakes the accept loop.
     fn drain(self) -> std::io::Result<()> {
-        self.state.draining.store(true, Ordering::SeqCst);
+        let state = &*self.state;
+        let listener = &self.listener;
+        state.draining.store(true, Ordering::SeqCst);
         event(
-            &self.state.ops.spans,
+            &state.ops.spans,
             OPS_TRACE,
             "drain",
             "",
-            format!("budget {} ms", self.state.config.drain_ms),
+            format!("budget {} ms", state.config.drain_ms),
         );
-        self.state.queue.begin_shutdown();
-        let drained = Arc::new(AtomicBool::new(false));
-        let watchdog = {
-            let state = self.state.clone();
-            let drained = drained.clone();
-            let deadline = Instant::now() + Duration::from_millis(state.config.drain_ms);
-            std::thread::spawn(move || {
-                while !drained.load(Ordering::SeqCst) {
-                    if Instant::now() >= deadline {
-                        let jobs = state.jobs.lock().expect("jobs lock");
-                        for record in jobs.values() {
-                            if matches!(record.state(), JobState::Queued | JobState::Running) {
-                                record.cancel.store(true, Ordering::SeqCst);
-                            }
-                        }
-                        return;
+        state.queue.begin_shutdown();
+        let workers = self.workers;
+        let drained = AtomicBool::new(false);
+        // Nothing is ever sent: dropping the sender is the end of the drain.
+        let (drain_over, watchdog) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            std::thread::Builder::new()
+                .name("qaoa-drain-watchdog".into())
+                .spawn_scoped(scope, move || {
+                    let budget = Duration::from_millis(state.config.drain_ms);
+                    if let Err(RecvTimeoutError::Timeout) = watchdog.recv_timeout(budget) {
+                        cancel_live_jobs(state);
                     }
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-            })
-        };
-        while self.workers.iter().any(|w| !w.is_finished()) {
-            ops::accept_one(&self.listener, &*self.state);
+                })?;
+            std::thread::Builder::new()
+                .name("qaoa-drain-join".into())
+                .spawn_scoped(scope, || {
+                    for worker in workers {
+                        let _ = worker.join();
+                    }
+                    drained.store(true, Ordering::SeqCst);
+                    drop(drain_over);
+                    ops::wake(listener);
+                })?;
+            ops::serve_while(listener, state, || drained.load(Ordering::SeqCst));
+            Ok(())
+        })
+    }
+}
+
+/// The drain watchdog's last resort: cooperatively cancels every job still
+/// queued or running.
+fn cancel_live_jobs(state: &ServiceState) {
+    let jobs = state.jobs.lock().expect("jobs lock");
+    for record in jobs.values() {
+        if matches!(record.state(), JobState::Queued | JobState::Running) {
+            record.cancel.store(true, Ordering::SeqCst);
         }
-        for worker in self.workers {
-            let _ = worker.join();
-        }
-        drained.store(true, Ordering::SeqCst);
-        let _ = watchdog.join();
-        Ok(())
     }
 }
 

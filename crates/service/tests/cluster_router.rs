@@ -9,8 +9,8 @@ use juliqaoa_service::{
 use serde::Value;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
@@ -700,4 +700,76 @@ fn trace_fanout_skips_a_tripped_backend_instead_of_stalling_the_router() {
     live.stop.store(true, std::sync::atomic::Ordering::SeqCst);
     live.handle.join().unwrap();
     drop(wedged);
+}
+
+/// The median of `count` sequential `GET path` round trips to `addr`, in ms.
+fn median_read_ms(addr: SocketAddr, path: &str, count: usize) -> f64 {
+    let mut times: Vec<f64> = (0..count)
+        .map(|_| {
+            let started = Instant::now();
+            let (status, body) = request(addr, "GET", path, None);
+            assert_eq!(status, 200, "GET {path}: {body}");
+            started.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[count / 2]
+}
+
+#[test]
+fn sequential_reads_wait_on_no_accept_poll() {
+    // Every read is a fresh connection.  An accept loop that sleeps whenever
+    // no connection is waiting charges each read up to one sleep per tier (a
+    // 10 ms poll read ~10 ms straight to serve and ~20 ms through route); a
+    // loop blocked in accept() answers in a fraction of a millisecond.
+    let backend = start_backend();
+    let (router, router_handle) = start_router(vec![backend.addr.to_string()], None);
+    let json = serde_json::to_string(&spec("seq-read", 0)).unwrap();
+    assert_eq!(request(router, "POST", "/jobs", Some(&json)).0, 202);
+    assert_eq!(poll_until_done(router, "seq-read").status, "done");
+    for (tier, addr) in [("serve", backend.addr), ("route", router)] {
+        let median = median_read_ms(addr, "/jobs/seq-read", 50);
+        assert!(
+            median < 3.0,
+            "{tier}: the median of 50 sequential status reads took {median:.2} ms"
+        );
+    }
+    assert_eq!(request(router, "POST", "/shutdown", None).0, 200);
+    router_handle.join().unwrap();
+    backend.stop.store(true, Ordering::SeqCst);
+    backend.handle.join().unwrap();
+}
+
+#[test]
+fn an_idle_router_stops_on_its_external_stop_flag() {
+    // SIGTERM reaches a router as its stop flag (`run_until(&STOP_REQUESTED)`
+    // in the binary).  With no client traffic, nothing but the ops layer's stop
+    // watcher can wake the accept loop blocked in accept().
+    let mut config = RouterConfig {
+        ops: OpsConfig::at("127.0.0.1:0"),
+        ..RouterConfig::default()
+    };
+    config.cluster.backends = vec!["127.0.0.1:1".into()];
+    let router = Router::bind(config).expect("bind router");
+    let router_addr = router.local_addr().unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let (returned, router_returned) = mpsc::channel();
+    {
+        let stop = stop.clone();
+        std::thread::spawn(move || {
+            let _ = returned.send(router.run_until(&stop).is_ok());
+        });
+    }
+    // Once an answer has been read to its end the loop is back in accept(),
+    // and no connection follows.
+    assert_eq!(request(router_addr, "GET", "/healthz", None).0, 200);
+    let raised = Instant::now();
+    stop.store(true, Ordering::SeqCst);
+    let outcome = router_returned.recv_timeout(Duration::from_secs(2));
+    assert_eq!(
+        outcome,
+        Ok(true),
+        "the router was still running {:?} after its stop flag went up",
+        raised.elapsed()
+    );
 }

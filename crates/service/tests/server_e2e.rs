@@ -10,6 +10,7 @@ use juliqaoa_telemetry::Span;
 use serde::Value;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Sends one HTTP/1.1 request and returns the raw response (status line,
@@ -764,4 +765,65 @@ fn unaddressable_job_ids_are_refused_at_submit() {
     assert_eq!(metrics.jobs_submitted, 0);
     assert_eq!(request(addr, "POST", "/shutdown", None).0, 200);
     handle.join().expect("server thread");
+}
+
+#[test]
+fn a_shutdown_with_a_running_job_ends_when_the_job_does() {
+    // `POST /shutdown` while a job runs starts the drain, and no client
+    // connects after it.  The accept loop is blocked in accept() by then, so
+    // only the thread that joins the workers can end the drain: it must wake
+    // the loop once the job is done.
+    let results = std::env::temp_dir().join(format!(
+        "juliqaoa_e2e_shutdown_drain_{}.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&results);
+    let server = Server::bind(ServerConfig {
+        ops: OpsConfig::at("127.0.0.1:0"),
+        workers: 1,
+        results_path: Some(results.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr().unwrap();
+    let (returned, server_returned) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = returned.send(server.run().is_ok());
+    });
+
+    let mut slow = sample_spec("drain-running");
+    slow.problem = ProblemSpec::MaxCutGnp { n: 10, instance: 0 };
+    slow.optimizer = OptimizerSpec::GridSearch { resolution: 70 };
+    let json = serde_json::to_string(&slow).unwrap();
+    let (status, body) = request(addr, "POST", "/jobs", Some(&json));
+    assert_eq!(status, 202, "{body}");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (_, body) = request(addr, "GET", "/jobs/drain-running", None);
+        let job: JobStatusBody = serde_json::from_str(&body).expect("status json");
+        if job.status == "running" {
+            break;
+        }
+        assert_eq!(
+            job.status, "queued",
+            "the job must still be running: {body}"
+        );
+        assert!(Instant::now() < deadline, "the job never started");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let (status, _) = request(addr, "POST", "/shutdown", None);
+    assert_eq!(status, 200);
+
+    let outcome = server_returned.recv_timeout(Duration::from_secs(30));
+    assert_eq!(
+        outcome,
+        Ok(true),
+        "the server did not return once its running job finished"
+    );
+    // The job ran to the end under the drain; the drain budget (10 s by
+    // default) did not cancel it.
+    let text = std::fs::read_to_string(&results).unwrap_or_default();
+    assert!(text.contains("drain-running"), "{text}");
+    assert!(text.contains("\"status\":\"done\""), "{text}");
+    let _ = std::fs::remove_file(&results);
 }
