@@ -18,18 +18,24 @@
 //! per distinct value), with kernels pinned serial as the job service's workers run
 //! them.  Each row asserts the two agree on the exact expectation to 1e-10 relative.
 //!
+//! The `full_state_sampled_eval` rows time one sampled evaluation (the same CVaR-0.2
+//! over 2,048 shots, drawn as per-class counts over the phase classes) against one
+//! exact evaluation of transverse-field MaxCut at p = 2, serial kernels, no prefix
+//! reuse, the two alternating point by point: what sampling adds to an evaluation.
+//!
 //! Usage:
 //!   `cargo run --release -p juliqaoa_bench --bin bench_sampling [output.json] [--smoke]`
 //!
 //! `--smoke` runs a small configuration for CI and asserts the flat-throughput
 //! property (largest-dim draw rate within 5x of the smallest-dim rate — a loose
-//! bound that still fails if drawing ever becomes O(dim)).
+//! bound that still fails if drawing ever becomes O(dim)) and that a sampled
+//! evaluation costs at most 2x an exact one.
 
 use juliqaoa_bench::git_describe;
 use juliqaoa_bench::instances::{paper_maxcut_instance, paper_sat_instance_with};
 use juliqaoa_core::{Angles, Simulator};
 use juliqaoa_mixers::Mixer;
-use juliqaoa_optim::{Objective, SampledObjective};
+use juliqaoa_optim::{Objective, QaoaObjective, SampledObjective};
 use juliqaoa_problems::{precompute_full, DegeneracyTable, MaxCut};
 use juliqaoa_sampling::{SampleState, ShotEstimator, StateSampler};
 use rand::rngs::StdRng;
@@ -65,6 +71,17 @@ struct GroverRow {
 }
 
 #[derive(Serialize)]
+struct FullStateRow {
+    n: usize,
+    dim: usize,
+    classes: usize,
+    shots: u64,
+    exact_us_per_eval: f64,
+    sampled_us_per_eval: f64,
+    sampled_over_exact: f64,
+}
+
+#[derive(Serialize)]
 struct Snapshot {
     description: String,
     git: String,
@@ -74,13 +91,14 @@ struct Snapshot {
     shot_shard_size: u64,
     rows: Vec<Row>,
     grover_sampled_eval: Vec<GroverRow>,
+    full_state_sampled_eval: Vec<FullStateRow>,
 }
 
 /// Shots per sampled Grover evaluation, as in the `sampled-grid` service workload.
 const GROVER_SHOTS: u64 = 2048;
 
 /// Mean µs per cold `SampledObjective` evaluation over `points` (no prefix reuse:
-/// every evaluation evolves both rounds, builds its alias table and draws its shots).
+/// every evaluation evolves both rounds and draws its shots).
 fn us_per_sampled_eval(sim: &Simulator, points: &[Vec<f64>]) -> f64 {
     let estimator = ShotEstimator::CVaR { alpha: 0.2 };
     let mut objective =
@@ -91,6 +109,54 @@ fn us_per_sampled_eval(sim: &Simulator, points: &[Vec<f64>]) -> f64 {
         black_box(objective.value(x));
     }
     started.elapsed().as_secs_f64() * 1e6 / points.len() as f64
+}
+
+fn full_state_row(n: usize) -> FullStateRow {
+    let obj = precompute_full(&MaxCut::new(paper_maxcut_instance(n, 0)));
+    let sim = Simulator::new(obj, Mixer::transverse_field(n)).expect("consistent setup");
+    let classes = sim
+        .phase_classes()
+        .expect("MaxCut values are compressible")
+        .num_classes();
+    let mut rng = StdRng::seed_from_u64(13);
+    // A few tenths of a second of evaluations at every n.
+    let count = ((1usize << 22) >> n).clamp(8, 2000);
+    let points: Vec<Vec<f64>> = (0..count)
+        .map(|_| Angles::random(2, &mut rng).to_flat())
+        .collect();
+    // Exact and sampled evaluations alternate point by point, so drift in the
+    // machine's speed lands on both alike.
+    let mut exact = QaoaObjective::new(&sim).without_prefix_reuse();
+    let estimator = ShotEstimator::CVaR { alpha: 0.2 };
+    let mut sampled =
+        SampledObjective::new(&sim, GROVER_SHOTS, estimator, 0x5A3).without_prefix_reuse();
+    black_box((exact.value(&points[0]), sampled.value(&points[0])));
+    let (mut exact_s, mut sampled_s) = (0.0, 0.0);
+    for x in &points {
+        let started = Instant::now();
+        black_box(exact.value(x));
+        exact_s += started.elapsed().as_secs_f64();
+        let started = Instant::now();
+        black_box(sampled.value(x));
+        sampled_s += started.elapsed().as_secs_f64();
+    }
+    let exact_us = exact_s * 1e6 / count as f64;
+    let sampled_us = sampled_s * 1e6 / count as f64;
+    let row = FullStateRow {
+        n,
+        dim: sim.dim(),
+        classes,
+        shots: GROVER_SHOTS,
+        exact_us_per_eval: exact_us,
+        sampled_us_per_eval: sampled_us,
+        sampled_over_exact: sampled_us / exact_us,
+    };
+    eprintln!(
+        "full state n={n:2} dim={:>8} classes={:>3}  exact eval {:9.1}µs  sampled eval \
+         {:9.1}µs  ({:4.2}x)",
+        row.dim, row.classes, exact_us, sampled_us, row.sampled_over_exact
+    );
+    row
 }
 
 fn grover_row(n: usize) -> GroverRow {
@@ -120,7 +186,9 @@ fn grover_row(n: usize) -> GroverRow {
     // About a quarter second of full-state evaluations at every n.
     let full_points = &points[..((1usize << 24) >> n).clamp(10, points.len())];
     let full_us = us_per_sampled_eval(&full, full_points);
-    let class_us = us_per_sampled_eval(&classes, &points);
+    // Ten passes over the points: a class-space evaluation takes microseconds.
+    let passes: Vec<Vec<f64>> = (0..10).flat_map(|_| points.iter().cloned()).collect();
+    let class_us = us_per_sampled_eval(&classes, &passes);
     let row = GroverRow {
         n,
         dim: full.dim(),
@@ -224,10 +292,14 @@ fn main() {
     } else {
         vec![14, 16, 18, 20]
     };
-    let grover_rows: Vec<GroverRow> = {
+    let full_state_ns: Vec<usize> = if smoke { vec![10, 14] } else { vec![14, 18] };
+    let (grover_rows, full_state_rows): (Vec<GroverRow>, Vec<FullStateRow>) = {
         // Serial kernels, as the job service's workers run them.
         let _serial = juliqaoa_linalg::enter_outer_parallelism();
-        grover_ns.iter().map(|&n| grover_row(n)).collect()
+        (
+            grover_ns.iter().map(|&n| grover_row(n)).collect(),
+            full_state_ns.iter().map(|&n| full_state_row(n)).collect(),
+        )
     };
 
     if smoke {
@@ -240,6 +312,16 @@ fn main() {
             last * 5.0 >= first,
             "draw throughput collapsed with dimension: {first:.0} -> {last:.0} shots/s"
         );
+        // Per-class counts cost O(classes): sampling must not dominate an evaluation.
+        // (The bar is 1.3x; 2x keeps the smoke clear of timing noise on shared CI.)
+        for row in &full_state_rows {
+            assert!(
+                row.sampled_over_exact <= 2.0,
+                "a sampled eval costs {:.2}x an exact one at n={}",
+                row.sampled_over_exact,
+                row.n
+            );
+        }
     }
 
     let snapshot = Snapshot {
@@ -249,7 +331,11 @@ fn main() {
                       bit-identical across shard schedules. grover_sampled_eval: mean µs \
                       per cold CVaR-0.2 sampled evaluation (2048 shots, p=2, random 3-SAT \
                       at density 6, serial kernels) on the full-state simulator vs in \
-                      Grover class space; exact expectations asserted within 1e-10"
+                      Grover class space; exact expectations asserted within 1e-10. \
+                      full_state_sampled_eval: mean µs per cold sampled evaluation (the \
+                      same CVaR-0.2 over 2048 shots, drawn as per-class counts) vs per \
+                      cold exact evaluation, transverse-field MaxCut G(n,0.5), p=2, serial \
+                      kernels, the two alternating point by point"
             .to_string(),
         git: git_describe(),
         cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
@@ -258,6 +344,7 @@ fn main() {
         shot_shard_size: juliqaoa_sampling::SHOT_SHARD_SIZE,
         rows,
         grover_sampled_eval: grover_rows,
+        full_state_sampled_eval: full_state_rows,
     };
     let json = serde_json::to_string_pretty(&snapshot).expect("snapshot serialises");
     std::fs::write(&output, json).expect("snapshot file is writable");

@@ -44,5 +44,5 @@ pub use error::QaoaError;
 pub use gradient::{adjoint_gradient, adjoint_gradient_cached, AdjointGradient};
 pub use prefix::{PrefixCache, PrefixStats};
 pub use result::SimulationResult;
-pub use simulator::{InitialState, Simulator};
+pub use simulator::{InitialState, Simulator, ValueClasses};
 pub use workspace::Workspace;

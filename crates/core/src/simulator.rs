@@ -49,6 +49,49 @@ pub enum InitialState {
     Custom(Vec<Complex64>),
 }
 
+/// How a simulator's measurement outcomes group into objective-value classes — the
+/// outcomes a sampled evaluation draws per-class counts over
+/// ([`Simulator::value_classes`]).
+#[derive(Clone, Copy, Debug)]
+pub enum ValueClasses<'a> {
+    /// Grover class space: every amplitude is one class already, and class `c` has
+    /// value `values[c]` (the simulator's objective values).
+    ClassSpace {
+        /// The value of each class.
+        values: &'a [f64],
+    },
+    /// States grouped by their [`PhaseClasses`] index.
+    Indexed(&'a PhaseClasses),
+}
+
+impl<'a> ValueClasses<'a> {
+    /// The objective value of each class.
+    pub fn values(&self) -> &'a [f64] {
+        match self {
+            ValueClasses::ClassSpace { values } => values,
+            ValueClasses::Indexed(classes) => classes.distinct_values(),
+        }
+    }
+
+    /// Writes the measurement probability of each class in `state` into `out`
+    /// (resized to the class count): `|φ_c|²` in class space, `Σ_{x∈c} |ψ_x|²` by one
+    /// fixed-chunk pass over the class index otherwise
+    /// ([`vector::class_probabilities`]), so the bits never depend on the thread
+    /// count.
+    pub fn probabilities(&self, state: &[Complex64], out: &mut Vec<f64>) {
+        match self {
+            ValueClasses::ClassSpace { .. } => {
+                out.clear();
+                out.extend(state.iter().map(|z| z.norm_sqr()));
+            }
+            ValueClasses::Indexed(classes) => {
+                out.resize(classes.num_classes(), 0.0);
+                vector::class_probabilities(state, classes.class_indices(), out);
+            }
+        }
+    }
+}
+
 /// An exact QAOA statevector simulator over a pre-computed problem.
 #[derive(Clone, Debug)]
 pub struct Simulator {
@@ -147,6 +190,18 @@ impl Simulator {
     /// The phase-class compression in use, if the objective was compressible.
     pub fn phase_classes(&self) -> Option<&PhaseClasses> {
         self.phase_classes.as_ref()
+    }
+
+    /// The value classes a sampled evaluation draws counts over: every amplitude in
+    /// Grover class space, the phase classes of a compressible objective, `None` for
+    /// an objective that stays dense (whose draws resolve individual states).
+    pub fn value_classes(&self) -> Option<ValueClasses<'_>> {
+        if self.class_reference().is_some() {
+            return Some(ValueClasses::ClassSpace {
+                values: &self.obj_vals,
+            });
+        }
+        self.phase_classes.as_ref().map(ValueClasses::Indexed)
     }
 
     /// Replaces the initial state (the `initial_state` keyword of `simulate()`); used for

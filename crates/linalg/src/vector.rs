@@ -296,6 +296,66 @@ pub fn amplitude_sum(state: &[Complex64]) -> Complex64 {
     chunked_sum(state.len(), |r| state[r].iter().copied().sum::<Complex64>())
 }
 
+/// The measurement probability of each value class, `out[c] = Σ_{x: class_idx[x] = c}
+/// |ψ_x|²`, over `out.len()` classes.
+///
+/// One pass over the state.  A state of at most one [`REDUCTION_CHUNK`] accumulates
+/// in index order; a longer one adds one per-class partial per chunk into `out`, in
+/// chunk order on both paths, so the bits depend only on the input.  The parallel
+/// path holds one partial per thread at a time.
+///
+/// # Panics
+/// Panics if `state` and `class_idx` lengths differ or a class index is out of
+/// range of `out`.
+pub fn class_probabilities(state: &[Complex64], class_idx: &[u16], out: &mut [f64]) {
+    assert_eq!(
+        state.len(),
+        class_idx.len(),
+        "class probabilities: state and class-index vectors must match"
+    );
+    let accumulate = |range: Range<usize>, acc: &mut [f64]| {
+        for (z, &k) in state[range.clone()].iter().zip(&class_idx[range]) {
+            acc[k as usize] += z.norm_sqr();
+        }
+    };
+    let len = state.len();
+    out.fill(0.0);
+    if len <= REDUCTION_CHUNK {
+        accumulate(0..len, out);
+        return;
+    }
+    let chunk = |c: usize| c * REDUCTION_CHUNK..len.min((c + 1) * REDUCTION_CHUNK);
+    let chunks = len.div_ceil(REDUCTION_CHUNK);
+    let add_into = |out: &mut [f64], partial: &[f64]| {
+        for (o, p) in out.iter_mut().zip(partial) {
+            *o += p;
+        }
+    };
+    if parallel_kernels_enabled(len) {
+        let group = rayon::current_num_threads().max(1);
+        for first in (0..chunks).step_by(group) {
+            let partials: Vec<Vec<f64>> = (first..chunks.min(first + group))
+                .into_par_iter()
+                .map(|c| {
+                    let mut acc = vec![0.0; out.len()];
+                    accumulate(chunk(c), &mut acc);
+                    acc
+                })
+                .collect();
+            for partial in &partials {
+                add_into(out, partial);
+            }
+        }
+    } else {
+        let mut acc = vec![0.0; out.len()];
+        for c in 0..chunks {
+            acc.fill(0.0);
+            accumulate(chunk(c), &mut acc);
+            add_into(out, &acc);
+        }
+    }
+}
+
 /// Elementwise copy `dst ← src`.
 ///
 /// # Panics
@@ -569,6 +629,41 @@ mod tests {
             assert_eq!(bits(inner_weighted(&a, &b, &w)), bits(expected));
             let _outer = crate::enter_outer_parallelism();
             assert_eq!(bits(inner_weighted(&a, &b, &w)), bits(expected));
+        }
+    }
+
+    #[test]
+    fn class_probabilities_are_chunked_sums_on_both_paths() {
+        for n in [37, 4 * REDUCTION_CHUNK + 3] {
+            let v = vec_of(n, |i| {
+                Complex64::new((i as f64 * 0.37).sin(), 0.1 * (i % 11) as f64)
+            });
+            let class_idx: Vec<u16> = (0..n).map(|i| ((i * 7) % 5) as u16).collect();
+            // Per class, the index-order sum of per-chunk serial partials.
+            let expected: Vec<u64> = (0..5u16)
+                .map(|c| {
+                    v.chunks(REDUCTION_CHUNK)
+                        .zip(class_idx.chunks(REDUCTION_CHUNK))
+                        .map(|(zs, ks)| {
+                            zs.iter()
+                                .zip(ks)
+                                .filter(|(_, &k)| k == c)
+                                .map(|(z, _)| z.norm_sqr())
+                                .sum::<f64>()
+                        })
+                        .reduce(|a, b| a + b)
+                        .unwrap()
+                        .to_bits()
+                })
+                .collect();
+            let run = || {
+                let mut out = vec![f64::NAN; 5];
+                class_probabilities(&v, &class_idx, &mut out);
+                out.iter().map(|p| p.to_bits()).collect::<Vec<u64>>()
+            };
+            assert_eq!(run(), expected, "n={n}");
+            let _outer = crate::enter_outer_parallelism();
+            assert_eq!(run(), expected, "n={n}, serial path");
         }
     }
 

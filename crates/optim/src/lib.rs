@@ -57,4 +57,4 @@ pub use objective::{
     FnObjective, GradientMethod, Objective, OptimizeResult, PrefixCacheHome, QaoaObjective,
 };
 pub use random_restart::{random_restart, random_restart_with_control, RandomRestartOptions};
-pub use sampled::SampledObjective;
+pub use sampled::{SampledObjective, ShotDraw};

@@ -8,15 +8,24 @@
 //! measurements of the final state.  This is what angle finding against hardware (or
 //! a risk-aware objective) actually optimizes.
 //!
+//! Every estimator depends only on how many shots landed on each objective value.
+//! So on a simulator with value classes ([`Simulator::value_classes`]: Grover class
+//! space, or a compressible objective's phase classes) an evaluation draws the
+//! per-class counts directly, as one [`multinomial()`] over the class probabilities:
+//! `O(classes)` per evaluation, whatever the shot count.  Only an objective without
+//! classes draws its shots one at a time, through a [`StateSampler`].
+//!
 //! # Determinism
 //!
-//! Shot noise is *frozen per evaluation point*: the sampler's seed for an evaluation
-//! at `x` is derived from the objective's base seed and the exact bit patterns of
-//! `x` (`fold_bits` + `derive_stream_seed`), so evaluating the same point twice —
-//! or from different worker threads, or in a different scan order — draws the same
-//! shots and returns the same value bit-for-bit.  Combined with the sampler's
-//! thread-independent shard streams, every optimizer driver in this crate
-//! (`grid_search`, `random_restart`, `basinhopping`) stays bit-identical across
+//! Shot noise is *frozen per evaluation point*: the stream of an evaluation at `x`
+//! is derived from the objective's base seed and the exact bit patterns of `x`
+//! (`fold_bits` + `derive_stream_seed`), and the evaluation makes one multinomial
+//! draw from it over class probabilities summed in fixed chunks.  So evaluating the
+//! same point twice — or from different worker threads, or in a different scan
+//! order — draws the same counts and returns the same value bit-for-bit.  (The
+//! per-shot path derives its shard streams from the same seed and is
+//! thread-independent too.)  Every optimizer driver in this crate (`grid_search`,
+//! `random_restart`, `basinhopping`) therefore stays bit-identical across
 //! `RAYON_NUM_THREADS` settings when fed sampled objectives, exactly as with exact
 //! ones.
 //!
@@ -28,18 +37,36 @@
 use crate::objective::{Objective, PrefixCacheHome};
 use juliqaoa_combinatorics::{derive_stream_seed, fold_bits};
 use juliqaoa_core::{Angles, PrefixCache, PrefixStats, Simulator, Workspace};
-use juliqaoa_sampling::{SampleCounts, ShotEstimator, StateSampler};
+use juliqaoa_linalg::Complex64;
+use juliqaoa_sampling::{multinomial, SampleCounts, ShotEstimator, StateSampler};
+use juliqaoa_telemetry::kernels::KERNELS;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Domain tag separating per-evaluation sampling streams from other derived streams
 /// (see `juliqaoa_combinatorics::seeding`).
 const EVAL_DOMAIN: u64 = 0x5A11;
 
+/// One evaluation's shots: the counts per outcome and the objective value of each
+/// outcome, from one place, so an estimator can never pair a class histogram with
+/// per-state values.
+#[derive(Clone, Debug)]
+pub struct ShotDraw<'a> {
+    /// Shots per outcome: per value class when the simulator has classes, per
+    /// feasible state otherwise.
+    pub counts: SampleCounts,
+    /// The objective value of each outcome of `counts`.
+    pub values: &'a [f64],
+}
+
 /// A shot-estimated QAOA objective (negated, like every objective here: optimizers
 /// minimise, QAOA maximises).
 pub struct SampledObjective<'a> {
     sim: &'a Simulator,
     ws: Workspace,
+    /// Class probabilities of the last evaluation (reused buffer).
+    class_probs: Vec<f64>,
     prefix: Option<PrefixCache>,
     home: Option<&'a PrefixCacheHome>,
     shots: u64,
@@ -66,6 +93,7 @@ impl<'a> SampledObjective<'a> {
             .expect("estimator parameters are valid");
         SampledObjective {
             ws: sim.workspace(),
+            class_probs: Vec::new(),
             sim,
             prefix: Some(PrefixCache::new()),
             home: None,
@@ -131,8 +159,8 @@ impl<'a> SampledObjective<'a> {
         self.evals
     }
 
-    /// The sampler seed used for an evaluation at `x`: a pure function of the base
-    /// seed and the point's bit patterns.
+    /// The seed of an evaluation's stream at `x`: a pure function of the base seed
+    /// and the point's bit patterns.
     fn eval_seed(&self, x: &[f64]) -> u64 {
         derive_stream_seed(
             self.seed,
@@ -141,25 +169,50 @@ impl<'a> SampledObjective<'a> {
         )
     }
 
-    /// Evolves to `|β,γ⟩` at `x` and draws this objective's shot histogram — the
-    /// readout path the job service uses to report per-sample results at the best
-    /// angles found.
-    pub fn counts_at(&mut self, x: &[f64]) -> SampleCounts {
+    /// Evolves to `|β,γ⟩` at `x` and draws this objective's shots — the draw
+    /// [`Objective::value`] estimates from, and the readout path the job service
+    /// uses to report per-sample results at the best angles found.
+    ///
+    /// With value classes the counts are per class, drawn by one [`multinomial()`]
+    /// over the class probabilities; without, they are per state, drawn shot by shot.
+    pub fn counts_at(&mut self, x: &[f64]) -> ShotDraw<'a> {
         let angles = Angles::from_flat(x);
         match self.prefix.as_mut() {
             Some(cache) => self.sim.evolve_cached(&angles, &mut self.ws, cache),
             None => self.sim.evolve_into(&angles, &mut self.ws),
         }
         .expect("simulator and angles are mutually consistent");
-        let sampler = StateSampler::from_probabilities(
-            self.ws.state.iter().map(|z| z.norm_sqr()),
-            self.eval_seed(x),
-        );
         if let Some(tally) = self.shot_tally {
             // relaxed: shot-count statistic; commutative add read only for reporting.
             tally.fetch_add(self.shots, Ordering::Relaxed);
         }
-        sampler.sample_counts(self.shots)
+        let seed = self.eval_seed(x);
+        let sim: &'a Simulator = self.sim;
+        match sim.value_classes() {
+            Some(classes) => {
+                classes.probabilities(&self.ws.state, &mut self.class_probs);
+                KERNELS.class_draws.inc();
+                KERNELS.shots_drawn.add(self.shots);
+                let mut rng = StdRng::seed_from_u64(seed);
+                ShotDraw {
+                    counts: multinomial(&self.class_probs, self.shots, &mut rng),
+                    values: classes.values(),
+                }
+            }
+            None => ShotDraw {
+                counts: StateSampler::from_probabilities(
+                    self.ws.state.iter().map(|z| z.norm_sqr()),
+                    seed,
+                )
+                .sample_counts(self.shots),
+                values: sim.objective_values(),
+            },
+        }
+    }
+
+    /// The final state of the last [`SampledObjective::counts_at`] evaluation.
+    pub fn state(&self) -> &[Complex64] {
+        &self.ws.state
     }
 }
 
@@ -180,10 +233,8 @@ impl Objective for SampledObjective<'_> {
 
     fn value(&mut self, x: &[f64]) -> f64 {
         self.evals += 1;
-        let counts = self.counts_at(x);
-        -self
-            .estimator
-            .estimate(&counts, self.sim.objective_values())
+        let draw = self.counts_at(x);
+        -self.estimator.estimate(&draw.counts, draw.values)
     }
 
     fn evaluations(&self) -> usize {
@@ -196,17 +247,121 @@ mod tests {
     use super::*;
     use crate::control::RunControl;
     use crate::gridsearch::{grid_search_ordered, qaoa_axis_order};
+    use juliqaoa_combinatorics::DickeSubspace;
+    use juliqaoa_core::ValueClasses;
     use juliqaoa_graphs::erdos_renyi;
     use juliqaoa_linalg::enter_outer_parallelism;
     use juliqaoa_mixers::Mixer;
-    use juliqaoa_problems::{precompute_full, MaxCut};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use juliqaoa_problems::{
+        degeneracies_full, precompute_dicke, precompute_full, DensestKSubgraph, MaxCut,
+    };
 
     fn small_sim() -> Simulator {
         let graph = erdos_renyi(6, 0.5, &mut StdRng::seed_from_u64(12));
         let obj = precompute_full(&MaxCut::new(graph));
         Simulator::new(obj, Mixer::transverse_field(6)).unwrap()
+    }
+
+    /// A simulator of each kind that has value classes: full state, a Dicke
+    /// subspace under the Clique mixer, and Grover class space.
+    fn class_sims() -> Vec<(&'static str, Simulator)> {
+        let graph = erdos_renyi(8, 0.5, &mut StdRng::seed_from_u64(4));
+        let dks = DensestKSubgraph::new(graph, 4);
+        let dicke = precompute_dicke(&dks, &DickeSubspace::new(8, 4));
+        let maxcut = MaxCut::new(erdos_renyi(6, 0.5, &mut StdRng::seed_from_u64(12)));
+        vec![
+            ("full", small_sim()),
+            (
+                "clique",
+                Simulator::new(dicke, Mixer::clique(8, 4)).unwrap(),
+            ),
+            (
+                "grover",
+                Simulator::grover_classes(&degeneracies_full(&maxcut, 1)).unwrap(),
+            ),
+        ]
+    }
+
+    /// The two-sample χ² statistic of two histograms with equal totals, over the
+    /// outcomes holding at least 20 shots between them (the rest pooled into one
+    /// cell), with its degrees of freedom.
+    fn homogeneity_chi2(a: &[u64], b: &[u64]) -> (f64, usize) {
+        let mut cells: Vec<(f64, f64)> = Vec::new();
+        let mut rest = (0.0, 0.0);
+        for (&x, &y) in a.iter().zip(b) {
+            if x + y >= 20 {
+                cells.push((x as f64, y as f64));
+            } else {
+                rest = (rest.0 + x as f64, rest.1 + y as f64);
+            }
+        }
+        if rest.0 + rest.1 > 0.0 {
+            cells.push(rest);
+        }
+        let chi2 = cells.iter().map(|(x, y)| (x - y).powi(2) / (x + y)).sum();
+        (chi2, cells.len().saturating_sub(1))
+    }
+
+    #[test]
+    fn class_draws_agree_in_distribution_with_the_aggregated_alias_draw() {
+        let shots = 1u64 << 18;
+        for (name, sim) in class_sims() {
+            let classes = sim
+                .value_classes()
+                .expect("every simulator here has classes");
+            let x = Angles::random(2, &mut StdRng::seed_from_u64(4)).to_flat();
+            let mut obj = SampledObjective::new(&sim, shots, ShotEstimator::Mean, 5);
+            let draw = obj.counts_at(&x);
+            assert_eq!(draw.values, classes.values(), "{name}");
+            assert_eq!(draw.counts.shots(), shots);
+            // The same state drawn shot by shot, summed per class.
+            let alias =
+                StateSampler::from_probabilities(obj.state().iter().map(|z| z.norm_sqr()), 6)
+                    .sample_counts(shots);
+            let mut aggregated = vec![0u64; draw.counts.dim()];
+            match classes {
+                ValueClasses::ClassSpace { .. } => aggregated.copy_from_slice(alias.as_slice()),
+                ValueClasses::Indexed(phase) => {
+                    for (i, &c) in phase.class_indices().iter().enumerate() {
+                        aggregated[c as usize] += alias.count(i);
+                    }
+                }
+            }
+            let (chi2, dof) = homogeneity_chi2(draw.counts.as_slice(), &aggregated);
+            assert!(dof >= 2, "{name}: only {dof} degrees of freedom");
+            // Mean + 7σ of the χ² law: a ~1e-6 false alarm, and the draw is seeded.
+            let bound = dof as f64 + 7.0 * (2.0 * dof as f64).sqrt();
+            assert!(chi2 <= bound, "{name}: χ² = {chi2} over {dof} dof");
+        }
+    }
+
+    #[test]
+    fn class_draw_values_are_bit_identical_under_outer_parallelism() {
+        // 2¹⁷ states: two reduction chunks, so the unguarded class-probability pass
+        // takes its parallel path and the guarded one its serial path.
+        let graph = erdos_renyi(17, 0.5, &mut StdRng::seed_from_u64(2));
+        let obj = precompute_full(&MaxCut::new(graph));
+        let sim = Simulator::new(obj, Mixer::transverse_field(17)).unwrap();
+        assert!(matches!(
+            sim.value_classes(),
+            Some(ValueClasses::Indexed(_))
+        ));
+        let points: Vec<Vec<f64>> = (0..3)
+            .map(|i| Angles::random(1, &mut StdRng::seed_from_u64(i)).to_flat())
+            .collect();
+        let run = || {
+            let mut obj = SampledObjective::new(&sim, 2048, ShotEstimator::CVaR { alpha: 0.2 }, 8);
+            points
+                .iter()
+                .map(|x| obj.value(x).to_bits())
+                .collect::<Vec<u64>>()
+        };
+        let unguarded = run();
+        let guarded = {
+            let _outer = enter_outer_parallelism();
+            run()
+        };
+        assert_eq!(unguarded, guarded);
     }
 
     #[test]

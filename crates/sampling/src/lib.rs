@@ -4,21 +4,28 @@
 //! every use of QAOA on hardware is shot-based — draw bitstrings from `|ψ_x|²`, then
 //! estimate.  This crate is that measurement layer:
 //!
+//! * [`multinomial`](mod@multinomial) — exact per-outcome counts in O(outcomes):
+//!   [`binomial`] (BTRD above a mean of 10, inversion below) and [`multinomial()`], a
+//!   chain of conditional binomials.  A sampled evaluation on a simulator with value
+//!   classes draws its shots this way, one count per class, whatever the shot count;
 //! * [`alias::AliasTable`] — Walker/Vose alias sampling: O(dim) build from a final
 //!   statevector, O(1) per shot afterwards;
-//! * [`sampler::StateSampler`] — deterministic seeded shot batching: fixed-size RNG
-//!   shards with seeds derived per shard index
+//! * [`sampler::StateSampler`] — per-shot draws for states without value classes:
+//!   fixed-size RNG shards with seeds derived per shard index
 //!   (`juliqaoa_combinatorics::seeding`), merged by exact integer addition, so a
 //!   histogram is **bit-identical across thread counts**;
 //! * [`sampler::SampleCounts`] / [`sampler::IndexMap`] — histograms over dense
-//!   feasible-set indices and the map back to computational basis states (identity or
-//!   Dicke-subspace unranking);
+//!   feasible-set indices or value classes, and the map back to computational basis
+//!   states (identity or Dicke-subspace unranking);
 //! * [`estimator`] — the [`ShotEstimator`] family: sample mean, CVaR-α, the Gibbs
 //!   objective `−ln⟨e^{−ηC}⟩`, empirical optimal-solution frequency,
 //!   approximation-ratio histograms and best-sampled-bitstring extraction.
 //!
 //! The [`SampleState`] extension trait hangs a cheap `sampler(seed)` constructor off
-//! [`SimulationResult`], so the full path from simulation to shot estimate is:
+//! [`SimulationResult`], for per-shot draws over the full measurement distribution
+//! (the optimizer's sampled objective draws class counts instead, see
+//! `juliqaoa_optim::SampledObjective`).  The full path from simulation to shot
+//! estimate is:
 //!
 //! ```
 //! use juliqaoa_core::{Angles, Simulator};
@@ -39,6 +46,7 @@
 
 pub mod alias;
 pub mod estimator;
+pub mod multinomial;
 pub mod sampler;
 
 pub use alias::AliasTable;
@@ -46,11 +54,17 @@ pub use estimator::{
     best_sampled, cvar, gibbs, optimal_frequency, ratio_histogram, sample_mean,
     validate_objective_values, ShotEstimator,
 };
+pub use multinomial::{binomial, multinomial};
 pub use sampler::{IndexMap, SampleCounts, StateSampler, SHOT_SHARD_SIZE};
 
 use juliqaoa_core::SimulationResult;
 
-/// Extension trait giving simulation results a shot sampler.
+/// Extension trait giving simulation results a per-shot sampler.
+///
+/// The sampler resolves every shot to a basis state, which a readout of individual
+/// bitstrings needs.  Estimators need only the count per objective value: for those,
+/// [`multinomial()`] over the value-class probabilities draws the same distribution
+/// in O(classes) (`juliqaoa_core::ValueClasses::probabilities`).
 pub trait SampleState {
     /// Builds an O(1)-per-shot sampler over this state's measurement distribution
     /// `|ψ_x|²`, with all shot streams derived from `seed`.  O(dim) — one pass over

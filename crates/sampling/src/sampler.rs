@@ -29,7 +29,8 @@ pub const SHOT_SHARD_SIZE: u64 = 1 << 14;
 /// `juliqaoa_combinatorics::seeding`).
 const SHARD_DOMAIN: u64 = 0xD1CE;
 
-/// A histogram of measured dense indices.
+/// A histogram of measured outcomes: dense state indices when drawn by a
+/// [`StateSampler`], value classes when drawn by [`crate::multinomial()`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SampleCounts {
     counts: Vec<u64>,
@@ -37,31 +38,38 @@ pub struct SampleCounts {
 }
 
 impl SampleCounts {
+    /// A histogram from per-outcome counts that sum to `shots`.
+    pub(crate) fn from_counts(counts: Vec<u64>, shots: u64) -> Self {
+        debug_assert_eq!(counts.iter().sum::<u64>(), shots);
+        SampleCounts { counts, shots }
+    }
+
     /// Number of shots the histogram aggregates.
     #[inline]
     pub fn shots(&self) -> u64 {
         self.shots
     }
 
-    /// Number of possible outcomes (the feasible-set dimension).
+    /// Number of possible outcomes (the feasible-set dimension, or the number of
+    /// value classes).
     #[inline]
     pub fn dim(&self) -> usize {
         self.counts.len()
     }
 
-    /// How often dense index `i` was measured.
+    /// How often outcome `i` was measured.
     #[inline]
     pub fn count(&self, i: usize) -> u64 {
         self.counts[i]
     }
 
-    /// The raw histogram, indexed by dense state index.
+    /// The raw histogram, indexed by outcome.
     #[inline]
     pub fn as_slice(&self) -> &[u64] {
         &self.counts
     }
 
-    /// `(dense index, count)` pairs for outcomes that were measured at least once, in
+    /// `(outcome, count)` pairs for outcomes that were measured at least once, in
     /// index order.
     pub fn iter_nonzero(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.counts
@@ -76,7 +84,7 @@ impl SampleCounts {
         self.iter_nonzero().count()
     }
 
-    /// The empirical frequency of dense index `i`.
+    /// The empirical frequency of outcome `i`.
     pub fn frequency(&self, i: usize) -> f64 {
         self.counts[i] as f64 / self.shots as f64
     }

@@ -20,6 +20,12 @@
 //! fields need per-state draws, made inside the sampled classes (see
 //! `class_space_draws`).
 //!
+//! Sample jobs draw each evaluation's shots as per-class counts whenever the
+//! simulator has value classes (class space, or the phase classes of a full-state or
+//! Dicke objective; see `SampledObjective`), so the estimate is `O(classes)` per
+//! evaluation.  A full-state or Dicke readout resolves the best point's class counts
+//! to member states in proportion to `|ψ_x|²` (see `member_draws`).
+//!
 //! Two caches sit under that statelessness, both transparent to results:
 //!
 //! 1. the **instance cache** above (objective vector + compression, keyed by
@@ -47,16 +53,17 @@ use crate::spec::{
     SampleReport, SamplingSpec, RATIO_HISTOGRAM_BINS,
 };
 use juliqaoa_combinatorics::{derive_stream_seed, fold_bits, DickeSubspace};
-use juliqaoa_core::{Angles, QaoaError, Simulator};
+use juliqaoa_core::{Angles, QaoaError, Simulator, ValueClasses};
+use juliqaoa_linalg::Complex64;
 use juliqaoa_optim::{
     basinhopping_with_control, grid_search_ordered, qaoa_axis_order, random_restart_with_control,
     BasinHoppingOptions, Objective, OptimizeResult, PrefixCacheHome, QaoaObjective,
-    RandomRestartOptions, RunControl, SampledObjective,
+    RandomRestartOptions, RunControl, SampledObjective, ShotDraw,
 };
 use juliqaoa_problems::{
     precompute_dicke, precompute_full, DegeneracyTable, InstanceId, PhaseClasses,
 };
-use juliqaoa_sampling::{estimator, IndexMap, SampleCounts};
+use juliqaoa_sampling::{estimator, multinomial, IndexMap, SampleCounts};
 use juliqaoa_telemetry::{SpanCollector, Stage};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -826,38 +833,46 @@ impl Engine {
             // and the partial result already carries the estimator's best value.
             Some(_) if timed_out => None,
             Some(s) => {
-                let obj_vals = sim.objective_values();
                 let shot_estimator = s.estimator.build();
                 let mut readout = SampledObjective::new(sim, s.shots, shot_estimator, s.seed)
                     .with_cache_home(&home)
                     .with_shot_tally(&shot_tally);
-                let counts = readout.counts_at(&res.x);
-                drop(readout);
+                let draw = readout.counts_at(&res.x);
+                let (counts, values) = (&draw.counts, draw.values);
                 // The finiteness gate above makes this infallible for instances the
                 // engine admits; the checked boundary stays as a second line of
                 // defence should a non-finite value ever reach the readout.
                 let estimate = shot_estimator
-                    .try_estimate(&counts, obj_vals)
+                    .try_estimate(counts, values)
                     .map_err(ServiceError::Spec)?;
-                let exact_expectation = sim.expectation(&Angles::from_flat(&res.x))?;
                 let map = match problem.subspace_k {
                     Some(k) => IndexMap::dicke(problem.n, k),
                     None => IndexMap::full(problem.n),
                 };
-                let (best_idx, best_objective) = estimator::best_sampled(&counts, obj_vals);
-                // A class-space histogram counts values; the state-level fields draw
-                // member states inside the sampled classes.
-                let (best_state, distinct_outcomes) = match &slot.classes {
-                    Some(table) => class_space_draws(
+                let (best_outcome, best_objective) = estimator::best_sampled(counts, values);
+                // A histogram over value classes counts values; the state-level
+                // fields draw member states inside the sampled classes.
+                let (best_state, distinct_outcomes) = match (&slot.classes, sim.value_classes()) {
+                    (Some(table), _) => class_space_draws(
                         &prepared.values,
                         table,
-                        &counts,
-                        best_idx,
+                        counts,
+                        best_outcome,
                         &res.x,
                         s.seed,
                     ),
-                    None => (best_idx, counts.distinct_outcomes() as u64),
+                    (None, Some(ValueClasses::Indexed(classes))) => member_draws(
+                        readout.state(),
+                        classes.class_indices(),
+                        &draw,
+                        best_objective,
+                        &res.x,
+                        s.seed,
+                    ),
+                    _ => (best_outcome, counts.distinct_outcomes() as u64),
                 };
+                drop(readout);
+                let exact_expectation = sim.expectation(&Angles::from_flat(&res.x))?;
                 let (alpha, eta) = match s.estimator {
                     EstimatorSpec::Mean => (None, None),
                     EstimatorSpec::CVaR { alpha } => (Some(alpha), None),
@@ -876,11 +891,11 @@ impl Engine {
                     exact_expectation,
                     best_bitstring: map.bitstring_label(best_state),
                     best_objective,
-                    optimal_frequency: estimator::optimal_frequency(&counts, obj_vals),
+                    optimal_frequency: estimator::optimal_frequency(counts, values),
                     distinct_outcomes,
                     ratio_histogram: estimator::ratio_histogram(
-                        &counts,
-                        obj_vals,
+                        counts,
+                        values,
                         RATIO_HISTOGRAM_BINS,
                     ),
                     shots_total,
@@ -983,9 +998,60 @@ impl Default for Engine {
     }
 }
 
-/// Domain tag for the within-class member draws of a class-space readout (see
+/// Domain tag for the within-class member draws of a readout over value classes (see
 /// `juliqaoa_combinatorics::seeding`).
 const MEMBER_DOMAIN: u64 = 0xC1A5;
+
+/// The stream of class `class`'s member draws at readout point `x`.
+fn member_stream(seed: u64, x: &[f64], class: usize) -> StdRng {
+    let stream = fold_bits(x.iter().map(|v| v.to_bits()).chain([class as u64]));
+    StdRng::seed_from_u64(derive_stream_seed(seed, MEMBER_DOMAIN, stream))
+}
+
+/// The two state-level readout fields of a full-state or Dicke job whose simulator
+/// groups states into phase classes, as `(dense index of the best sampled state,
+/// distinct states sampled)`.  `draw` counts shots per class of `class_idx`.
+///
+/// Class `c`'s `k_c` shots land on its members in proportion to `|ψ_x|²`: one
+/// [`multinomial()`] over the members in index order, from a stream derived from the
+/// sampling seed, the readout point `x` and `c` (as in `class_space_draws`).  Its
+/// chain stops once the class's shots run out, so a class never costs more than its
+/// member count.  Distinct outcomes are the members drawn at least once, and the best
+/// state is the lowest-index member drawn among the classes of value `best_value`:
+/// both fields are distributed exactly as a full-state draw's.  Listing the members
+/// is the one `O(2ⁿ)` pass of the readout.
+fn member_draws(
+    state: &[Complex64],
+    class_idx: &[u16],
+    draw: &ShotDraw<'_>,
+    best_value: f64,
+    x: &[f64],
+    seed: u64,
+) -> (usize, u64) {
+    // The sampled classes' members, each class in index order.
+    let mut members: Vec<Vec<u32>> = vec![Vec::new(); draw.counts.dim()];
+    for (i, &c) in class_idx.iter().enumerate() {
+        if draw.counts.count(c as usize) > 0 {
+            members[c as usize].push(i as u32);
+        }
+    }
+    let mut distinct = 0;
+    let mut best_state = usize::MAX;
+    let mut probs = Vec::new();
+    for (class, shots) in draw.counts.iter_nonzero() {
+        let members = &members[class];
+        probs.clear();
+        probs.extend(members.iter().map(|&i| state[i as usize].norm_sqr()));
+        let drawn = multinomial(&probs, shots, &mut member_stream(seed, x, class));
+        distinct += drawn.distinct_outcomes() as u64;
+        if draw.values[class] == best_value {
+            if let Some((first, _)) = drawn.iter_nonzero().next() {
+                best_state = best_state.min(members[first] as usize);
+            }
+        }
+    }
+    (best_state, distinct)
+}
 
 /// The two state-level readout fields of a class-space (Grover) job, as
 /// `(dense index of the best sampled state, distinct states sampled)`.  `counts` is a
@@ -1010,8 +1076,7 @@ fn class_space_draws(
     let mut distinct = 0;
     let mut best_rank = 0;
     for (class, shots) in counts.iter_nonzero() {
-        let stream = fold_bits(x.iter().map(|v| v.to_bits()).chain([class as u64]));
-        let mut rng = StdRng::seed_from_u64(derive_stream_seed(seed, MEMBER_DOMAIN, stream));
+        let mut rng = member_stream(seed, x, class);
         let degeneracy = table.entries[class].1;
         let mut seen = HashSet::with_capacity(shots.min(degeneracy) as usize);
         let mut min_rank = u64::MAX;
@@ -1321,18 +1386,23 @@ mod tests {
             spec.mixer = MixerSpec::Grover;
             spec
         };
+        let dks = ProblemSpec::DensestKSubgraphGnp {
+            n: 8,
+            k: 4,
+            instance: 0,
+        };
+        let clique = {
+            let mut spec = grover("cvar-clique", dks.clone());
+            spec.mixer = MixerSpec::Clique;
+            spec
+        };
         for spec in [
+            // Phase classes over the full space and over a Dicke subspace (XY mixer).
             sample_job("cvar", EstimatorSpec::CVaR { alpha: 0.2 }, 2048),
+            clique,
             // Class space, on the full space and on a Dicke subspace.
             grover("cvar-grover", ProblemSpec::MaxCutGnp { n: 7, instance: 0 }),
-            grover(
-                "cvar-grover-dicke",
-                ProblemSpec::DensestKSubgraphGnp {
-                    n: 8,
-                    k: 4,
-                    instance: 0,
-                },
-            ),
+            grover("cvar-grover-dicke", dks.clone()),
         ] {
             let id = spec.id.as_str();
             let engine = Engine::new(8);
@@ -1348,7 +1418,10 @@ mod tests {
             assert_eq!(report.ratio_histogram.iter().sum::<u64>(), 2048);
             assert_eq!(report.shots_total, (a.function_evals as u64 + 1) * 2048);
             assert!(report.distinct_outcomes > 0);
-            assert!(report.distinct_outcomes <= report.shots, "{id}");
+            assert!(
+                report.distinct_outcomes <= report.shots.min(a.dim as u64),
+                "{id}"
+            );
             assert!(report.best_objective <= a.objective_max);
             // The best bitstring is a feasible state of the reported objective, and
             // the result's dimension is the feasible set's.

@@ -20,13 +20,18 @@
 //! through the checksummed [`crate::journal`]; and [`Server::run_until`] drains
 //! in-flight work under [`ServerConfig::drain_ms`] when an external stop flag
 //! (e.g. SIGTERM) is raised.
+//!
+//! Retention: serve tracks every queued and running job, but only the
+//! [`RETAINED_TERMINAL_JOBS`] most recently finished ones.  An older finished job's
+//! id answers `404` (its result is in the `--out` journal), and may be submitted
+//! again.
 
 use crate::engine::{Engine, EngineStats, ServiceError};
 use crate::http::{write_body, write_error, write_json, Request};
 use crate::journal::{FsyncPolicy, Journal};
 use crate::ops::{self, parse_submission, reply_json, Call, Ops, OpsConfig, Route, Tier};
 use crate::retry::RetryPolicy;
-use crate::spans::{close_job_span, event, OPS_TRACE, TRACE_HEADER};
+use crate::spans::{close_job_span, event, DEFAULT_TRACE_CAPACITY, OPS_TRACE, TRACE_HEADER};
 use crate::spec::{JobResult, JobSpec};
 use juliqaoa_linalg::enter_outer_parallelism;
 use juliqaoa_optim::RunControl;
@@ -40,6 +45,11 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// How many finished (done, failed, cancelled, timed-out or shed) jobs serve keeps
+/// for status and result reads: as many as the span ring keeps spans.  Past it, the
+/// oldest finished job leaves the table.
+pub const RETAINED_TERMINAL_JOBS: usize = DEFAULT_TRACE_CAPACITY;
 
 /// Configuration for [`Server::bind`].
 #[derive(Clone, Debug)]
@@ -158,6 +168,28 @@ impl JobRecord {
     }
 }
 
+/// Every job serve tracks: all queued and running jobs, and the
+/// [`RETAINED_TERMINAL_JOBS`] most recently finished ones.
+#[derive(Default)]
+struct JobTable {
+    records: HashMap<String, Arc<JobRecord>>,
+    /// Finished jobs, oldest first.
+    finished: VecDeque<Arc<JobRecord>>,
+}
+
+impl JobTable {
+    /// Records that `job` reached a terminal state, and drops the oldest finished
+    /// record beyond the retention limit.  Only finished jobs are ever dropped.
+    fn retire(&mut self, job: &Arc<JobRecord>) {
+        self.finished.push_back(job.clone());
+        while self.finished.len() > RETAINED_TERMINAL_JOBS {
+            if let Some(oldest) = self.finished.pop_front() {
+                self.records.remove(&oldest.spec.id);
+            }
+        }
+    }
+}
+
 /// Bounded FIFO queue with blocking pop and shutdown.
 struct WorkQueue {
     inner: Mutex<VecDeque<Arc<JobRecord>>>,
@@ -223,7 +255,7 @@ struct ServiceState {
     ops: Ops,
     engine: Engine,
     config: ServerConfig,
-    jobs: Mutex<HashMap<String, Arc<JobRecord>>>,
+    jobs: Mutex<JobTable>,
     queue: WorkQueue,
     submitted: Counter,
     completed: Counter,
@@ -314,7 +346,7 @@ impl Server {
         let state = Arc::new(ServiceState {
             ops,
             engine,
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::new(JobTable::default()),
             queue: WorkQueue::new(config.queue_capacity),
             submitted: Counter::new(),
             completed: Counter::new(),
@@ -419,7 +451,7 @@ impl Server {
 /// queued or running.
 fn cancel_live_jobs(state: &ServiceState) {
     let jobs = state.jobs.lock().expect("jobs lock");
-    for record in jobs.values() {
+    for record in jobs.records.values() {
         if matches!(record.state(), JobState::Queued | JobState::Running) {
             record.cancel.store(true, Ordering::SeqCst);
         }
@@ -454,9 +486,14 @@ fn worker_loop(state: &ServiceState) {
                 detail,
             )
         };
+        // The job's last transition: into `terminal`, and into the finished FIFO.
+        let finish = |terminal: JobState| {
+            record.set_state(terminal);
+            state.jobs.lock().expect("jobs lock").retire(&record);
+        };
         if record.cancel.load(Ordering::SeqCst) {
             job_event("cancelled", "cancelled while queued".into());
-            record.set_state(JobState::Cancelled);
+            finish(JobState::Cancelled);
             continue;
         }
         // Admission control: a job that already waited past the queue-wait
@@ -467,7 +504,7 @@ fn worker_loop(state: &ServiceState) {
                 *record.error.lock().expect("error lock") =
                     Some(format!("shed after waiting more than {limit} ms in queue"));
                 job_event("shed", format!("waited more than {limit} ms in queue"));
-                record.set_state(JobState::Shed);
+                finish(JobState::Shed);
                 state.shed.inc();
                 continue;
             }
@@ -537,7 +574,7 @@ fn worker_loop(state: &ServiceState) {
                 // The event lands before the state flips, so a client that
                 // sees the terminal status finds the event in `/trace`.
                 job_event(terminal.as_str(), String::new());
-                record.set_state(terminal);
+                finish(terminal);
                 if terminal == JobState::Done {
                     state.completed.inc();
                 }
@@ -557,7 +594,7 @@ fn worker_loop(state: &ServiceState) {
                     terminal.as_str()
                 };
                 job_event(name, err.to_string());
-                record.set_state(terminal);
+                finish(terminal);
             }
         }
         // Close the trace's root span: submission to terminal state, wrapping
@@ -689,15 +726,20 @@ fn handle_submit(state: &ServiceState, call: &mut Call<'_>) {
     let record = JobRecord::new(spec.clone(), trace);
     {
         let mut jobs = state.jobs.lock().expect("jobs lock");
-        if jobs.contains_key(&spec.id) {
+        if jobs.records.contains_key(&spec.id) {
             drop(jobs);
             write_error(stream, 409, &format!("job id {:?} already exists", spec.id));
             return;
         }
-        jobs.insert(spec.id.clone(), record.clone());
+        jobs.records.insert(spec.id.clone(), record.clone());
     }
     if !state.queue.try_push(record.clone()) {
-        state.jobs.lock().expect("jobs lock").remove(&spec.id);
+        state
+            .jobs
+            .lock()
+            .expect("jobs lock")
+            .records
+            .remove(&spec.id);
         state.rejected.inc();
         event(&state.ops.spans, trace, "reject", &spec.id, "queue full");
         write_error(stream, 429, "job queue is full, retry later");
@@ -709,9 +751,20 @@ fn handle_submit(state: &ServiceState, call: &mut Call<'_>) {
 }
 
 fn lookup(state: &ServiceState, call: &mut Call<'_>) -> Option<Arc<JobRecord>> {
-    let record = state.jobs.lock().expect("jobs lock").get(call.id).cloned();
+    let record = state
+        .jobs
+        .lock()
+        .expect("jobs lock")
+        .records
+        .get(call.id)
+        .cloned();
     if record.is_none() {
-        write_error(call.stream, 404, &format!("unknown job {:?}", call.id));
+        let message = format!(
+            "unknown job {:?}: serve keeps the last {RETAINED_TERMINAL_JOBS} finished jobs; \
+             older results are in the --out journal",
+            call.id
+        );
+        write_error(call.stream, 404, &message);
     }
     record
 }
@@ -785,7 +838,7 @@ fn job_state_counts(state: &ServiceState) -> (u64, u64, u64, u64, u64) {
     let mut timed_out = 0u64;
     let mut failed = 0u64;
     let jobs = state.jobs.lock().expect("jobs lock");
-    for record in jobs.values() {
+    for record in jobs.records.values() {
         match record.state() {
             JobState::Running => running += 1,
             JobState::Done => done += 1,

@@ -140,7 +140,7 @@ fn metric_families_and_stats_keys_keep_their_contract() {
     // Every family keeps its name, HELP and TYPE line; nothing is added.
     let serve_metrics = get(serve, "/metrics");
     assert_same_families(&serve_metrics, SERVE_FAMILIES);
-    assert_eq!(families(SERVE_FAMILIES).len(), 2 * 43);
+    assert_eq!(families(SERVE_FAMILIES).len(), 2 * 44);
     let route_metrics = get(route, "/metrics");
     assert_same_families(&route_metrics, ROUTE_FAMILIES);
     assert_eq!(families(ROUTE_FAMILIES).len(), 2 * 15);
@@ -167,7 +167,7 @@ fn metric_families_and_stats_keys_keep_their_contract() {
         assert!(serve_metrics.contains(&line), "missing {line:?}");
     }
     let kernel_fields = debug_fields(&format!("{:?}", KernelSnapshot::default()));
-    assert_eq!(kernel_fields.len(), 10, "{kernel_fields:?}");
+    assert_eq!(kernel_fields.len(), 11, "{kernel_fields:?}");
     for field in kernel_fields {
         let line = format!("# TYPE kernel_{field} counter\n");
         assert!(serve_metrics.contains(&line), "missing {line:?}");

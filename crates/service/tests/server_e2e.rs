@@ -4,7 +4,7 @@
 use juliqaoa_service::spans::span_from_value;
 use juliqaoa_service::{
     fault, FaultPlan, JobResult, JobSpec, JobStatusBody, MetricsBody, MixerSpec, OpsConfig,
-    OptimizerSpec, PanicFault, ProblemSpec, Server, ServerConfig,
+    OptimizerSpec, PanicFault, ProblemSpec, Server, ServerConfig, RETAINED_TERMINAL_JOBS,
 };
 use juliqaoa_telemetry::Span;
 use serde::Value;
@@ -647,6 +647,83 @@ fn queue_overflow_returns_429_and_cancellation_works() {
     for id in &accepted {
         poll_until_done(addr, id);
     }
+    let (status, _) = request(addr, "POST", "/shutdown", None);
+    assert_eq!(status, 200);
+    handle.join().expect("server thread");
+}
+
+/// The value of metric `name` in a Prometheus text body.
+fn metric(body: &str, name: &str) -> Option<u64> {
+    body.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .and_then(|v| v.parse().ok())
+}
+
+#[test]
+fn serve_keeps_only_the_most_recent_finished_jobs() {
+    // One worker, so jobs finish in submission order, and a queue that holds all.
+    let total = RETAINED_TERMINAL_JOBS + 8;
+    let server = Server::bind(ServerConfig {
+        ops: OpsConfig::at("127.0.0.1:0"),
+        workers: 1,
+        queue_capacity: total,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.run().unwrap());
+
+    let tiny = |i: usize| {
+        let mut spec = sample_spec(&format!("r{i}"));
+        spec.problem = ProblemSpec::MaxCutGnp { n: 4, instance: 0 };
+        spec.optimizer = OptimizerSpec::GridSearch { resolution: 1 };
+        serde_json::to_string(&spec).unwrap()
+    };
+    for i in 0..total {
+        let (status, body) = request(addr, "POST", "/jobs", Some(&tiny(i)));
+        assert_eq!(status, 202, "submit r{i}: {body}");
+    }
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let metrics = loop {
+        let (_, body) = request(addr, "GET", "/metrics", None);
+        if metric(&body, "jobs_completed") == Some(total as u64) {
+            break body;
+        }
+        assert!(Instant::now() < deadline, "jobs did not finish in time");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(
+        metric(&metrics, "jobs_done"),
+        Some(RETAINED_TERMINAL_JOBS as u64)
+    );
+
+    // The oldest finished jobs are gone from status, result and cancel alike; the
+    // error names the limit and where the results went.
+    for i in 0..8 {
+        for (method, path) in [
+            ("GET", format!("/jobs/r{i}")),
+            ("GET", format!("/jobs/r{i}/result")),
+            ("POST", format!("/jobs/r{i}/cancel")),
+        ] {
+            let (status, body) = request(addr, method, &path, None);
+            assert_eq!(status, 404, "{method} {path}: {body}");
+            assert!(
+                body.contains(&RETAINED_TERMINAL_JOBS.to_string()) && body.contains("--out"),
+                "{body}"
+            );
+        }
+    }
+    for i in 8..total {
+        let (status, body) = request(addr, "GET", &format!("/jobs/r{i}"), None);
+        assert_eq!(status, 200, "r{i}: {body}");
+    }
+    let (status, _) = request(addr, "GET", "/jobs/r8/result", None);
+    assert_eq!(status, 200);
+    // An evicted id is free again.
+    let (status, body) = request(addr, "POST", "/jobs", Some(&tiny(0)));
+    assert_eq!(status, 202, "{body}");
+    poll_until_done(addr, "r0");
+
     let (status, _) = request(addr, "POST", "/shutdown", None);
     assert_eq!(status, 200);
     handle.join().expect("server thread");

@@ -29,7 +29,9 @@ crate::counter_set! {
         "Evolutions that started from the initial state with no usable checkpoint.";
     prefix_rounds_saved: "kernel_prefix_rounds_saved",
         "QAOA rounds skipped by resuming from prefix checkpoints.";
-    shots_drawn: "kernel_shots_drawn", "Measurement shots drawn by the alias sampler.";
+    shots_drawn: "kernel_shots_drawn",
+        "Measurement shots drawn, per shot or as per-class counts.";
+    class_draws: "kernel_class_draws", "Sampled evaluations drawn as per-class counts.";
     objective_evals: "kernel_objective_evals",
         "Objective-function evaluations across all optimizers.";
 }
