@@ -1,23 +1,27 @@
 //! Kernel performance snapshot: dense vs table-driven phase separator, fused vs
 //! unfused Grover rounds, the Walsh–Hadamard transform on its default and serial
 //! schedules, Pauli-X expectation and adjoint-gradient calls with their transform
-//! counts, and the matrix-free Clique/Ring mixers (build, evolution at two angles,
+//! counts, the matrix-free Clique/Ring mixers (build, evolution at two angles,
 //! Hamiltonian apply; against the dense eigendecomposition where that is affordable),
-//! written to `BENCH_kernels.json` with the git revision and CPU count.
+//! cost-function precomputation (serial loop, `precompute_full`, `degeneracies_full`)
+//! and a constrained problem on its Dicke subspace against the same problem as a
+//! full-space penalty, written to `BENCH_kernels.json` with the git revision and CPU
+//! count.
 //!
-//! This is the machine-readable counterpart of `benches/phase_table.rs`, meant to seed
-//! the repo's performance trajectory: run it on a quiet machine and commit the JSON to
-//! compare across PRs.
+//! Kernel numbers live here and in the figure binaries, nowhere else: run it on a
+//! quiet machine and commit the JSON to compare across changes.
 //!
 //! Usage: `cargo run --release -p juliqaoa_bench --bin bench_kernels [output.json]`
 
 use juliqaoa_bench::harness::{git_describe, BenchTimer};
-use juliqaoa_bench::instances::paper_maxcut_instance;
 use juliqaoa_combinatorics::DickeSubspace;
 use juliqaoa_core::{adjoint_gradient, Angles, Simulator};
 use juliqaoa_linalg::{enter_outer_parallelism, vector, walsh, Complex64};
 use juliqaoa_mixers::{build_xy_hamiltonian, CustomMixer, Mixer, XYCoupling};
-use juliqaoa_problems::{precompute_full, MaxCut, PhaseClasses};
+use juliqaoa_problems::{
+    degeneracies_full, paper_maxcut_instance, precompute_dicke, precompute_full, CostFunction,
+    DensestKSubgraph, MaxCut, PhaseClasses,
+};
 use juliqaoa_telemetry::kernels;
 use serde::Serialize;
 use std::hint::black_box;
@@ -84,6 +88,31 @@ struct XyMixerRow {
 }
 
 #[derive(Serialize)]
+struct PrecomputeRow {
+    n: usize,
+    /// `CostFunction::evaluate` over all `2ⁿ` states in a plain serial loop.
+    serial_evaluate_ms: f64,
+    /// `precompute_full`: the same values, computed in parallel chunks.
+    precompute_full_ms: f64,
+    /// `degeneracies_full`: the `(value, count)` table of the class-space Grover path.
+    degeneracies_full_ms: f64,
+}
+
+#[derive(Serialize)]
+struct ConstrainedSubspaceRow {
+    n: usize,
+    k: usize,
+    /// p = 3 `expectation_with` of Densest-k-Subgraph on the `C(n,k)` Dicke subspace
+    /// with the Clique mixer.
+    dicke_clique_us: f64,
+    /// The same objective on the full `2ⁿ` space, infeasible states penalised, with
+    /// the transverse-field mixer: what a tool without subspace support runs.
+    full_space_penalty_us: f64,
+    /// `dicke_clique_us / full_space_penalty_us`.
+    subspace_over_penalty: f64,
+}
+
+#[derive(Serialize)]
 struct Snapshot {
     description: String,
     git: String,
@@ -95,6 +124,8 @@ struct Snapshot {
     walsh_hadamard: Vec<WalshHadamardRow>,
     pauli_x_gradient: Vec<PauliXGradientRow>,
     xy_mixer: Vec<XyMixerRow>,
+    precompute: Vec<PrecomputeRow>,
+    constrained_subspace: Vec<ConstrainedSubspaceRow>,
 }
 
 fn ms(d: std::time::Duration) -> f64 {
@@ -228,6 +259,53 @@ fn xy_mixer_row(coupling: XYCoupling, n: usize, k: usize) -> XyMixerRow {
     row
 }
 
+fn precompute_row(n: usize) -> PrecomputeRow {
+    let cost = MaxCut::new(paper_maxcut_instance(n, 0));
+    let timer = BenchTimer::new(if n >= 18 { 5 } else { 7 });
+    let (serial, _) = timer.measure(|| {
+        let values: Vec<f64> = (0..1u64 << n).map(|x| cost.evaluate(x)).collect();
+        black_box(values);
+    });
+    let (full, _) = timer.measure(|| drop(black_box(precompute_full(&cost))));
+    let workers = rayon::current_num_threads();
+    let (degeneracies, _) = timer.measure(|| drop(black_box(degeneracies_full(&cost, workers))));
+    PrecomputeRow {
+        n,
+        serial_evaluate_ms: ms(serial),
+        precompute_full_ms: ms(full),
+        degeneracies_full_ms: ms(degeneracies),
+    }
+}
+
+fn constrained_subspace_row(n: usize, k: usize) -> ConstrainedSubspaceRow {
+    let problem = DensestKSubgraph::new(paper_maxcut_instance(n, 1), k);
+    let angles = Angles::linear_ramp(3, 0.5);
+    let timer = BenchTimer::new(50);
+    let time_expectation = |sim: Simulator| {
+        let mut ws = sim.workspace();
+        timer
+            .measure(|| {
+                black_box(sim.expectation_with(&angles, &mut ws).expect("setup"));
+            })
+            .0
+    };
+    let subspace = precompute_dicke(&problem, &DickeSubspace::new(n, k));
+    let dicke = time_expectation(Simulator::new(subspace, Mixer::clique(n, k)).expect("setup"));
+    let penalty = (n * n) as f64;
+    let penalised: Vec<f64> = (0..1u64 << n)
+        .map(|x| problem.evaluate(x) - penalty * x.count_ones().abs_diff(k as u32) as f64)
+        .collect();
+    let full =
+        time_expectation(Simulator::new(penalised, Mixer::transverse_field(n)).expect("setup"));
+    ConstrainedSubspaceRow {
+        n,
+        k,
+        dicke_clique_us: us(dicke),
+        full_space_penalty_us: us(full),
+        subspace_over_penalty: dicke.as_secs_f64() / full.as_secs_f64(),
+    }
+}
+
 fn main() {
     let output = std::env::args()
         .nth(1)
@@ -344,6 +422,28 @@ fn main() {
         }
     }
 
+    let mut precompute_rows = Vec::new();
+    for n in [16, 18] {
+        let row = precompute_row(n);
+        println!(
+            "precompute       n={n:2}  serial {:>9.2} ms   precompute_full {:>9.2} ms   \
+             degeneracies_full {:>9.2} ms",
+            row.serial_evaluate_ms, row.precompute_full_ms, row.degeneracies_full_ms
+        );
+        precompute_rows.push(row);
+    }
+
+    let mut subspace_rows = Vec::new();
+    for (n, k) in [(10, 5), (12, 6)] {
+        let row = constrained_subspace_row(n, k);
+        println!(
+            "dks p=3  ({n:2},{k:2})  dicke+clique {:>9.1} µs   full-space penalty {:>9.1} µs   \
+             ratio {:.2}",
+            row.dicke_clique_us, row.full_space_penalty_us, row.subspace_over_penalty
+        );
+        subspace_rows.push(row);
+    }
+
     let snapshot = Snapshot {
         description: "juliqaoa kernel snapshot: dense vs table-driven phase separator \
                       (MaxCut G(n,0.5)), unfused vs fused GM-QAOA rounds, the Walsh-Hadamard \
@@ -351,8 +451,11 @@ fn main() {
                       GB/s computed from the radix-2 traffic), transverse-field MaxCut \
                       expectation and adjoint-gradient calls (µs) with the transforms one \
                       gradient makes, and matrix-free Clique/Ring XY mixers (build ms, apply \
-                      µs) against the dense eigendecomposition at n <= 12; times are minimum \
-                      over repetitions"
+                      µs) against the dense eigendecomposition at n <= 12, MaxCut cost \
+                      precomputation (serial loop, precompute_full, degeneracies_full; ms), and \
+                      p = 3 Densest-k-Subgraph on the Dicke subspace with the Clique mixer \
+                      against the full-space penalty objective with the X mixer (µs); times \
+                      are minimum over repetitions"
             .to_string(),
         git: git_describe(),
         cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
@@ -363,6 +466,8 @@ fn main() {
         walsh_hadamard: wht_rows,
         pauli_x_gradient: gradient_rows,
         xy_mixer: xy_rows,
+        precompute: precompute_rows,
+        constrained_subspace: subspace_rows,
     };
     let json = serde_json::to_string_pretty(&snapshot).expect("snapshot serialises");
     std::fs::write(&output, json).expect("snapshot file is writable");

@@ -32,11 +32,12 @@
 //! evaluation costs at most 2x an exact one.
 
 use juliqaoa_bench::git_describe;
-use juliqaoa_bench::instances::{paper_maxcut_instance, paper_sat_instance_with};
 use juliqaoa_core::{Angles, Simulator};
 use juliqaoa_mixers::Mixer;
 use juliqaoa_optim::{Objective, QaoaObjective, SampledObjective};
-use juliqaoa_problems::{precompute_full, DegeneracyTable, MaxCut};
+use juliqaoa_problems::{
+    paper_maxcut_instance, paper_sat_instance_with, precompute_full, DegeneracyTable, MaxCut,
+};
 use juliqaoa_sampling::{SampleState, ShotEstimator, StateSampler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

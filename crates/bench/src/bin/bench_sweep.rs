@@ -11,14 +11,13 @@
 //! `--smoke` runs a tiny configuration for CI: it additionally asserts that prefix
 //! reuse is not slower than full re-evolution (speedup ≥ 1).
 
-use juliqaoa_bench::instances::paper_maxcut_instance;
 use juliqaoa_core::{Angles, PrefixStats, Simulator};
 use juliqaoa_mixers::Mixer;
 use juliqaoa_optim::{
     grid_search_ordered, qaoa_axis_order, GradientMethod, Objective, OptimizeResult,
     PrefixCacheHome, QaoaObjective, RunControl,
 };
-use juliqaoa_problems::{precompute_full, MaxCut};
+use juliqaoa_problems::{paper_maxcut_instance, precompute_full, MaxCut};
 use juliqaoa_telemetry::Histogram;
 use serde::Serialize;
 use std::time::Instant;

@@ -13,14 +13,14 @@
 //!
 //! Run with: `cargo run -p juliqaoa-bench --release --bin fig2 [-- --full]`
 
-use juliqaoa_bench::instances::{paper_maxcut_instance, paper_sat_instance};
 use juliqaoa_bench::Series;
 use juliqaoa_combinatorics::DickeSubspace;
 use juliqaoa_core::Simulator;
 use juliqaoa_mixers::Mixer;
 use juliqaoa_optim::{find_angles, BasinHoppingOptions, IterativeOptions};
 use juliqaoa_problems::{
-    precompute_dicke, precompute_full, DensestKSubgraph, MaxCut, MaxKVertexCover,
+    paper_maxcut_instance, paper_sat_instance, precompute_dicke, precompute_full, DensestKSubgraph,
+    MaxCut, MaxKVertexCover,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;

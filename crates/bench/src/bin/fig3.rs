@@ -11,7 +11,6 @@
 //!
 //! Run with: `cargo run -p juliqaoa-bench --release --bin fig3 [-- --full]`
 
-use juliqaoa_bench::instances::paper_maxcut_instance;
 use juliqaoa_bench::Series;
 use juliqaoa_core::{Angles, Simulator};
 use juliqaoa_mixers::Mixer;
@@ -19,7 +18,7 @@ use juliqaoa_optim::{
     find_angles, median_angles, random_restart, BasinHoppingOptions, IterativeOptions,
     QaoaObjective, RandomRestartOptions,
 };
-use juliqaoa_problems::{precompute_full, MaxCut};
+use juliqaoa_problems::{paper_maxcut_instance, precompute_full, MaxCut};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -10,12 +10,11 @@
 //!
 //! Run with: `cargo run -p juliqaoa-bench --release --bin fig4b [-- --full]`
 
-use juliqaoa_bench::instances::paper_maxcut_instance;
 use juliqaoa_bench::{BenchTimer, Series};
 use juliqaoa_circuit::{maxcut_qaoa_expectation_gate_sim, DenseSimulator};
 use juliqaoa_core::{Angles, Simulator};
 use juliqaoa_mixers::Mixer;
-use juliqaoa_problems::{precompute_full, MaxCut};
+use juliqaoa_problems::{paper_maxcut_instance, precompute_full, MaxCut};
 use std::hint::black_box;
 
 struct Config {

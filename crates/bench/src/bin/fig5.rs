@@ -12,12 +12,11 @@
 //!
 //! Run with: `cargo run -p juliqaoa-bench --release --bin fig5 [-- --full]`
 
-use juliqaoa_bench::instances::paper_maxcut_instance;
 use juliqaoa_bench::Series;
 use juliqaoa_core::{Angles, Simulator};
 use juliqaoa_mixers::Mixer;
 use juliqaoa_optim::{bfgs, BfgsOptions, GradientMethod, QaoaObjective};
-use juliqaoa_problems::{precompute_full, MaxCut};
+use juliqaoa_problems::{paper_maxcut_instance, precompute_full, MaxCut};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;

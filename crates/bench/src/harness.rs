@@ -2,13 +2,6 @@
 
 use std::time::{Duration, Instant};
 
-/// Runs a closure and returns its result together with the elapsed wall-clock time.
-pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed())
-}
-
 /// `git describe --tags --always --dirty` of the working directory, or `"none"` outside
 /// a git checkout — the revision stamp the committed `BENCH_*.json` snapshots carry.
 pub fn git_describe() -> String {
@@ -108,13 +101,6 @@ impl Series {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn time_it_returns_result_and_duration() {
-        let (value, elapsed) = time_it(|| (0..1000).sum::<u64>());
-        assert_eq!(value, 499_500);
-        assert!(elapsed.as_nanos() > 0);
-    }
 
     #[test]
     fn bench_timer_min_le_mean() {

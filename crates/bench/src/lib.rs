@@ -1,14 +1,13 @@
-//! Shared infrastructure for the figure-regeneration binaries and criterion benches.
+//! Shared infrastructure for the figure-regeneration binaries and the perf-snapshot
+//! binaries (`bench_kernels`, `bench_sampling`, `bench_service`, `bench_sweep`).
 //!
-//! Each binary under `src/bin/` regenerates one figure of the paper (see DESIGN.md for
-//! the experiment index); this library holds the pieces they share: seeded instance
-//! generation matching the paper's setups, wall-clock timing helpers, and plain-text
-//! series output that can be redirected into EXPERIMENTS.md.
+//! Each `fig*` binary under `src/bin/` regenerates one figure of the paper, on the
+//! seeded instances of `juliqaoa_problems::paper_instances`; this library holds the
+//! pieces they share: repeated-measurement timing, the `git describe` stamp of the
+//! committed `BENCH_*.json` snapshots, plain-text series output, and job-file export.
 
 pub mod harness;
-pub mod instances;
 pub mod jobs;
 
-pub use harness::{git_describe, time_it, BenchTimer, Series};
-pub use instances::{paper_maxcut_instance, paper_sat_instance};
+pub use harness::{git_describe, BenchTimer, Series};
 pub use jobs::write_job_file;

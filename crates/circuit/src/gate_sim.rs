@@ -37,12 +37,6 @@ impl GateSimulator {
         &self.state
     }
 
-    /// Resets the simulator to `|0…0⟩`.
-    pub fn reset(&mut self) {
-        self.state.iter_mut().for_each(|z| *z = Complex64::ZERO);
-        self.state[0] = Complex64::ONE;
-    }
-
     /// Applies a whole circuit.
     ///
     /// # Panics
@@ -167,7 +161,7 @@ mod tests {
         sim.apply(Gate::Cnot(0, 1));
         assert!((sim.probability(0b11) - 1.0).abs() < EPS);
         // Bell state from |00⟩: H then CNOT.
-        sim.reset();
+        sim = GateSimulator::new(2);
         sim.apply(Gate::H(0));
         sim.apply(Gate::Cnot(0, 1));
         assert!((sim.probability(0b00) - 0.5).abs() < EPS);
@@ -203,7 +197,7 @@ mod tests {
         // HZH = X, so the qubit is flipped.
         assert!((sim.probability(1) - 1.0).abs() < EPS);
 
-        sim.reset();
+        sim = GateSimulator::new(1);
         sim.apply(Gate::H(0));
         sim.apply(Gate::Rz(0, std::f64::consts::PI));
         sim.apply(Gate::H(0));

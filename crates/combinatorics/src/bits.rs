@@ -5,40 +5,10 @@
 //! the public API, mirroring JuliQAOA's Julia interface, also accept explicit `&[u8]`
 //! 0/1 arrays; the converters here bridge the two representations.
 
-/// Returns bit `i` of `x` as a `bool`.
-#[inline]
-pub fn get_bit(x: u64, i: usize) -> bool {
-    (x >> i) & 1 == 1
-}
-
 /// Returns bit `i` of `x` as `0u8` or `1u8`.
 #[inline]
 pub fn bit_u8(x: u64, i: usize) -> u8 {
     ((x >> i) & 1) as u8
-}
-
-/// Returns `x` with bit `i` set.
-#[inline]
-pub fn set_bit(x: u64, i: usize) -> u64 {
-    x | (1u64 << i)
-}
-
-/// Returns `x` with bit `i` cleared.
-#[inline]
-pub fn clear_bit(x: u64, i: usize) -> u64 {
-    x & !(1u64 << i)
-}
-
-/// Returns `x` with bit `i` flipped.
-#[inline]
-pub fn flip_bit(x: u64, i: usize) -> u64 {
-    x ^ (1u64 << i)
-}
-
-/// Hamming weight (number of set bits).
-#[inline]
-pub fn hamming_weight(x: u64) -> u32 {
-    x.count_ones()
 }
 
 /// Parity of the number of set bits: `+1.0` for even, `-1.0` for odd.
@@ -57,17 +27,6 @@ pub fn parity_sign(x: u64) -> f64 {
 /// Converts the low `n` bits of `x` into a 0/1 array, least-significant bit first.
 pub fn to_bit_array(x: u64, n: usize) -> Vec<u8> {
     (0..n).map(|i| bit_u8(x, i)).collect()
-}
-
-/// Writes the low `n` bits of `x` into an existing buffer (LSB first) without allocating.
-///
-/// # Panics
-/// Panics if `buf.len() != n`.
-pub fn write_bit_array(x: u64, n: usize, buf: &mut [u8]) {
-    assert_eq!(buf.len(), n);
-    for (i, b) in buf.iter_mut().enumerate() {
-        *b = bit_u8(x, i);
-    }
 }
 
 /// Converts a 0/1 array (LSB first) into an integer.
@@ -98,12 +57,6 @@ pub fn all_states(n: usize) -> impl Iterator<Item = u64> {
     0..(1u64 << n)
 }
 
-/// Number of bits that differ between two states.
-#[inline]
-pub fn hamming_distance(a: u64, b: u64) -> u32 {
-    (a ^ b).count_ones()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,20 +64,12 @@ mod tests {
     #[test]
     fn get_set_clear_flip() {
         let x = 0b1010u64;
-        assert!(get_bit(x, 1));
-        assert!(!get_bit(x, 0));
-        assert_eq!(set_bit(x, 0), 0b1011);
-        assert_eq!(clear_bit(x, 1), 0b1000);
-        assert_eq!(flip_bit(x, 3), 0b0010);
-        assert_eq!(flip_bit(flip_bit(x, 5), 5), x);
         assert_eq!(bit_u8(x, 1), 1);
         assert_eq!(bit_u8(x, 2), 0);
     }
 
     #[test]
     fn weight_and_parity() {
-        assert_eq!(hamming_weight(0), 0);
-        assert_eq!(hamming_weight(0b1011), 3);
         assert_eq!(parity_sign(0b1011), -1.0);
         assert_eq!(parity_sign(0b1001), 1.0);
         assert_eq!(parity_sign(0), 1.0);
@@ -137,14 +82,6 @@ mod tests {
             assert_eq!(bits.len(), 12);
             assert_eq!(from_bit_array(&bits), x);
         }
-    }
-
-    #[test]
-    fn write_bit_array_matches_to_bit_array() {
-        let x = 0b110101u64;
-        let mut buf = vec![0u8; 8];
-        write_bit_array(x, 8, &mut buf);
-        assert_eq!(buf, to_bit_array(x, 8));
     }
 
     #[test]
@@ -161,13 +98,6 @@ mod tests {
         assert_eq!(all_states(3).count(), 8);
         let v: Vec<u64> = all_states(2).collect();
         assert_eq!(v, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn hamming_distance_symmetric() {
-        assert_eq!(hamming_distance(0b1010, 0b0110), 2);
-        assert_eq!(hamming_distance(7, 7), 0);
-        assert_eq!(hamming_distance(0, u64::MAX), 64);
     }
 
     #[test]

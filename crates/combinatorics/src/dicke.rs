@@ -91,26 +91,6 @@ impl DickeSubspace {
     pub fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.states.iter().copied().enumerate()
     }
-
-    /// All states reachable from `state` by moving a single 1 to a 0 position, together
-    /// with the (source, destination) qubit pair.  These are exactly the transitions
-    /// generated by XY-model mixers (Clique/Ring), which hop excitations between qubits.
-    pub fn single_hop_neighbors(&self, state: u64) -> Vec<(u64, usize, usize)> {
-        let mut out = Vec::new();
-        for src in 0..self.n {
-            if (state >> src) & 1 == 0 {
-                continue;
-            }
-            for dst in 0..self.n {
-                if (state >> dst) & 1 == 1 {
-                    continue;
-                }
-                let neighbor = (state & !(1u64 << src)) | (1u64 << dst);
-                out.push((neighbor, src, dst));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -150,29 +130,6 @@ mod tests {
         for w in s.states().windows(2) {
             assert!(w[0] < w[1]);
         }
-    }
-
-    #[test]
-    fn single_hop_neighbors_have_correct_weight_and_count() {
-        let s = DickeSubspace::new(6, 2);
-        let state = 0b000011u64;
-        let neighbors = s.single_hop_neighbors(state);
-        // 2 ones × 4 zeros = 8 hops.
-        assert_eq!(neighbors.len(), 2 * 4);
-        for (nb, src, dst) in neighbors {
-            assert!(s.contains(nb));
-            assert_eq!((state >> src) & 1, 1);
-            assert_eq!((state >> dst) & 1, 0);
-            assert_eq!(crate::bits::hamming_distance(state, nb), 2);
-        }
-    }
-
-    #[test]
-    fn hop_neighbors_of_extremes() {
-        let s = DickeSubspace::new(5, 0);
-        assert!(s.single_hop_neighbors(0).is_empty());
-        let s = DickeSubspace::new(5, 5);
-        assert!(s.single_hop_neighbors(0b11111).is_empty());
     }
 
     #[test]

@@ -50,11 +50,6 @@ impl GosperIter {
             remaining: binomial(n, k),
         }
     }
-
-    /// Total number of words this iterator yields, `C(n,k)`.
-    pub fn len_total(n: usize, k: usize) -> u64 {
-        binomial(n, k)
-    }
 }
 
 impl Iterator for GosperIter {

@@ -88,14 +88,6 @@ pub fn dicke_chunk_iter(start_word: u64, count: u64) -> impl Iterator<Item = u64
     })
 }
 
-/// Convenience: enumerate the whole weight-k subspace as chunk iterators, one per worker.
-pub fn dicke_worker_iters(n: usize, k: usize, workers: usize) -> Vec<impl Iterator<Item = u64>> {
-    partition_dicke_space(n, k, workers)
-        .into_iter()
-        .map(|(start, count)| dicke_chunk_iter(start, count))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,8 +138,8 @@ mod tests {
         let n = 10;
         let k = 4;
         let mut all: Vec<u64> = Vec::new();
-        for it in dicke_worker_iters(n, k, 3) {
-            all.extend(it);
+        for (start, count) in partition_dicke_space(n, k, 3) {
+            all.extend(dicke_chunk_iter(start, count));
         }
         let expected: Vec<u64> = GosperIter::new(n, k).collect();
         assert_eq!(all, expected);

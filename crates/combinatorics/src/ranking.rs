@@ -50,18 +50,6 @@ pub fn unrank_combination(mut rank: u64, k: usize) -> u64 {
     word
 }
 
-/// Rank of a weight-`k` word restricted to `n`-bit space; identical to
-/// [`rank_combination`] but asserts the word fits and has the expected weight.
-pub fn rank_in_subspace(word: u64, n: usize, k: usize) -> u64 {
-    debug_assert!(word < (1u64 << n), "word does not fit in {n} bits");
-    debug_assert_eq!(
-        word.count_ones() as usize,
-        k,
-        "word does not have weight {k}"
-    );
-    rank_combination(word)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,11 +107,6 @@ mod tests {
     fn weight_zero_word() {
         assert_eq!(rank_combination(0), 0);
         assert_eq!(unrank_combination(0, 0), 0);
-    }
-
-    #[test]
-    fn rank_in_subspace_delegates() {
-        assert_eq!(rank_in_subspace(0b0101, 4, 2), rank_combination(0b0101));
     }
 
     #[test]

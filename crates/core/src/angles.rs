@@ -125,35 +125,6 @@ impl Angles {
             gammas: extend(&self.gammas),
         }
     }
-
-    /// Re-interpolates the angle schedule onto `new_p` rounds (INTERP strategy); useful
-    /// when jumping more than one round at a time.
-    pub fn interpolate_to(&self, new_p: usize) -> Self {
-        assert!(new_p >= 1);
-        let p = self.p();
-        if p == new_p {
-            return self.clone();
-        }
-        let resample = |v: &[f64]| -> Vec<f64> {
-            (0..new_p)
-                .map(|i| {
-                    if p == 1 {
-                        return v[0];
-                    }
-                    // Map position i in the new schedule onto the old schedule.
-                    let t = i as f64 * (p as f64 - 1.0) / (new_p as f64 - 1.0).max(1.0);
-                    let lo = t.floor() as usize;
-                    let hi = (lo + 1).min(p - 1);
-                    let frac = t - lo as f64;
-                    v[lo] * (1.0 - frac) + v[hi] * frac
-                })
-                .collect()
-        };
-        Angles {
-            betas: resample(&self.betas),
-            gammas: resample(&self.gammas),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -220,21 +191,6 @@ mod tests {
         let b = a.extrapolate();
         assert_eq!(b.betas(), &[0.7, 0.7]);
         assert_eq!(b.gammas(), &[0.3, 0.3]);
-    }
-
-    #[test]
-    fn interpolation_preserves_endpoints() {
-        let a = Angles::new(vec![0.0, 1.0], vec![1.0, 3.0]);
-        let b = a.interpolate_to(5);
-        assert_eq!(b.p(), 5);
-        assert!((b.betas()[0] - 0.0).abs() < 1e-12);
-        assert!((b.betas()[4] - 1.0).abs() < 1e-12);
-        assert!((b.gammas()[0] - 1.0).abs() < 1e-12);
-        assert!((b.gammas()[4] - 3.0).abs() < 1e-12);
-        // Midpoint lands halfway.
-        assert!((b.betas()[2] - 0.5).abs() < 1e-12);
-        // Same p returns a copy.
-        assert_eq!(a.interpolate_to(2), a);
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl MultiAngleSimulator {
         self.dim
     }
 
-    /// Number of layers in the schedule.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Runs the simulation from the uniform superposition.
     ///
     /// # Errors
@@ -174,7 +169,6 @@ mod tests {
             })
             .unwrap();
         assert!((res.total_probability() - 1.0).abs() < 1e-10);
-        assert_eq!(multi.num_layers(), 1);
         assert_eq!(multi.dim(), 32);
     }
 

@@ -405,11 +405,6 @@ impl PrefixCache {
         KERNELS.prefix_cold_starts.inc();
     }
 
-    /// Merges another cache's counters into this one's.
-    pub fn absorb_stats(&mut self, stats: PrefixStats) {
-        self.stats.absorb(stats);
-    }
-
     /// A comparable warmth score: how much replay work this cache's checkpoints can
     /// save the next evaluation.  Full-round checkpoints dominate (each one skips a
     /// whole round); a tail sub-checkpoint breaks ties between equally deep caches.
@@ -586,7 +581,5 @@ mod tests {
         assert_eq!(s.rounds_saved, 3);
         assert_eq!(s.tail_hits, 1);
         assert_eq!(cache.stats(), PrefixStats::default());
-        cache.absorb_stats(s);
-        assert_eq!(cache.stats().hits, 1);
     }
 }

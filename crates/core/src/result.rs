@@ -12,7 +12,6 @@ use juliqaoa_linalg::{vector, Complex64};
 pub struct SimulationResult {
     statevector: Vec<Complex64>,
     expectation: f64,
-    min_value: f64,
     max_value: f64,
     optimal_probability: f64,
 }
@@ -27,11 +26,9 @@ impl SimulationResult {
         assert!(!obj_vals.is_empty());
         let expectation = vector::diagonal_expectation(&statevector, obj_vals);
         let max_value = obj_vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let min_value = obj_vals.iter().copied().fold(f64::INFINITY, f64::min);
         let mut result = SimulationResult {
             statevector,
             expectation,
-            min_value,
             max_value,
             optimal_probability: 0.0,
         };
@@ -82,29 +79,6 @@ impl SimulationResult {
         self.max_value
     }
 
-    /// The smallest objective value over the feasible set.
-    pub fn worst_value(&self) -> f64 {
-        self.min_value
-    }
-
-    /// Approximation ratio `⟨C⟩ / C_max`, the quantity plotted in Figures 2 and 3.
-    ///
-    /// Callers with mixed-sign objectives should prefer
-    /// [`SimulationResult::normalized_expectation`].
-    pub fn approximation_ratio(&self) -> f64 {
-        self.expectation / self.max_value
-    }
-
-    /// The shifted/normalised quality `(⟨C⟩ − C_min)/(C_max − C_min)`, which is 0 for
-    /// the worst possible state and 1 for the optimum regardless of sign conventions.
-    pub fn normalized_expectation(&self) -> f64 {
-        if self.max_value == self.min_value {
-            1.0
-        } else {
-            (self.expectation - self.min_value) / (self.max_value - self.min_value)
-        }
-    }
-
     /// Total probability mass (should be 1 for a unitary simulation; exposed for tests
     /// and sanity checks).
     pub fn total_probability(&self) -> f64 {
@@ -130,9 +104,6 @@ mod tests {
         assert!((r.expectation_value() - 1.5).abs() < 1e-12);
         assert!((r.ground_state_probability() - 0.25).abs() < 1e-12);
         assert_eq!(r.optimal_value(), 3.0);
-        assert_eq!(r.worst_value(), 0.0);
-        assert!((r.approximation_ratio() - 0.5).abs() < 1e-12);
-        assert!((r.normalized_expectation() - 0.5).abs() < 1e-12);
         assert!((r.total_probability() - 1.0).abs() < 1e-12);
     }
 
@@ -144,8 +115,6 @@ mod tests {
         let r = SimulationResult::from_state(state, &obj);
         assert!((r.expectation_value() - 3.0).abs() < 1e-12);
         assert!((r.ground_state_probability() - 1.0).abs() < 1e-12);
-        assert!((r.approximation_ratio() - 1.0).abs() < 1e-12);
-        assert!((r.normalized_expectation() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -168,15 +137,6 @@ mod tests {
         assert!(probs.iter().all(|&p| (p - 0.25).abs() < 1e-12));
         assert!((r.amplitude(2) - Complex64::new(0.5, 0.0)).abs() < 1e-12);
         assert_eq!(r.statevector().len(), 4);
-    }
-
-    #[test]
-    fn constant_objective_normalization() {
-        let state = vec![Complex64::new(0.5, 0.0); 4];
-        let obj = vec![2.0; 4];
-        let r = SimulationResult::from_state(state, &obj);
-        assert_eq!(r.normalized_expectation(), 1.0);
-        assert!((r.approximation_ratio() - 1.0).abs() < 1e-12);
     }
 
     #[test]

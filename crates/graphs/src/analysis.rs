@@ -1,69 +1,6 @@
-//! Small graph analyses used by cost functions, tests and the benchmark harness.
+//! The subset and cut weights the graph cost functions evaluate.
 
 use crate::graph::Graph;
-
-/// Degree sequence of the graph, indexed by vertex.
-pub fn degree_sequence(g: &Graph) -> Vec<usize> {
-    (0..g.num_vertices()).map(|v| g.degree(v)).collect()
-}
-
-/// Edge density `m / C(n,2)`, in `[0, 1]`.  Returns 0 for graphs with fewer than two
-/// vertices.
-pub fn density(g: &Graph) -> f64 {
-    let n = g.num_vertices();
-    if n < 2 {
-        return 0.0;
-    }
-    let max_edges = n * (n - 1) / 2;
-    g.num_edges() as f64 / max_edges as f64
-}
-
-/// Whether the graph is connected (the empty graph and single vertices count as
-/// connected).
-pub fn is_connected(g: &Graph) -> bool {
-    let n = g.num_vertices();
-    if n <= 1 {
-        return true;
-    }
-    let mut visited = vec![false; n];
-    let mut stack = vec![0usize];
-    visited[0] = true;
-    let mut count = 1;
-    while let Some(v) = stack.pop() {
-        for &u in g.neighbors(v) {
-            if !visited[u] {
-                visited[u] = true;
-                count += 1;
-                stack.push(u);
-            }
-        }
-    }
-    count == n
-}
-
-/// Number of connected components.
-pub fn connected_components(g: &Graph) -> usize {
-    let n = g.num_vertices();
-    let mut visited = vec![false; n];
-    let mut components = 0;
-    for start in 0..n {
-        if visited[start] {
-            continue;
-        }
-        components += 1;
-        let mut stack = vec![start];
-        visited[start] = true;
-        while let Some(v) = stack.pop() {
-            for &u in g.neighbors(v) {
-                if !visited[u] {
-                    visited[u] = true;
-                    stack.push(u);
-                }
-            }
-        }
-    }
-    components
-}
 
 /// Number of edges with both endpoints inside the vertex subset given by a bitmask
 /// (bit `v` set ⇔ vertex `v` selected).  This is the Densest-k-Subgraph objective.
@@ -97,34 +34,6 @@ pub fn cut_weight(g: &Graph, cut_mask: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{complete_graph, cycle_graph, path_graph, star_graph};
-
-    #[test]
-    fn degree_sequence_of_star() {
-        let g = star_graph(5);
-        assert_eq!(degree_sequence(&g), vec![4, 1, 1, 1, 1]);
-    }
-
-    #[test]
-    fn density_extremes() {
-        assert!((density(&complete_graph(6)) - 1.0).abs() < 1e-12);
-        assert_eq!(density(&Graph::new(6)), 0.0);
-        assert_eq!(density(&Graph::new(1)), 0.0);
-    }
-
-    #[test]
-    fn connectivity() {
-        assert!(is_connected(&cycle_graph(7)));
-        assert!(is_connected(&Graph::new(1)));
-        assert!(is_connected(&Graph::new(0)));
-        let mut g = path_graph(4);
-        assert!(is_connected(&g));
-        g = Graph::from_edges(4, &[(0, 1), (2, 3)]);
-        assert!(!is_connected(&g));
-        assert_eq!(connected_components(&g), 2);
-        assert_eq!(connected_components(&Graph::new(3)), 3);
-        assert_eq!(connected_components(&cycle_graph(5)), 1);
-    }
 
     #[test]
     fn subset_edge_counts() {

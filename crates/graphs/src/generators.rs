@@ -4,7 +4,6 @@
 //! seed, matching how the benchmark harness fixes its instances.
 
 use crate::graph::Graph;
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// Erdős–Rényi random graph `G(n, p)`: every unordered pair becomes an edge
@@ -47,37 +46,6 @@ pub fn erdos_renyi_weighted<R: Rng + ?Sized>(
     g
 }
 
-/// Random d-regular graph via the pairing (configuration) model with rejection of
-/// self-loops and parallel edges.  `n·d` must be even.
-///
-/// # Panics
-/// Panics if `n·d` is odd or `d ≥ n`.
-pub fn random_regular<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Graph {
-    assert!(d < n, "degree must be smaller than the number of vertices");
-    assert!(
-        (n * d).is_multiple_of(2),
-        "n·d must be even for a d-regular graph to exist"
-    );
-    if d == 0 {
-        return Graph::new(n);
-    }
-    // Retry the pairing model until a simple graph comes out; for the modest n and d the
-    // benchmarks use this converges in a handful of attempts.
-    'attempt: loop {
-        let mut stubs: Vec<usize> = (0..n).flat_map(|v| std::iter::repeat_n(v, d)).collect();
-        stubs.shuffle(rng);
-        let mut g = Graph::new(n);
-        for pair in stubs.chunks(2) {
-            let (u, v) = (pair[0], pair[1]);
-            if u == v || g.has_edge(u, v) {
-                continue 'attempt;
-            }
-            g.add_edge(u, v);
-        }
-        return g;
-    }
-}
-
 /// Complete graph `K_n`.
 pub fn complete_graph(n: usize) -> Graph {
     let mut g = Graph::new(n);
@@ -100,15 +68,6 @@ pub fn cycle_graph(n: usize) -> Graph {
     }
     for v in 0..n {
         g.add_edge(v, (v + 1) % n);
-    }
-    g
-}
-
-/// Path graph `P_n`, `0–1–2–…–(n−1)`.
-pub fn path_graph(n: usize) -> Graph {
-    let mut g = Graph::new(n);
-    for v in 0..n.saturating_sub(1) {
-        g.add_edge(v, v + 1);
     }
     g
 }
@@ -164,36 +123,11 @@ mod tests {
     }
 
     #[test]
-    fn random_regular_has_uniform_degree() {
-        let mut rng = StdRng::seed_from_u64(11);
-        for (n, d) in [(8, 3), (10, 4), (12, 3), (6, 5)] {
-            let g = random_regular(n, d, &mut rng);
-            for v in 0..n {
-                assert_eq!(g.degree(v), d, "vertex {v} in {n}-vertex {d}-regular graph");
-            }
-        }
-    }
-
-    #[test]
-    fn random_regular_zero_degree() {
-        let g = random_regular(5, 0, &mut StdRng::seed_from_u64(0));
-        assert_eq!(g.num_edges(), 0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn random_regular_odd_product_panics() {
-        let _ = random_regular(5, 3, &mut StdRng::seed_from_u64(0));
-    }
-
-    #[test]
     fn structured_generators() {
         assert_eq!(complete_graph(6).num_edges(), 15);
         assert_eq!(cycle_graph(6).num_edges(), 6);
         assert_eq!(cycle_graph(2).num_edges(), 1);
         assert_eq!(cycle_graph(1).num_edges(), 0);
-        assert_eq!(path_graph(6).num_edges(), 5);
-        assert_eq!(path_graph(1).num_edges(), 0);
         assert_eq!(star_graph(6).num_edges(), 5);
         assert_eq!(star_graph(6).degree(0), 5);
     }

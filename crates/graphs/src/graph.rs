@@ -113,15 +113,6 @@ impl Graph {
         self.adjacency[u].contains(&v)
     }
 
-    /// Weight of edge `{u, v}` if present.
-    pub fn edge_weight(&self, u: usize, v: usize) -> Option<f64> {
-        let (a, b) = if u < v { (u, v) } else { (v, u) };
-        self.edges
-            .iter()
-            .find(|e| e.u == a && e.v == b)
-            .map(|e| e.weight)
-    }
-
     /// Sum of all edge weights.
     pub fn total_weight(&self) -> f64 {
         self.edges.iter().map(|e| e.weight).sum()
@@ -184,7 +175,6 @@ mod tests {
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.degree(0), 0);
         assert!(!g.has_edge(0, 1));
-        assert_eq!(g.edge_weight(0, 1), None);
     }
 
     #[test]
@@ -195,15 +185,12 @@ mod tests {
         assert!(g.has_edge(1, 0));
         assert!(!g.has_edge(0, 2));
         assert_eq!(g.degree(1), 2);
-        assert_eq!(g.edge_weight(2, 3), Some(1.0));
         assert_eq!(g.total_weight(), 4.0);
     }
 
     #[test]
     fn weighted_edges() {
         let g = Graph::from_weighted_edges(3, &[(0, 1, 2.5), (1, 2, -1.0)]);
-        assert_eq!(g.edge_weight(1, 0), Some(2.5));
-        assert_eq!(g.edge_weight(2, 1), Some(-1.0));
         assert!((g.total_weight() - 1.5).abs() < 1e-12);
     }
 

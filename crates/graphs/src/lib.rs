@@ -11,7 +11,5 @@ pub mod analysis;
 pub mod generators;
 pub mod graph;
 
-pub use generators::{
-    complete_graph, cycle_graph, erdos_renyi, path_graph, random_regular, star_graph,
-};
+pub use generators::{complete_graph, cycle_graph, erdos_renyi, star_graph};
 pub use graph::{Edge, Graph};

@@ -29,44 +29,6 @@ pub struct SymmetricEigen {
     pub eigenvectors: RealMatrix,
 }
 
-impl SymmetricEigen {
-    /// Dimension of the decomposed matrix.
-    pub fn dim(&self) -> usize {
-        self.eigenvalues.len()
-    }
-
-    /// Reconstructs the original matrix `V D Vᵀ`; used in tests and sanity checks.
-    pub fn reconstruct(&self) -> RealMatrix {
-        let n = self.dim();
-        let v = &self.eigenvectors;
-        RealMatrix::from_fn(n, n, |i, j| {
-            let mut acc = 0.0;
-            for (k, &lambda) in self.eigenvalues.iter().enumerate() {
-                acc += v[(i, k)] * lambda * v[(j, k)];
-            }
-            acc
-        })
-    }
-
-    /// Maximum deviation of `VᵀV` from the identity; an orthogonality check.
-    pub fn orthogonality_defect(&self) -> f64 {
-        let n = self.dim();
-        let v = &self.eigenvectors;
-        let mut max = 0.0f64;
-        for a in 0..n {
-            for b in 0..n {
-                let mut dot = 0.0;
-                for k in 0..n {
-                    dot += v[(k, a)] * v[(k, b)];
-                }
-                let expected = if a == b { 1.0 } else { 0.0 };
-                max = max.max((dot - expected).abs());
-            }
-        }
-        max
-    }
-}
-
 /// Computes the eigendecomposition of a real symmetric matrix.
 ///
 /// # Panics
@@ -354,6 +316,37 @@ fn hypot(a: f64, b: f64) -> f64 {
 mod tests {
     use super::*;
 
+    /// Reconstructs the original matrix `V D Vᵀ`.
+    fn reconstruct(e: &SymmetricEigen) -> RealMatrix {
+        let n = e.eigenvalues.len();
+        let v = &e.eigenvectors;
+        RealMatrix::from_fn(n, n, |i, j| {
+            let mut acc = 0.0;
+            for (k, &lambda) in e.eigenvalues.iter().enumerate() {
+                acc += v[(i, k)] * lambda * v[(j, k)];
+            }
+            acc
+        })
+    }
+
+    /// Maximum deviation of `VᵀV` from the identity; an orthogonality check.
+    fn orthogonality_defect(e: &SymmetricEigen) -> f64 {
+        let n = e.eigenvalues.len();
+        let v = &e.eigenvectors;
+        let mut max = 0.0f64;
+        for a in 0..n {
+            for b in 0..n {
+                let mut dot = 0.0;
+                for k in 0..n {
+                    dot += v[(k, a)] * v[(k, b)];
+                }
+                let expected = if a == b { 1.0 } else { 0.0 };
+                max = max.max((dot - expected).abs());
+            }
+        }
+        max
+    }
+
     fn max_abs(v: &[f64]) -> f64 {
         v.iter().fold(0.0f64, |m, x| m.max(x.abs()))
     }
@@ -372,7 +365,7 @@ mod tests {
             .map(|(a, b)| a - b)
             .collect();
         assert!(max_abs(&diffs) < 1e-12);
-        assert!(eig.orthogonality_defect() < 1e-10);
+        assert!(orthogonality_defect(&eig) < 1e-10);
     }
 
     #[test]
@@ -398,9 +391,9 @@ mod tests {
         });
         assert!(m.is_symmetric(0.0));
         let eig = symmetric_eigen(&m);
-        let rec = eig.reconstruct();
+        let rec = reconstruct(&eig);
         assert!(m.frobenius_diff(&rec) < 1e-8);
-        assert!(eig.orthogonality_defect() < 1e-9);
+        assert!(orthogonality_defect(&eig) < 1e-9);
     }
 
     #[test]
@@ -498,8 +491,8 @@ mod tests {
         for k in 0..3 {
             assert!(eig.eigenvalues[k].abs() < 1e-10);
         }
-        assert!(eig.orthogonality_defect() < 1e-9);
-        assert!(m.frobenius_diff(&eig.reconstruct()) < 1e-9);
+        assert!(orthogonality_defect(&eig) < 1e-9);
+        assert!(m.frobenius_diff(&reconstruct(&eig)) < 1e-9);
     }
 
     #[test]
@@ -528,8 +521,8 @@ mod tests {
             eigenvalues: d,
             eigenvectors: RealMatrix::from_vec(n, n, z),
         };
-        assert!(m.frobenius_diff(&tri.reconstruct()) < 1e-12);
-        assert!(tri.orthogonality_defect() < 1e-13);
+        assert!(m.frobenius_diff(&reconstruct(&tri)) < 1e-12);
+        assert!(orthogonality_defect(&tri) < 1e-13);
     }
 
     #[test]

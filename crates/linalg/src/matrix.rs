@@ -81,12 +81,6 @@ impl RealMatrix {
         &self.data[i * self.ncols..(i + 1) * self.ncols]
     }
 
-    /// A mutable borrow of row `i`.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.data[i * self.ncols..(i + 1) * self.ncols]
-    }
-
     /// Returns the transposed matrix.
     pub fn transpose(&self) -> RealMatrix {
         RealMatrix::from_fn(self.ncols, self.nrows, |i, j| self[(j, i)])

@@ -252,30 +252,6 @@ pub fn apply_phases_indexed_sum(
     }
 }
 
-/// Multiplies each amplitude by `-i·values[x]`, i.e. applies `-i·diag(values)`.
-///
-/// Used by the adjoint-gradient sweep, where differentiating `e^{-iγ H_C}` with respect
-/// to `γ` brings down a factor `-i H_C`.
-pub fn apply_neg_i_diag(state: &mut [Complex64], values: &[f64]) {
-    assert_eq!(state.len(), values.len());
-    let mul = |z: &mut Complex64, c: f64| {
-        // (-i·c)·z = c·(im, -re)
-        let w = Complex64::new(z.im * c, -z.re * c);
-        *z = w;
-    };
-    if parallel_kernels_enabled(state.len()) {
-        state
-            .par_iter_mut()
-            .zip(values.par_iter())
-            .for_each(|(z, &c)| mul(z, c));
-    } else {
-        state
-            .iter_mut()
-            .zip(values.iter())
-            .for_each(|(z, &c)| mul(z, c));
-    }
-}
-
 /// Weighted expectation `Σ values[x]·|ψ_x|²` of a diagonal observable.
 ///
 /// For a normalised state this is `⟨ψ|diag(values)|ψ⟩`, i.e. the QAOA objective
@@ -354,15 +330,6 @@ pub fn class_probabilities(state: &[Complex64], class_idx: &[u16], out: &mut [f6
             add_into(out, &acc);
         }
     }
-}
-
-/// Elementwise copy `dst ← src`.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn copy_from(dst: &mut [Complex64], src: &[Complex64]) {
-    assert_eq!(dst.len(), src.len());
-    dst.copy_from_slice(src);
 }
 
 /// Fills the vector with the uniform superposition `1/√len`.
@@ -514,18 +481,6 @@ mod tests {
         let mut state = vec![Complex64::ONE; 4];
         let idx = vec![0u16; 5];
         apply_phases_indexed(&mut state, &idx, &[Complex64::ONE]);
-    }
-
-    #[test]
-    fn neg_i_diag_matches_multiplication() {
-        let mut v = vec_of(6, |i| Complex64::new(i as f64, 2.0 - i as f64));
-        let vals: Vec<f64> = (0..6).map(|i| (i as f64) - 2.5).collect();
-        let orig = v.clone();
-        apply_neg_i_diag(&mut v, &vals);
-        for i in 0..6 {
-            let expected = Complex64::new(0.0, -vals[i]) * orig[i];
-            assert!((v[i] - expected).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -229,20 +229,20 @@ fn radix2([lo, hi]: [&mut [Complex64]; 2], last: Option<f64>) {
     }
 }
 
-/// Evaluates the Walsh character `(-1)^{popcount(x & y)}`, i.e. the `(x, y)` entry of the
-/// unnormalised Hadamard matrix `H^{⊗n}·2^{n/2}`.  Used for spot-checking the transform.
-pub fn walsh_character(x: usize, y: usize) -> f64 {
-    if (x & y).count_ones().is_multiple_of(2) {
-        1.0
-    } else {
-        -1.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::vector;
+
+    /// The Walsh character `(-1)^{popcount(x & y)}`, i.e. the `(x, y)` entry of the
+    /// unnormalised Hadamard matrix `H^{⊗n}·2^{n/2}`.
+    fn walsh_character(x: usize, y: usize) -> f64 {
+        if (x & y).count_ones().is_multiple_of(2) {
+            1.0
+        } else {
+            -1.0
+        }
+    }
 
     /// The radix-2 definition: `n` stage sweeps, then the `2^{-n/2}` scale sweep.
     fn walsh_hadamard_reference(state: &mut [Complex64]) {

@@ -49,11 +49,6 @@ impl Scrubbed {
         }
     }
 
-    /// Number of lines in the file.
-    pub fn line_count(&self) -> usize {
-        self.line_starts.len()
-    }
-
     /// The scrubbed text of a 1-based line (empty for out-of-range lines).
     pub fn line_text(&self, line: usize) -> &str {
         if line == 0 || line > self.line_starts.len() {
@@ -427,7 +422,6 @@ mod tests {
     fn line_numbers_are_preserved() {
         let sc = scrub("a\n\"s\ntr\"\nb // c\nd\n");
         assert_eq!(sc.line_of(0), 1);
-        assert_eq!(sc.line_count(), 6);
         assert_eq!(sc.line_text(4), "b     ");
         assert_eq!(sc.comments, vec![(4, "c".to_string())]);
         // The multi-line string keeps its newline so later lines stay put.

@@ -101,23 +101,6 @@ impl CustomMixer {
     pub fn from_symmetric(name: impl Into<String>, hamiltonian: &RealMatrix) -> SubspaceMixer {
         SubspaceMixer::from_hamiltonian(name, hamiltonian)
     }
-
-    /// Builds a mixer from an explicit list of weighted transitions
-    /// `(state_a, state_b, amplitude)` between feasible-subspace indices.  The
-    /// Hamiltonian is symmetrised automatically (`H[a][b] = H[b][a] = amplitude`).
-    pub fn from_transitions(
-        name: impl Into<String>,
-        dim: usize,
-        transitions: &[(usize, usize, f64)],
-    ) -> SubspaceMixer {
-        let mut h = RealMatrix::zeros(dim, dim);
-        for &(a, b, w) in transitions {
-            assert!(a < dim && b < dim, "transition index out of range");
-            h[(a, b)] = w;
-            h[(b, a)] = w;
-        }
-        SubspaceMixer::from_hamiltonian(name, &h)
-    }
 }
 
 #[cfg(test)]
@@ -135,31 +118,10 @@ mod tests {
     }
 
     #[test]
-    fn transitions_builder_symmetrises() {
-        let mixer = CustomMixer::from_transitions("pair-hop", 3, &[(0, 1, 1.5), (1, 2, 0.5)]);
-        assert_eq!(mixer.dim(), 3);
-        // Evolution should be unitary.
-        let mut state = vec![
-            Complex64::new(0.6, 0.0),
-            Complex64::new(0.0, 0.8),
-            Complex64::ZERO,
-        ];
-        let mut scratch = vec![Complex64::ZERO; 3];
-        mixer.apply_evolution(0.4, &mut state, &mut scratch);
-        assert!((vector::norm(&state) - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
     #[should_panic]
     fn asymmetric_hamiltonian_panics() {
         let mut h = RealMatrix::zeros(3, 3);
         h[(0, 1)] = 1.0; // no mirror entry
         let _ = CustomMixer::from_symmetric("bad", &h);
-    }
-
-    #[test]
-    #[should_panic]
-    fn out_of_range_transition_panics() {
-        let _ = CustomMixer::from_transitions("bad", 2, &[(0, 5, 1.0)]);
     }
 }

@@ -228,11 +228,17 @@ mod tests {
 
     #[test]
     fn all_mixers_preserve_norm() {
+        let mut pair_hop = juliqaoa_linalg::RealMatrix::zeros(3, 3);
+        for (a, b, w) in [(0, 1, 1.5), (1, 2, 0.5)] {
+            pair_hop[(a, b)] = w;
+            pair_hop[(b, a)] = w;
+        }
         for mixer in [
             Mixer::transverse_field(5),
             Mixer::grover_full(5),
             Mixer::clique(5, 2),
             Mixer::ring(5, 2),
+            Mixer::Subspace(crate::CustomMixer::from_symmetric("pair-hop", &pair_hop)),
         ] {
             let dim = mixer.dim();
             let mut state = random_like_state(dim);

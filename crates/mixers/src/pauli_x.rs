@@ -160,11 +160,6 @@ impl PauliXMixer {
         &self.eigenvalues
     }
 
-    /// Number of distinct eigenvalues when the diagonal is table-compressible.
-    pub fn distinct_eigenvalues(&self) -> Option<usize> {
-        self.diag_classes.as_ref().map(|c| c.distinct.len())
-    }
-
     /// Heap bytes of the terms, the `2ⁿ` diagonal and its compression.
     pub fn bytes(&self) -> usize {
         let classes = self
@@ -301,14 +296,14 @@ mod tests {
     #[test]
     fn transverse_field_diagonal_compresses_to_n_plus_one_values() {
         let m = PauliXMixer::transverse_field(8);
-        assert_eq!(m.distinct_eigenvalues(), Some(9));
+        assert_eq!(m.diag_classes.map(|c| c.distinct.len()), Some(9));
     }
 
     #[test]
     fn diagonal_table_path_is_bit_identical_to_dense() {
         let n = 6;
         let m = PauliXMixer::transverse_field(n);
-        assert!(m.distinct_eigenvalues().is_some());
+        assert!(m.diag_classes.is_some());
         let beta = 0.7321;
         let mut table_state: Vec<Complex64> = (0..1 << n)
             .map(|i| Complex64::new((i as f64 * 0.3).sin(), (i as f64 * 0.7).cos()))

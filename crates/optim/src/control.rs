@@ -110,14 +110,6 @@ impl RunControl {
         self.is_cancelled() || self.is_timed_out()
     }
 
-    /// The remaining time before the deadline (`None` when no deadline is set;
-    /// `Some(0)` once it has passed).
-    pub fn time_remaining(&self) -> Option<Duration> {
-        self.deadline
-            // lint:allow(R1, deadline countdown only - reported to callers, never fed into the math)
-            .map(|d| d.saturating_duration_since(Instant::now()))
-    }
-
     /// Reports `done` of `total` work units complete.
     pub fn report(&self, done: u64, total: u64) {
         if let Some(f) = &self.progress {
@@ -148,7 +140,6 @@ mod tests {
         assert!(!c.is_cancelled());
         assert!(!c.is_timed_out());
         assert!(!c.should_stop());
-        assert_eq!(c.time_remaining(), None);
         c.report(1, 2); // no callback: must be a no-op, not a panic
         assert_eq!(c.trace(), None);
         let traced = c.with_trace(TraceId::from_raw(7));
@@ -161,13 +152,11 @@ mod tests {
         let future = RunControl::new().deadline_in(Duration::from_secs(3600));
         assert!(!future.is_timed_out());
         assert!(!future.should_stop());
-        assert!(future.time_remaining().unwrap() > Duration::from_secs(3500));
         // An already-past deadline stops it immediately.
         let past = RunControl::new().with_deadline(Instant::now() - Duration::from_millis(1));
         assert!(past.is_timed_out());
         assert!(past.should_stop());
         assert!(!past.is_cancelled(), "timeout is not cancellation");
-        assert_eq!(past.time_remaining(), Some(Duration::ZERO));
         // Cancellation still stops a run whose deadline has not passed.
         let flag = Arc::new(AtomicBool::new(true));
         let both = RunControl::with_cancel(flag).deadline_in(Duration::from_secs(3600));

@@ -161,35 +161,25 @@ where
     O: Objective,
     F: Fn() -> O + Sync,
 {
-    grid_search_with_control(make_objective, dim, lo, hi, resolution, &RunControl::new())
+    let order: Vec<usize> = (0..dim).collect();
+    grid_search_ordered(
+        make_objective,
+        dim,
+        lo,
+        hi,
+        resolution,
+        &order,
+        &RunControl::new(),
+    )
 }
 
-/// [`grid_search`] with cooperative cancellation and progress reporting.
+/// [`grid_search`] with an explicit digit→axis `order` (see the module docs), which
+/// must be a permutation of `0..dim`, and cooperative cancellation and progress
+/// reporting.
 ///
 /// Progress units are scanned grid points, reported per finished block.  A cancelled
 /// scan returns the best of the points actually visited with `converged = false`; an
-/// uncancelled run is bit-identical to [`grid_search`].
-///
-/// # Panics
-/// Panics if `resolution == 0`, `dim == 0`, or the grid would exceed `10^8` points.
-pub fn grid_search_with_control<O, F>(
-    make_objective: F,
-    dim: usize,
-    lo: f64,
-    hi: f64,
-    resolution: usize,
-    control: &RunControl,
-) -> OptimizeResult
-where
-    O: Objective,
-    F: Fn() -> O + Sync,
-{
-    let order: Vec<usize> = (0..dim).collect();
-    grid_search_ordered(make_objective, dim, lo, hi, resolution, &order, control)
-}
-
-/// [`grid_search_with_control`] with an explicit digit→axis `order` (see the module
-/// docs); `order` must be a permutation of `0..dim`.
+/// uncancelled run with the identity order is bit-identical to [`grid_search`].
 ///
 /// # Panics
 /// Panics if `resolution == 0`, `dim == 0`, `order` is not a permutation of `0..dim`,
@@ -432,12 +422,13 @@ mod tests {
     fn pre_cancelled_scan_visits_no_points_and_reports_unconverged() {
         let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
         let control = RunControl::with_cancel(flag);
-        let res = grid_search_with_control(
+        let res = grid_search_ordered(
             || FnObjective::new(2, |x: &[f64]| x[0] + x[1]),
             2,
             0.0,
             1.0,
             100,
+            &[0, 1],
             &control,
         );
         assert!(!res.converged);
@@ -452,12 +443,13 @@ mod tests {
         let control = RunControl::new().on_progress(move |done, _total| {
             seen2.fetch_max(done, Ordering::Relaxed);
         });
-        let res = grid_search_with_control(
+        let res = grid_search_ordered(
             || FnObjective::new(2, |x: &[f64]| x[0] * x[1]),
             2,
             0.0,
             1.0,
             40,
+            &[0, 1],
             &control,
         );
         assert!(res.converged);

@@ -65,14 +65,6 @@ impl IterativeResult {
     pub fn best_expectation(&self) -> f64 {
         self.per_round.last().expect("at least one round").2
     }
-
-    /// The best expectation value found for a specific round count, if computed.
-    pub fn expectation_at(&self, p: usize) -> Option<f64> {
-        self.per_round
-            .iter()
-            .find(|(q, _, _)| *q == p)
-            .map(|(_, _, e)| *e)
-    }
 }
 
 /// Finds high-quality angles for `1..=target_p` rounds by iterative extrapolation and
@@ -245,8 +237,6 @@ mod tests {
         assert!(res.best_expectation() > mean);
         assert!(res.simulations > 0);
         assert_eq!(res.best_angles().len(), 6);
-        assert_eq!(res.expectation_at(2), Some(res.per_round[1].2));
-        assert_eq!(res.expectation_at(9), None);
     }
 
     #[test]

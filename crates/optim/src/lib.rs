@@ -9,8 +9,6 @@
 //!   adjoint or finite-difference gradients — the comparison of Figure 5).
 //! * [`bfgs`] / [`linesearch`] — the BFGS quasi-Newton local minimizer used by every
 //!   search strategy.
-//! * [`neldermead`] — a derivative-free simplex minimizer, for objectives whose gradient
-//!   is unavailable.
 //! * [`basinhopping`] — the global strategy of Wales & Doye the paper adopts
 //!   for its iterative angle finding.
 //! * [`random_restart`] — the "random local minima exploration" baseline of Lotshaw et
@@ -40,7 +38,6 @@ pub mod gridsearch;
 pub mod iterative;
 pub mod linesearch;
 pub mod median;
-pub mod neldermead;
 pub mod objective;
 pub mod persistence;
 pub mod random_restart;
@@ -49,10 +46,9 @@ pub mod sampled;
 pub use basinhopping::{basinhopping, basinhopping_with_control, BasinHoppingOptions};
 pub use bfgs::{bfgs, BfgsOptions};
 pub use control::RunControl;
-pub use gridsearch::{grid_search, grid_search_ordered, grid_search_with_control, qaoa_axis_order};
+pub use gridsearch::{grid_search, grid_search_ordered, qaoa_axis_order};
 pub use iterative::{find_angles, IterativeOptions, IterativeResult};
 pub use median::median_angles;
-pub use neldermead::{nelder_mead, NelderMeadOptions};
 pub use objective::{
     FnObjective, GradientMethod, Objective, OptimizeResult, PrefixCacheHome, QaoaObjective,
 };

@@ -58,11 +58,6 @@ impl AngleProgress {
         self.rounds.get(&p)
     }
 
-    /// The largest round count recorded so far.
-    pub fn max_round(&self) -> Option<usize> {
-        self.rounds.keys().next_back().copied()
-    }
-
     /// Loads progress from a JSON file; a missing file yields empty progress.
     ///
     /// Unreadable or unparseable files surface as [`QaoaError::Persistence`] rather
@@ -107,11 +102,9 @@ mod tests {
     #[test]
     fn record_get_and_max_round() {
         let mut p = AngleProgress::new();
-        assert_eq!(p.max_round(), None);
         p.record(1, vec![0.1, 0.2], 1.5);
         p.record(3, vec![0.1; 6], 2.5);
         p.record(2, vec![0.1; 4], 2.0);
-        assert_eq!(p.max_round(), Some(3));
         assert_eq!(p.get(2).unwrap().expectation, 2.0);
         assert!(p.get(4).is_none());
         // Overwriting replaces.

@@ -40,11 +40,6 @@ impl DensestKSubgraph {
         self.k
     }
 
-    /// Whether a basis state is feasible (has Hamming weight exactly `k`).
-    pub fn is_feasible(&self, state: u64) -> bool {
-        state.count_ones() as usize == self.k
-    }
-
     /// Brute-force optimum over the feasible (weight-k) states.
     pub fn optimal_value(&self) -> f64 {
         let n = self.graph.num_vertices();
@@ -96,9 +91,6 @@ mod tests {
     #[test]
     fn feasibility_check() {
         let c = DensestKSubgraph::new(complete_graph(4), 2);
-        assert!(c.is_feasible(0b0011));
-        assert!(!c.is_feasible(0b0111));
-        assert!(!c.is_feasible(0b0000));
         assert_eq!(c.k(), 2);
     }
 

@@ -39,28 +39,6 @@ impl DegeneracyTable {
     pub fn total_states(&self) -> u64 {
         self.entries.iter().map(|&(_, d)| d).sum()
     }
-
-    /// Number of distinct objective values.
-    pub fn num_distinct(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Largest objective value in the table.
-    pub fn max_value(&self) -> f64 {
-        self.entries.last().map(|&(v, _)| v).unwrap_or(f64::NAN)
-    }
-
-    /// Smallest objective value in the table.
-    pub fn min_value(&self) -> f64 {
-        self.entries.first().map(|&(v, _)| v).unwrap_or(f64::NAN)
-    }
-
-    /// Mean objective value over all states (the `p = 0` expectation in the uniform
-    /// superposition).
-    pub fn mean_value(&self) -> f64 {
-        let total = self.total_states() as f64;
-        self.entries.iter().map(|&(v, d)| v * d as f64).sum::<f64>() / total
-    }
 }
 
 /// Evaluates `C(x)` for every state of the full `2ⁿ` computational basis, in state order.
@@ -201,7 +179,7 @@ mod tests {
         let analytic = DegeneracyTable::from_entries(ramp.analytic_degeneracies());
         assert_eq!(table, analytic);
         assert_eq!(table.total_states(), 1 << 10);
-        assert_eq!(table.num_distinct(), 11);
+        assert_eq!(table.entries.len(), 11);
     }
 
     #[test]
@@ -221,8 +199,7 @@ mod tests {
         let table = degeneracies_dicke(&cost, 6, 3, 4);
         assert_eq!(table.total_states(), 20);
         // Values must lie between 0 and 3 edges for a cycle.
-        assert!(table.min_value() >= 0.0);
-        assert!(table.max_value() <= 3.0);
+        assert!(table.entries.iter().all(|&(v, _)| (0.0..=3.0).contains(&v)));
         // Cross-check against the dense precompute.
         let sub = DickeSubspace::new(6, 3);
         let values = precompute_dicke(&cost, &sub);
@@ -235,10 +212,6 @@ mod tests {
         let table = DegeneracyTable::from_entries([(1.0, 3), (0.0, 1), (1.0, 2), (2.0, 2)]);
         assert_eq!(table.entries, vec![(0.0, 1), (1.0, 5), (2.0, 2)]);
         assert_eq!(table.total_states(), 8);
-        assert_eq!(table.num_distinct(), 3);
-        assert_eq!(table.max_value(), 2.0);
-        assert_eq!(table.min_value(), 0.0);
-        assert!((table.mean_value() - 9.0 / 8.0).abs() < 1e-12);
     }
 
     #[test]

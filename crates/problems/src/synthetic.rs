@@ -38,12 +38,6 @@ impl HammingRamp {
             .map(|w| (w as f64, binomial(self.n, w)))
             .collect()
     }
-
-    /// The exact `(value, degeneracy)` table over the weight-`k` subspace: a single
-    /// value `k` with degeneracy `C(n,k)`.
-    pub fn analytic_degeneracies_dicke(&self, k: usize) -> Vec<(f64, u64)> {
-        vec![(k as f64, binomial(self.n, k))]
-    }
 }
 
 impl CostFunction for HammingRamp {
@@ -184,13 +178,6 @@ mod tests {
             let counted = (0..(1u64 << n)).filter(|&x| c.evaluate(x) == value).count() as u64;
             assert_eq!(counted, deg);
         }
-    }
-
-    #[test]
-    fn hamming_ramp_dicke_table() {
-        let c = HammingRamp::new(10);
-        let table = c.analytic_degeneracies_dicke(4);
-        assert_eq!(table, vec![(4.0, binomial(10, 4))]);
     }
 
     #[test]

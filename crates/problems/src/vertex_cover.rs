@@ -39,11 +39,6 @@ impl MaxKVertexCover {
         self.k
     }
 
-    /// Whether a basis state is feasible (Hamming weight exactly `k`).
-    pub fn is_feasible(&self, state: u64) -> bool {
-        state.count_ones() as usize == self.k
-    }
-
     /// Brute-force optimum over the feasible (weight-k) states.
     pub fn optimal_value(&self) -> f64 {
         let n = self.graph.num_vertices();
@@ -95,8 +90,6 @@ mod tests {
     #[test]
     fn feasibility_and_metadata() {
         let c = MaxKVertexCover::new(star_graph(5), 2);
-        assert!(c.is_feasible(0b00011));
-        assert!(!c.is_feasible(0b00111));
         assert_eq!(c.k(), 2);
         assert_eq!(c.num_qubits(), 5);
         assert_eq!(c.name(), "max_k_vertex_cover");

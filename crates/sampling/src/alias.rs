@@ -103,23 +103,6 @@ impl AliasTable {
             self.alias[cell] as usize
         }
     }
-
-    /// The exact probability the table assigns to `outcome` (for tests: the table is
-    /// a lossless encoding of the normalised weights, up to f64 rounding).
-    pub fn outcome_probability(&self, outcome: usize) -> f64 {
-        let n = self.prob.len() as f64;
-        let mut p = self.prob[outcome] / n;
-        for (cell, &a) in self.alias.iter().enumerate() {
-            if a as usize == outcome && cell != outcome {
-                p += (1.0 - self.prob[cell]) / n;
-            }
-        }
-        // A cell aliased to itself contributes its own rejection mass too.
-        if self.alias[outcome] as usize == outcome {
-            p += (1.0 - self.prob[outcome]) / n;
-        }
-        p
-    }
 }
 
 #[cfg(test)]
@@ -127,6 +110,23 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The exact probability `t` assigns to `outcome`: the table is a lossless
+    /// encoding of the normalised weights, up to f64 rounding.
+    fn outcome_probability(t: &AliasTable, outcome: usize) -> f64 {
+        let n = t.prob.len() as f64;
+        let mut p = t.prob[outcome] / n;
+        for (cell, &a) in t.alias.iter().enumerate() {
+            if a as usize == outcome && cell != outcome {
+                p += (1.0 - t.prob[cell]) / n;
+            }
+        }
+        // A cell aliased to itself contributes its own rejection mass too.
+        if t.alias[outcome] as usize == outcome {
+            p += (1.0 - t.prob[outcome]) / n;
+        }
+        p
+    }
 
     #[test]
     fn two_state_table_is_exhaustively_exact() {
@@ -137,8 +137,8 @@ mod tests {
         assert!((t.prob[0] - 0.5).abs() < 1e-15);
         assert_eq!(t.alias[0], 1);
         assert!((t.prob[1] - 1.0).abs() < 1e-15);
-        assert!((t.outcome_probability(0) - 0.25).abs() < 1e-15);
-        assert!((t.outcome_probability(1) - 0.75).abs() < 1e-15);
+        assert!((outcome_probability(&t, 0) - 0.25).abs() < 1e-15);
+        assert!((outcome_probability(&t, 1) - 0.75).abs() < 1e-15);
     }
 
     #[test]
@@ -157,7 +157,7 @@ mod tests {
             let t = AliasTable::new(weights.iter().copied());
             for (i, &w) in weights.iter().enumerate() {
                 let expect = w / total;
-                let got = t.outcome_probability(i);
+                let got = outcome_probability(&t, i);
                 assert!(
                     (got - expect).abs() < 1e-12,
                     "outcome {i}: encoded {got}, expected {expect}"

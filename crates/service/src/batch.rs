@@ -25,8 +25,8 @@ use crate::engine::{Engine, ServiceError};
 use crate::journal::{self, FsyncPolicy, Journal, LineCheck};
 use crate::retry::RetryPolicy;
 use crate::spans::{
-    close_job_span, default_trace_cap, format_trace_parent, parse_trace_parent, trace_collector,
-    TRACE_PARENT_ENV,
+    close_job_span, format_trace_parent, parse_trace_parent, trace_collector,
+    DEFAULT_TRACE_CAPACITY, TRACE_PARENT_ENV,
 };
 use crate::spec::{JobFile, JobSpec};
 use juliqaoa_combinatorics::seeding::fold_bits;
@@ -164,7 +164,7 @@ pub fn run_batch(
 /// The span collector a batch run records into — per-job root spans and the
 /// engine's per-stage children — mirrored to `--trace-out` when set.
 fn batch_span_collector(trace_path: Option<&Path>) -> Result<Arc<SpanCollector>, ServiceError> {
-    trace_collector(trace_path, default_trace_cap())
+    trace_collector(trace_path, DEFAULT_TRACE_CAPACITY)
         .map_err(|e| ServiceError::Io(format!("creating trace file: {e}")))
 }
 
@@ -242,8 +242,8 @@ pub fn run_batch_with(
                 // panicking job becomes a structured "failed" line (after the
                 // policy's retries) instead of unwinding into rayon and aborting
                 // the whole batch.
-                let (outcome, status) = match engine.run_job_with_retry(spec, &control, &opts.retry)
-                {
+                let run = engine.run_job_with_retry(spec, &control, &opts.retry, |_, _| {});
+                let (outcome, status) = match run {
                     Ok(result) => {
                         let status = result.status.clone();
                         match serde_json::to_string(&result) {

@@ -382,8 +382,7 @@ impl Cluster {
         if h.half_open_inflight {
             return false;
         }
-        let trip = h.trips.saturating_sub(1);
-        let cooldown = self.config.retry.delay(&backend.addr, trip.min(16));
+        let cooldown = self.half_open_cooldown(index, h.trips.saturating_sub(1));
         let elapsed = h.down_since.map(|t| t.elapsed()).unwrap_or(Duration::MAX);
         if elapsed >= cooldown {
             h.half_open_inflight = true;

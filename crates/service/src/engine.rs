@@ -83,7 +83,7 @@ pub enum ServiceError {
     /// Reading or writing job/result files failed.
     Io(String),
     /// The job panicked mid-run and was converted to a structured failure by
-    /// [`Engine::run_job_isolated`].
+    /// [`Engine::run_job_with_retry`].
     Panicked(String),
     /// The job's deadline expired before it produced even a partial result.  (A
     /// deadline that expires after some progress returns a `"timed_out"`
@@ -296,7 +296,7 @@ impl PrepFlight {
 }
 
 /// Renders a caught panic payload as text (the common `&str`/`String` payloads;
-/// anything else gets a placeholder) for [`Engine::run_job_isolated`].
+/// anything else gets a placeholder) for [`Engine::run_job_with_retry`].
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(msg) = payload.downcast_ref::<&str>() {
         (*msg).to_string()
@@ -586,14 +586,6 @@ impl Engine {
             .len()
     }
 
-    /// Records a job that died in a panic after a `catch_unwind` recovered it —
-    /// `run_job` never returned, so its own failure accounting did not run.  Keeps
-    /// `jobs_failed` covering every job that entered the engine.
-    pub fn record_panicked_job(&self) {
-        self.counters.jobs_failed.inc();
-        self.counters.jobs_panicked.inc();
-    }
-
     /// Records a transient-failure re-attempt performed *outside*
     /// [`Engine::run_job_with_retry`] — e.g. the batch journal retrying a failed
     /// append — so `jobs_retried` covers every retry the service performs.
@@ -601,45 +593,24 @@ impl Engine {
         self.counters.jobs_retried.inc();
     }
 
-    /// [`Engine::run_job`] with panic isolation: a job that panics mid-run returns
-    /// [`ServiceError::Panicked`] (tallied in `jobs_failed`/`jobs_panicked`)
-    /// instead of unwinding into the calling worker thread.  Both front-ends route
-    /// job execution through this, so a hostile job can never shrink a worker pool
-    /// or abort a batch.
-    pub fn run_job_isolated(
-        &self,
-        spec: &JobSpec,
-        control: &RunControl,
-    ) -> Result<JobResult, ServiceError> {
-        std::panic::catch_unwind(AssertUnwindSafe(|| self.run_job(spec, control))).unwrap_or_else(
-            |payload| {
-                self.record_panicked_job();
-                Err(ServiceError::Panicked(panic_message(payload.as_ref())))
-            },
-        )
-    }
-
-    /// [`Engine::run_job_isolated`] under a retry policy: transient failures —
-    /// panics and I/O errors, per [`ServiceError::is_transient`] — are re-attempted
-    /// up to `policy.max_retries` times, sleeping the policy's deterministic
-    /// backoff between attempts (tallied in `jobs_retried`, one per re-run).
-    /// Spec/simulation errors and timeouts return immediately, as does any failure
-    /// once the job's own deadline or cancel flag is set — retrying into a dead
-    /// deadline only burns worker time.
-    pub fn run_job_with_retry(
-        &self,
-        spec: &JobSpec,
-        control: &RunControl,
-        policy: &crate::retry::RetryPolicy,
-    ) -> Result<JobResult, ServiceError> {
-        self.run_job_with_retry_observed(spec, control, policy, |_, _| {})
-    }
-
-    /// [`Engine::run_job_with_retry`] with an observer invoked once per re-attempt
+    /// [`Engine::run_job`] with panic isolation, under a retry policy.
+    ///
+    /// A job that panics mid-run returns [`ServiceError::Panicked`] (tallied in
+    /// `jobs_failed`/`jobs_panicked`) instead of unwinding into the calling worker
+    /// thread.  Both front-ends route job execution through this, so a hostile job
+    /// can never shrink a worker pool or abort a batch.
+    ///
+    /// Transient failures — panics and I/O errors, per
+    /// [`ServiceError::is_transient`] — are re-attempted up to `policy.max_retries`
+    /// times, sleeping the policy's deterministic backoff between attempts (tallied
+    /// in `jobs_retried`, one per re-run).  `on_retry` runs once per re-attempt
     /// (after the failure, before the backoff sleep) with the 0-based attempt index
-    /// and the error that triggered it — the serving tier's hook for emitting
-    /// `retry` trace events without the engine knowing about trace rings.
-    pub fn run_job_with_retry_observed(
+    /// and the error that triggered it: the serving tier's hook for emitting `retry`
+    /// trace events without the engine knowing about trace rings.  Spec/simulation
+    /// errors and timeouts return immediately, as does any failure once the job's
+    /// own deadline or cancel flag is set — retrying into a dead deadline only
+    /// burns worker time.
+    pub fn run_job_with_retry(
         &self,
         spec: &JobSpec,
         control: &RunControl,
@@ -648,7 +619,16 @@ impl Engine {
     ) -> Result<JobResult, ServiceError> {
         let mut attempt = 0;
         loop {
-            match self.run_job_isolated(spec, control) {
+            let outcome =
+                std::panic::catch_unwind(AssertUnwindSafe(|| self.run_job(spec, control)))
+                    .unwrap_or_else(|payload| {
+                        // `run_job` never returned, so its own failure accounting did
+                        // not run: `jobs_failed` still covers every job that entered.
+                        self.counters.jobs_failed.inc();
+                        self.counters.jobs_panicked.inc();
+                        Err(ServiceError::Panicked(panic_message(payload.as_ref())))
+                    });
+            match outcome {
                 Err(e)
                     if e.is_transient()
                         && attempt < policy.max_retries
@@ -1626,10 +1606,20 @@ mod tests {
             max_delay_ms: 2,
             jitter_seed: 0,
         };
-        let res =
-            engine.run_job_with_retry(&quick_job("flaky-once", 0, 1), &RunControl::new(), &policy);
+        let mut retries = Vec::new();
+        let res = engine.run_job_with_retry(
+            &quick_job("flaky-once", 0, 1),
+            &RunControl::new(),
+            &policy,
+            |attempt, _| retries.push(attempt),
+        );
         crate::fault::clear();
         assert_eq!(res.unwrap().status, "done");
+        assert_eq!(
+            retries,
+            [0],
+            "the observer sees the one retry, at attempt 0"
+        );
         let stats = engine.stats();
         assert_eq!(stats.jobs_panicked, 1);
         assert_eq!(stats.jobs_retried, 1);
@@ -1639,7 +1629,7 @@ mod tests {
         let mut bad = quick_job("bad-spec", 0, 1);
         bad.p = 0;
         assert!(matches!(
-            engine.run_job_with_retry(&bad, &RunControl::new(), &policy),
+            engine.run_job_with_retry(&bad, &RunControl::new(), &policy, |_, _| {}),
             Err(ServiceError::Spec(_))
         ));
         assert_eq!(engine.stats().jobs_retried, 1, "spec errors must not retry");

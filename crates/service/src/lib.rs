@@ -67,7 +67,7 @@ pub use ops::OpsConfig;
 pub use retry::RetryPolicy;
 pub use router::{Router, RouterConfig, RouterStatsBody};
 pub use server::{JobStatusBody, MetricsBody, Server, ServerConfig, RETAINED_TERMINAL_JOBS};
-pub use spans::{DEFAULT_TRACE_CAPACITY, TRACE_CAP_ENV, TRACE_HEADER, TRACE_PARENT_ENV};
+pub use spans::{DEFAULT_TRACE_CAPACITY, TRACE_HEADER, TRACE_PARENT_ENV};
 pub use spec::{
     derive_trace_id, BuiltProblem, EstimatorSpec, JobFile, JobResult, JobSpec, JobTimings,
     MixerSpec, OptimizerSpec, ProblemSpec, SampleReport, SamplingSpec, MAX_QUBITS, MAX_SHOTS,

@@ -23,7 +23,9 @@
 //! ever waits on.
 
 use crate::http::{read_request_limited, write_error, write_json, Request, DEFAULT_MAX_BODY_BYTES};
-use crate::spans::{default_trace_cap, span_to_value, trace_body, trace_collector, version_value};
+use crate::spans::{
+    span_to_value, trace_body, trace_collector, version_value, DEFAULT_TRACE_CAPACITY,
+};
 use crate::spec::JobSpec;
 use juliqaoa_telemetry::{Span, SpanCollector, TraceId};
 use serde::{Serialize, Value};
@@ -57,7 +59,7 @@ pub struct OpsConfig {
     /// checksummed results journal).
     pub trace_path: Option<PathBuf>,
     /// Capacity of the span ring behind `GET /trace` (`--trace-ring-cap`,
-    /// falling back to `JULIQAOA_TRACE_CAP`, then 1024).
+    /// else [`DEFAULT_TRACE_CAPACITY`]).
     pub trace_ring_cap: usize,
 }
 
@@ -70,7 +72,7 @@ impl OpsConfig {
             write_timeout_ms: 5_000,
             max_body_bytes: DEFAULT_MAX_BODY_BYTES,
             trace_path: None,
-            trace_ring_cap: default_trace_cap(),
+            trace_ring_cap: DEFAULT_TRACE_CAPACITY,
         }
     }
 }

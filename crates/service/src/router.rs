@@ -19,7 +19,9 @@
 //!   job's spec, so a backend that dies *after* accepting jobs is handled the
 //!   same way: the next poll that finds the owner dead re-submits the spec to
 //!   the successor (job results are pure functions of their specs, so re-running
-//!   elsewhere yields identical bytes).
+//!   elsewhere yields identical bytes).  It keeps every job no read has yet seen
+//!   finished, and the [`RETAINED_TERMINAL_JOBS`] most recently seen finished;
+//!   an older id answers `404`.
 //! * **Health** — a prober thread drives each backend's Up/Degraded/Down
 //!   circuit breaker from periodic `/readyz` probes (see [`crate::cluster`]).
 //! * **Hedged reads** — with `--hedge-after-ms`, an idempotent status/result
@@ -45,12 +47,13 @@ use crate::http::{
     ClientResponse,
 };
 use crate::ops::{self, parse_submission, reply_json, Call, Ops, OpsConfig, Route, Tier};
+use crate::server::{JobStatusBody, RETAINED_TERMINAL_JOBS};
 use crate::spans::{event, span_from_value, OPS_TRACE, TRACE_HEADER};
 use crate::spec::derive_trace_id;
 use juliqaoa_telemetry::{encode, PromWriter, Span, Stage, TraceId};
 use serde::{Deserialize, Serialize, Value};
-use std::collections::HashMap;
-use std::net::TcpListener;
+use std::collections::{HashMap, VecDeque};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -93,6 +96,35 @@ struct RoutedJob {
     spec_body: String,
     /// The trace id assigned at routing time and propagated to the backend.
     trace: TraceId,
+    /// Whether a proxied read has seen the job finished.
+    finished: bool,
+}
+
+/// Every job route tracks: all jobs no read has yet seen finished, and the
+/// [`RETAINED_TERMINAL_JOBS`] most recently seen finished.
+#[derive(Default)]
+struct RoutedJobs {
+    jobs: HashMap<String, RoutedJob>,
+    /// Ids of the jobs seen finished, oldest first.
+    finished: VecDeque<String>,
+}
+
+impl RoutedJobs {
+    /// Records that a read saw job `id` finished, and drops the oldest finished
+    /// job beyond the retention limit.  Jobs not yet seen finished are never
+    /// dropped, so failover keeps their spec bodies.
+    fn retire(&mut self, id: &str) {
+        match self.jobs.get_mut(id) {
+            Some(job) if !job.finished => job.finished = true,
+            _ => return,
+        }
+        self.finished.push_back(id.to_string());
+        while self.finished.len() > RETAINED_TERMINAL_JOBS {
+            if let Some(oldest) = self.finished.pop_front() {
+                self.jobs.remove(&oldest);
+            }
+        }
+    }
 }
 
 /// Per-backend entry in the `GET /stats` body.
@@ -154,7 +186,7 @@ struct RouterState {
     ops: Ops,
     cluster: Cluster,
     config: RouterConfig,
-    jobs: Mutex<HashMap<String, RoutedJob>>,
+    jobs: Mutex<RoutedJobs>,
     auto_id: AtomicU64,
     counters: RouterCounters,
     latency: RouteLatency,
@@ -191,7 +223,7 @@ impl Router {
         let state = Arc::new(RouterState {
             ops,
             cluster: Cluster::new(config.cluster.clone()),
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::default(),
             auto_id: AtomicU64::new(0),
             counters: RouterCounters::new(),
             latency: RouteLatency::default(),
@@ -424,6 +456,7 @@ fn handle_submit(state: &RouterState, call: &mut Call<'_>) {
         .jobs
         .lock()
         .expect("router jobs lock")
+        .jobs
         .contains_key(&spec.id)
     {
         write_error(stream, 409, &format!("job id {:?} already exists", spec.id));
@@ -455,13 +488,14 @@ fn handle_submit(state: &RouterState, call: &mut Call<'_>) {
     match submit_with_failover(state, &spec.id, key, trace, &spec_body) {
         Ok((index, resp, attempts)) => {
             if resp.is_success() || resp.status == 409 {
-                state.jobs.lock().expect("router jobs lock").insert(
+                state.jobs.lock().expect("router jobs lock").jobs.insert(
                     spec.id.clone(),
                     RoutedJob {
                         key,
                         backend: index,
                         spec_body,
                         trace,
+                        finished: false,
                     },
                 );
                 state.counters.jobs_routed.inc();
@@ -496,6 +530,7 @@ fn failover_job(state: &RouterState, id: &str) -> Result<usize, String> {
         .jobs
         .lock()
         .expect("router jobs lock")
+        .jobs
         .get(id)
         .cloned()
         .ok_or_else(|| format!("unknown job {id:?}"))?;
@@ -508,7 +543,13 @@ fn failover_job(state: &RouterState, id: &str) -> Result<usize, String> {
     let (index, _, _) = place(state, id, job.trace, &job.spec_body, &order, |r| {
         r.is_success() || r.status == 409
     })?;
-    if let Some(entry) = state.jobs.lock().expect("router jobs lock").get_mut(id) {
+    if let Some(entry) = state
+        .jobs
+        .lock()
+        .expect("router jobs lock")
+        .jobs
+        .get_mut(id)
+    {
         entry.backend = index;
     }
     state.counters.failovers.inc();
@@ -626,12 +667,42 @@ fn lookup(state: &RouterState, call: &mut Call<'_>) -> Option<(usize, TraceId)> 
         .jobs
         .lock()
         .expect("router jobs lock")
+        .jobs
         .get(call.id)
         .map(|job| (job.backend, job.trace));
     if owner.is_none() {
-        write_error(call.stream, 404, &format!("unknown job {:?}", call.id));
+        let message = format!(
+            "unknown job {:?}: route keeps the last {RETAINED_TERMINAL_JOBS} finished jobs; \
+             older results are in the backends' --out journals",
+            call.id
+        );
+        write_error(call.stream, 404, &message);
     }
     owner
+}
+
+/// Forwards a proxied read's response, first retiring the job when the read
+/// shows it finished: a result read that found one, or a status read with a
+/// terminal state.
+fn reply_read(
+    state: &RouterState,
+    id: &str,
+    path: &str,
+    stream: &mut TcpStream,
+    resp: ClientResponse,
+) {
+    let finished = resp.status == 200
+        && (path.ends_with("/result")
+            || serde_json::from_str::<JobStatusBody>(&resp.body).is_ok_and(|body| {
+                matches!(
+                    body.status.as_str(),
+                    "done" | "cancelled" | "timed_out" | "shed" | "failed"
+                )
+            }));
+    if finished {
+        state.jobs.lock().expect("router jobs lock").retire(id);
+    }
+    write_json(stream, resp.status, &resp.body);
 }
 
 /// A status or result read, proxied to the job's owner on the same path.
@@ -646,7 +717,7 @@ fn handle_read(state: &RouterState, call: &mut Call<'_>) {
         Ok(resp) => {
             state.trace_transition(state.cluster.record_success(owner));
             read.finish(trace);
-            write_json(stream, resp.status, &resp.body);
+            reply_read(state, id, path, stream, resp);
         }
         Err(e) => {
             // The owner is unreachable: deterministic failover.  The job's spec
@@ -664,7 +735,7 @@ fn handle_read(state: &RouterState, call: &mut Call<'_>) {
                     let outcome = client_request(&addr, "GET", path, None, state.backend_timeout());
                     read.finish(trace);
                     match outcome {
-                        Ok(resp) => write_json(stream, resp.status, &resp.body),
+                        Ok(resp) => reply_read(state, id, path, stream, resp),
                         Err(e) => write_error(
                             stream,
                             503,

@@ -539,7 +539,7 @@ fn worker_loop(state: &ServiceState) {
         // an ordinary failed job (visible in `jobs_failed`/`jobs_panicked`) and
         // the worker lives on.  Transient failures (panics, journal I/O) are
         // retried per the server's policy before giving up.
-        let outcome = state.engine.run_job_with_retry_observed(
+        let outcome = state.engine.run_job_with_retry(
             &record.spec,
             &control,
             &state.config.retry,

@@ -19,8 +19,8 @@
 //!   sets for its child processes;
 //! * [`version_value`] — the `GET /version` body, so multi-process trace
 //!   journals can be correlated to a build;
-//! * [`default_trace_cap`] — the `JULIQAOA_TRACE_CAP`-aware default capacity
-//!   of the span ring.
+//! * [`DEFAULT_TRACE_CAPACITY`] — the span ring's capacity unless serve or
+//!   route is given `--trace-ring-cap`.
 
 use juliqaoa_telemetry::{Span, SpanCollector, SpanId, TraceId};
 use serde::{Serialize, Value};
@@ -44,23 +44,8 @@ pub const TRACE_HEADER: &str = "X-Juliqaoa-Trace";
 /// shard-level span under the parent's, so the batch trace spans processes.
 pub const TRACE_PARENT_ENV: &str = "JULIQAOA_TRACE_PARENT";
 
-/// Environment variable overriding the default span-ring capacity (the
-/// `--trace-ring-cap` flag wins over it).
-pub const TRACE_CAP_ENV: &str = "JULIQAOA_TRACE_CAP";
-
-/// The built-in span-ring capacity when neither the flag nor the environment
-/// override it.
+/// The span-ring capacity unless serve or route is given `--trace-ring-cap`.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1024;
-
-/// The span-ring capacity: `JULIQAOA_TRACE_CAP` when set to a positive
-/// integer, [`DEFAULT_TRACE_CAPACITY`] otherwise.
-pub fn default_trace_cap() -> usize {
-    std::env::var(TRACE_CAP_ENV)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&cap| cap >= 1)
-        .unwrap_or(DEFAULT_TRACE_CAPACITY)
-}
 
 /// A fresh span-collector salt: FNV-mixed pid, wall-clock nanos and a
 /// process-global counter.  The pid alone is not enough — two collectors in one
@@ -518,10 +503,6 @@ mod tests {
 
     #[test]
     fn default_cap_ignores_garbage_env() {
-        // Not asserting the env-var path itself: mutating the environment in a
-        // threaded test harness is UB on glibc.  The parse contract is covered
-        // by construction; here we pin the default.
         assert_eq!(DEFAULT_TRACE_CAPACITY, 1024);
-        assert!(default_trace_cap() >= 1);
     }
 }

@@ -479,16 +479,6 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// The job's kind on the wire/metrics surface: `"sample"` when a sampling spec
-    /// is present, `"exact"` otherwise.
-    pub fn job_kind(&self) -> &'static str {
-        if self.sampling.is_some() {
-            "sample"
-        } else {
-            "exact"
-        }
-    }
-
     /// The job's deterministic trace id (see [`derive_trace_id`]).
     ///
     /// Realises the problem to obtain the canonical instance id — graph/clause
@@ -753,7 +743,6 @@ pub(crate) mod tests {
         let spec: JobSpec = serde_json::from_str(json).unwrap();
         assert_eq!(spec.sampling, None);
         assert_eq!(spec.timeout_ms, None);
-        assert_eq!(spec.job_kind(), "exact");
         // Exact jobs serialise without the optional fields, so legacy files
         // round-trip.
         let round = serde_json::to_string(&spec).unwrap();

@@ -4,7 +4,7 @@
 
 use juliqaoa_service::{
     JobResult, JobSpec, JobStatusBody, MixerSpec, OpsConfig, OptimizerSpec, ProblemSpec, Router,
-    RouterConfig, RouterStatsBody, Server, ServerConfig,
+    RouterConfig, RouterStatsBody, Server, ServerConfig, RETAINED_TERMINAL_JOBS,
 };
 use serde::Value;
 use std::io::{Read, Write};
@@ -772,4 +772,58 @@ fn an_idle_router_stops_on_its_external_stop_flag() {
         "the router was still running {:?} after its stop flag went up",
         raised.elapsed()
     );
+}
+
+#[test]
+fn route_keeps_only_the_most_recent_finished_jobs() {
+    // One backend worker, so jobs finish in submission order, and a queue that
+    // holds all of them.
+    let total = RETAINED_TERMINAL_JOBS + 8;
+    let server = Server::bind(ServerConfig {
+        ops: OpsConfig::at("127.0.0.1:0"),
+        workers: 1,
+        queue_capacity: total,
+        ..ServerConfig::default()
+    })
+    .expect("bind backend");
+    let backend = server.local_addr().unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let backend_handle = {
+        let stop = stop.clone();
+        std::thread::spawn(move || server.run_until(&stop).unwrap())
+    };
+    let (router, router_handle) = start_router(vec![backend.to_string()], None);
+
+    let tiny = |i: usize| {
+        let mut spec = spec(&format!("r{i}"), 0);
+        spec.problem = ProblemSpec::MaxCutGnp { n: 4, instance: 0 };
+        spec.optimizer = OptimizerSpec::GridSearch { resolution: 1 };
+        serde_json::to_string(&spec).unwrap()
+    };
+    // Each job is read finished through route before the next is submitted, so
+    // serve still holds it when route first sees it done.
+    for i in 0..total {
+        let (status, body) = request(router, "POST", "/jobs", Some(&tiny(i)));
+        assert_eq!(status, 202, "submit r{i}: {body}");
+        assert_eq!(poll_until_done(router, &format!("r{i}")).status, "done");
+    }
+
+    // Route answers for the oldest finished jobs itself, naming its limit.
+    for i in 0..8 {
+        let (status, body) = request(router, "GET", &format!("/jobs/r{i}"), None);
+        assert_eq!(status, 404, "r{i}: {body}");
+        assert!(
+            body.contains(&format!("route keeps the last {RETAINED_TERMINAL_JOBS}")),
+            "{body}"
+        );
+    }
+    for i in 8..total {
+        let (status, body) = request(router, "GET", &format!("/jobs/r{i}"), None);
+        assert_eq!(status, 200, "r{i}: {body}");
+    }
+
+    assert_eq!(request(router, "POST", "/shutdown", None).0, 200);
+    router_handle.join().unwrap();
+    stop.store(true, Ordering::SeqCst);
+    backend_handle.join().unwrap();
 }

@@ -65,7 +65,7 @@ pub mod prelude {
         adjoint_gradient, adjoint_gradient_cached, Angles, InitialState, PrefixCache, QaoaError,
         SimulationResult, Simulator, Workspace,
     };
-    pub use juliqaoa_graphs::{complete_graph, cycle_graph, erdos_renyi, random_regular, Graph};
+    pub use juliqaoa_graphs::{complete_graph, cycle_graph, erdos_renyi, Graph};
     pub use juliqaoa_linalg::Complex64;
     pub use juliqaoa_mixers::{Mixer, PauliXMixer};
     pub use juliqaoa_optim::{
