@@ -9,11 +9,14 @@
 //! count.
 //!
 //! Kernel numbers live here and in the figure binaries, nowhere else: run it on a
-//! quiet machine and commit the JSON to compare across changes.
+//! quiet machine and commit the JSON to compare across changes.  Every timing is
+//! recorded as the minimum and the median over its repetitions, and the two sides of
+//! each comparison row are timed alternately, one repetition at a time, so host drift
+//! that outlasts a repetition slows both sides alike and their ratio survives it.
 //!
 //! Usage: `cargo run --release -p juliqaoa_bench --bin bench_kernels [output.json]`
 
-use juliqaoa_bench::harness::{git_describe, BenchTimer};
+use juliqaoa_bench::harness::{git_describe, BenchTimer, Timing};
 use juliqaoa_combinatorics::DickeSubspace;
 use juliqaoa_core::{adjoint_gradient, Angles, Simulator};
 use juliqaoa_linalg::{enter_outer_parallelism, vector, walsh, Complex64};
@@ -26,22 +29,53 @@ use juliqaoa_telemetry::kernels;
 use serde::Serialize;
 use std::hint::black_box;
 
+/// One timing, the minimum and the median over its repetitions, in the unit its
+/// field name gives; for a ratio, the ratio of the minima and of the medians.
+#[derive(Serialize)]
+struct Times {
+    min: f64,
+    median: f64,
+}
+
+impl Times {
+    /// `t` in units of `1 / per_second` seconds.
+    fn of(t: Timing, per_second: f64) -> Self {
+        let scale = per_second / NS;
+        Times {
+            min: t.min.as_nanos() as f64 * scale,
+            median: t.median.as_nanos() as f64 * scale,
+        }
+    }
+
+    /// `num / den`, for the minima and for the medians.
+    fn ratio(num: Timing, den: Timing) -> Self {
+        Times {
+            min: num.min.as_secs_f64() / den.min.as_secs_f64(),
+            median: num.median.as_secs_f64() / den.median.as_secs_f64(),
+        }
+    }
+}
+
+const NS: f64 = 1e9;
+const US: f64 = 1e6;
+const MS: f64 = 1e3;
+
 #[derive(Serialize)]
 struct PhaseSeparatorRow {
     n: usize,
     distinct_values: usize,
-    dense_cis_ns: f64,
-    table_driven_ns: f64,
-    speedup: f64,
+    dense_cis_ns: Times,
+    table_driven_ns: Times,
+    speedup: Times,
 }
 
 #[derive(Serialize)]
 struct GroverRoundRow {
     n: usize,
     rounds: usize,
-    unfused_dense_ns: f64,
-    fused_table_ns: f64,
-    speedup: f64,
+    unfused_dense_ns: Times,
+    fused_table_ns: Times,
+    speedup: Times,
 }
 
 #[derive(Serialize)]
@@ -49,11 +83,11 @@ struct WalshHadamardRow {
     n: usize,
     /// `walsh_hadamard` as the simulator calls it: the parallel schedule from
     /// `par_threshold()` amplitudes up, the serial one below.
-    default_ns: f64,
+    default_ns: Times,
     /// The serial schedule (the call under an outer-parallelism guard).
-    serial_ns: f64,
+    serial_ns: Times,
     /// Computed, not measured: the radix-2 definition's traffic (each of the `n`
-    /// stages reads and writes every 16-byte amplitude) over `default_ns`.
+    /// stages reads and writes every 16-byte amplitude) over `default_ns.min`.
     gb_per_s_computed: f64,
 }
 
@@ -62,9 +96,9 @@ struct PauliXGradientRow {
     n: usize,
     p: usize,
     /// `Simulator::expectation_with`, transverse-field MaxCut.
-    expectation_us: f64,
+    expectation_us: Times,
     /// `adjoint_gradient` at the same point (its own cold forward pass included).
-    adjoint_gradient_us: f64,
+    adjoint_gradient_us: Times,
     /// `KERNELS.wht_passes` delta over one `adjoint_gradient` call.
     transforms_per_gradient: u64,
 }
@@ -77,13 +111,14 @@ struct XyMixerRow {
     dim: usize,
     /// `Mixer::bytes()`: the hop tables the mixer keeps.
     bytes: usize,
-    build_ms: f64,
-    apply_us_beta_0_3: f64,
-    apply_us_beta_3_0: f64,
-    hamiltonian_us: f64,
-    /// The dense eigendecomposition it replaces, where that still fits in seconds.
+    build_ms: Times,
+    apply_us_beta_0_3: Times,
+    apply_us_beta_3_0: Times,
+    hamiltonian_us: Times,
+    /// The dense eigendecomposition it replaces, where that still fits in seconds
+    /// (its build is timed once).
     dense_build_ms: Option<f64>,
-    dense_apply_us: Option<f64>,
+    dense_apply_us: Option<Times>,
     max_abs_diff_vs_dense: Option<f64>,
 }
 
@@ -91,11 +126,11 @@ struct XyMixerRow {
 struct PrecomputeRow {
     n: usize,
     /// `CostFunction::evaluate` over all `2ⁿ` states in a plain serial loop.
-    serial_evaluate_ms: f64,
+    serial_evaluate_ms: Times,
     /// `precompute_full`: the same values, computed in parallel chunks.
-    precompute_full_ms: f64,
+    precompute_full_ms: Times,
     /// `degeneracies_full`: the `(value, count)` table of the class-space Grover path.
-    degeneracies_full_ms: f64,
+    degeneracies_full_ms: Times,
 }
 
 #[derive(Serialize)]
@@ -104,12 +139,12 @@ struct ConstrainedSubspaceRow {
     k: usize,
     /// p = 3 `expectation_with` of Densest-k-Subgraph on the `C(n,k)` Dicke subspace
     /// with the Clique mixer.
-    dicke_clique_us: f64,
+    dicke_clique_us: Times,
     /// The same objective on the full `2ⁿ` space, infeasible states penalised, with
     /// the transverse-field mixer: what a tool without subspace support runs.
-    full_space_penalty_us: f64,
+    full_space_penalty_us: Times,
     /// `dicke_clique_us / full_space_penalty_us`.
-    subspace_over_penalty: f64,
+    subspace_over_penalty: Times,
 }
 
 #[derive(Serialize)]
@@ -126,14 +161,6 @@ struct Snapshot {
     xy_mixer: Vec<XyMixerRow>,
     precompute: Vec<PrecomputeRow>,
     constrained_subspace: Vec<ConstrainedSubspaceRow>,
-}
-
-fn ms(d: std::time::Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
-fn us(d: std::time::Duration) -> f64 {
-    d.as_secs_f64() * 1e6
 }
 
 /// A normalised state with weight in every eigenspace (the uniform Dicke state would
@@ -153,19 +180,22 @@ fn walsh_hadamard_row(n: usize) -> WalshHadamardRow {
         _ => 3,
     };
     let timer = BenchTimer::new(reps);
-    let mut psi = generic_state(1 << n);
-    let (default_min, _) = timer.measure(|| walsh::walsh_hadamard(black_box(&mut psi)));
-    let (serial_min, _) = timer.measure(|| {
-        let _serial = enter_outer_parallelism();
-        walsh::walsh_hadamard(black_box(&mut psi));
-    });
-    let default_ns = default_min.as_nanos() as f64;
+    // Both sides transform their own state: the pair alternates, and neither
+    // should see the other's output as its input.
+    let (mut psi, mut phi) = (generic_state(1 << n), generic_state(1 << n));
+    let (default, serial) = timer.measure_pair(
+        || walsh::walsh_hadamard(black_box(&mut psi)),
+        || {
+            let _serial = enter_outer_parallelism();
+            walsh::walsh_hadamard(black_box(&mut phi));
+        },
+    );
     let bytes = 2.0 * 16.0 * (1u64 << n) as f64 * n as f64;
     WalshHadamardRow {
         n,
-        default_ns,
-        serial_ns: serial_min.as_nanos() as f64,
-        gb_per_s_computed: bytes / default_ns,
+        gb_per_s_computed: bytes / (default.min.as_secs_f64() * NS),
+        default_ns: Times::of(default, NS),
+        serial_ns: Times::of(serial, NS),
     }
 }
 
@@ -175,10 +205,10 @@ fn pauli_x_gradient_row(n: usize, p: usize) -> PauliXGradientRow {
     let angles = Angles::linear_ramp(p, 0.5);
     let mut ws = sim.workspace();
     let timer = BenchTimer::new(20);
-    let (expectation, _) = timer.measure(|| {
+    let expectation = timer.measure(|| {
         black_box(sim.expectation_with(&angles, &mut ws).expect("setup"));
     });
-    let (gradient, _) = timer.measure(|| {
+    let gradient = timer.measure(|| {
         black_box(adjoint_gradient(&sim, &angles, &mut ws).expect("setup"));
     });
     let before = kernels::snapshot();
@@ -187,8 +217,8 @@ fn pauli_x_gradient_row(n: usize, p: usize) -> PauliXGradientRow {
     PauliXGradientRow {
         n,
         p,
-        expectation_us: us(expectation),
-        adjoint_gradient_us: us(gradient),
+        expectation_us: Times::of(expectation, US),
+        adjoint_gradient_us: Times::of(gradient, US),
         transforms_per_gradient: transforms,
     }
 }
@@ -200,18 +230,16 @@ fn xy_mixer_row(coupling: XYCoupling, n: usize, k: usize) -> XyMixerRow {
         XYCoupling::Clique => Mixer::clique(n, k),
         XYCoupling::Ring => Mixer::ring(n, k),
     };
-    let (build_min, _) = timer.measure(|| drop(black_box(build())));
+    let build_time = timer.measure(|| drop(black_box(build())));
     let mixer = build();
     let dim = mixer.dim();
     let mut psi = generic_state(dim);
     let mut scratch = vec![Complex64::ZERO; dim];
     let mut apply = |beta: f64| {
-        timer
-            .measure(|| mixer.apply_evolution(beta, black_box(&mut psi), &mut scratch))
-            .0
+        timer.measure(|| mixer.apply_evolution(beta, black_box(&mut psi), &mut scratch))
     };
     let (small, large) = (apply(0.3), apply(3.0));
-    let (hamiltonian, _) = timer.measure(|| {
+    let hamiltonian = timer.measure(|| {
         mixer.apply_hamiltonian(black_box(&mut psi), &mut scratch);
         vector::normalize(&mut psi);
     });
@@ -221,10 +249,10 @@ fn xy_mixer_row(coupling: XYCoupling, n: usize, k: usize) -> XyMixerRow {
         k,
         dim,
         bytes: mixer.bytes(),
-        build_ms: ms(build_min),
-        apply_us_beta_0_3: us(small),
-        apply_us_beta_3_0: us(large),
-        hamiltonian_us: us(hamiltonian),
+        build_ms: Times::of(build_time, MS),
+        apply_us_beta_0_3: Times::of(small, US),
+        apply_us_beta_3_0: Times::of(large, US),
+        hamiltonian_us: Times::of(hamiltonian, US),
         dense_build_ms: None,
         dense_apply_us: None,
         max_abs_diff_vs_dense: None,
@@ -233,11 +261,11 @@ fn xy_mixer_row(coupling: XYCoupling, n: usize, k: usize) -> XyMixerRow {
         let dense_timer = BenchTimer::new(1);
         let h = build_xy_hamiltonian(&DickeSubspace::new(n, k), coupling);
         let mut dense = None;
-        let (dense_build, _) = dense_timer.measure(|| {
+        let dense_build = dense_timer.measure(|| {
             dense = Some(Mixer::Subspace(CustomMixer::from_symmetric("dense", &h)));
         });
         let dense = dense.expect("the dense reference was built");
-        let (dense_apply, _) = timer.measure(|| {
+        let dense_apply = timer.measure(|| {
             dense.apply_evolution(0.3, black_box(&mut psi), &mut scratch);
         });
         let mut worst = 0.0f64;
@@ -252,8 +280,8 @@ fn xy_mixer_row(coupling: XYCoupling, n: usize, k: usize) -> XyMixerRow {
             worst <= 1e-12,
             "{coupling:?}({n},{k}) departs from the dense reference by {worst:e}"
         );
-        row.dense_build_ms = Some(ms(dense_build));
-        row.dense_apply_us = Some(us(dense_apply));
+        row.dense_build_ms = Some(dense_build.min.as_secs_f64() * MS);
+        row.dense_apply_us = Some(Times::of(dense_apply, US));
         row.max_abs_diff_vs_dense = Some(worst);
     }
     row
@@ -262,47 +290,50 @@ fn xy_mixer_row(coupling: XYCoupling, n: usize, k: usize) -> XyMixerRow {
 fn precompute_row(n: usize) -> PrecomputeRow {
     let cost = MaxCut::new(paper_maxcut_instance(n, 0));
     let timer = BenchTimer::new(if n >= 18 { 5 } else { 7 });
-    let (serial, _) = timer.measure(|| {
+    let serial = timer.measure(|| {
         let values: Vec<f64> = (0..1u64 << n).map(|x| cost.evaluate(x)).collect();
         black_box(values);
     });
-    let (full, _) = timer.measure(|| drop(black_box(precompute_full(&cost))));
+    let full = timer.measure(|| drop(black_box(precompute_full(&cost))));
     let workers = rayon::current_num_threads();
-    let (degeneracies, _) = timer.measure(|| drop(black_box(degeneracies_full(&cost, workers))));
+    let degeneracies = timer.measure(|| drop(black_box(degeneracies_full(&cost, workers))));
     PrecomputeRow {
         n,
-        serial_evaluate_ms: ms(serial),
-        precompute_full_ms: ms(full),
-        degeneracies_full_ms: ms(degeneracies),
+        serial_evaluate_ms: Times::of(serial, MS),
+        precompute_full_ms: Times::of(full, MS),
+        degeneracies_full_ms: Times::of(degeneracies, MS),
     }
 }
 
 fn constrained_subspace_row(n: usize, k: usize) -> ConstrainedSubspaceRow {
     let problem = DensestKSubgraph::new(paper_maxcut_instance(n, 1), k);
     let angles = Angles::linear_ramp(3, 0.5);
-    let timer = BenchTimer::new(50);
-    let time_expectation = |sim: Simulator| {
-        let mut ws = sim.workspace();
-        timer
-            .measure(|| {
-                black_box(sim.expectation_with(&angles, &mut ws).expect("setup"));
-            })
-            .0
-    };
     let subspace = precompute_dicke(&problem, &DickeSubspace::new(n, k));
-    let dicke = time_expectation(Simulator::new(subspace, Mixer::clique(n, k)).expect("setup"));
+    let dicke = Simulator::new(subspace, Mixer::clique(n, k)).expect("setup");
     let penalty = (n * n) as f64;
     let penalised: Vec<f64> = (0..1u64 << n)
         .map(|x| problem.evaluate(x) - penalty * x.count_ones().abs_diff(k as u32) as f64)
         .collect();
-    let full =
-        time_expectation(Simulator::new(penalised, Mixer::transverse_field(n)).expect("setup"));
+    let full = Simulator::new(penalised, Mixer::transverse_field(n)).expect("setup");
+    let (mut ws_dicke, mut ws_full) = (dicke.workspace(), full.workspace());
+    let (dicke_time, full_time) = BenchTimer::new(50).measure_pair(
+        || {
+            black_box(
+                dicke
+                    .expectation_with(&angles, &mut ws_dicke)
+                    .expect("setup"),
+            );
+        },
+        || {
+            black_box(full.expectation_with(&angles, &mut ws_full).expect("setup"));
+        },
+    );
     ConstrainedSubspaceRow {
         n,
         k,
-        dicke_clique_us: us(dicke),
-        full_space_penalty_us: us(full),
-        subspace_over_penalty: dicke.as_secs_f64() / full.as_secs_f64(),
+        subspace_over_penalty: Times::ratio(dicke_time, full_time),
+        dicke_clique_us: Times::of(dicke_time, US),
+        full_space_penalty_us: Times::of(full_time, US),
     }
 }
 
@@ -320,60 +351,73 @@ fn main() {
         let classes = PhaseClasses::build(&obj).expect("MaxCut compresses");
         let timer = BenchTimer::new(reps);
 
-        // Dense vs table-driven phase separator on a live statevector.
+        // Dense vs table-driven phase separator, each on its own live statevector.
         let mut psi = vec![Complex64::ZERO; 1 << n];
         vector::fill_uniform(&mut psi);
-        let (dense_min, _) =
-            timer.measure(|| vector::apply_phases(black_box(&mut psi), black_box(&obj), 0.37));
+        let mut phi = psi.clone();
         let mut table = Vec::new();
-        let (table_min, _) = timer.measure(|| {
-            vector::build_phase_table(classes.distinct_values(), 0.37, &mut table);
-            vector::apply_phases_indexed(black_box(&mut psi), classes.class_indices(), &table);
-        });
-        let dense_ns = dense_min.as_nanos() as f64;
-        let table_ns = table_min.as_nanos() as f64;
-        println!(
-            "phase separator  n={n:2}  dense {:>12.1} µs   table {:>12.1} µs   speedup {:.2}x",
-            dense_ns / 1e3,
-            table_ns / 1e3,
-            dense_ns / table_ns
+        let (dense, table_driven) = timer.measure_pair(
+            || vector::apply_phases(black_box(&mut psi), black_box(&obj), 0.37),
+            || {
+                vector::build_phase_table(classes.distinct_values(), 0.37, &mut table);
+                vector::apply_phases_indexed(black_box(&mut phi), classes.class_indices(), &table);
+            },
         );
-        phase_rows.push(PhaseSeparatorRow {
+        let row = PhaseSeparatorRow {
             n,
             distinct_values: classes.num_classes(),
-            dense_cis_ns: dense_ns,
-            table_driven_ns: table_ns,
-            speedup: dense_ns / table_ns,
-        });
+            dense_cis_ns: Times::of(dense, NS),
+            table_driven_ns: Times::of(table_driven, NS),
+            speedup: Times::ratio(dense, table_driven),
+        };
+        println!(
+            "phase separator  n={n:2}  dense {:>12.1} µs   table {:>12.1} µs   speedup {:.2}x \
+             (median {:.2}x)",
+            row.dense_cis_ns.min / 1e3,
+            row.table_driven_ns.min / 1e3,
+            row.speedup.min,
+            row.speedup.median
+        );
+        phase_rows.push(row);
 
         // Fused vs unfused GM-QAOA evaluation (p = 3).
         let rounds = 3;
         let angles = Angles::linear_ramp(rounds, 0.5);
         let fused = Simulator::new(obj.clone(), Mixer::grover_full(n)).expect("setup");
-        let mut ws = fused.workspace();
-        let (fused_min, _) = timer.measure(|| {
-            black_box(fused.expectation_with(&angles, &mut ws).expect("setup"));
-        });
         let unfused = fused.clone().with_dense_phases();
-        let mut ws = unfused.workspace();
-        let (unfused_min, _) = timer.measure(|| {
-            black_box(unfused.expectation_with(&angles, &mut ws).expect("setup"));
-        });
-        let fused_ns = fused_min.as_nanos() as f64;
-        let unfused_ns = unfused_min.as_nanos() as f64;
-        println!(
-            "grover round p=3 n={n:2}  dense {:>12.1} µs   fused {:>12.1} µs   speedup {:.2}x",
-            unfused_ns / 1e3,
-            fused_ns / 1e3,
-            unfused_ns / fused_ns
+        let (mut ws_unfused, mut ws_fused) = (unfused.workspace(), fused.workspace());
+        let (unfused_time, fused_time) = timer.measure_pair(
+            || {
+                black_box(
+                    unfused
+                        .expectation_with(&angles, &mut ws_unfused)
+                        .expect("setup"),
+                );
+            },
+            || {
+                black_box(
+                    fused
+                        .expectation_with(&angles, &mut ws_fused)
+                        .expect("setup"),
+                );
+            },
         );
-        grover_rows.push(GroverRoundRow {
+        let row = GroverRoundRow {
             n,
             rounds,
-            unfused_dense_ns: unfused_ns,
-            fused_table_ns: fused_ns,
-            speedup: unfused_ns / fused_ns,
-        });
+            unfused_dense_ns: Times::of(unfused_time, NS),
+            fused_table_ns: Times::of(fused_time, NS),
+            speedup: Times::ratio(unfused_time, fused_time),
+        };
+        println!(
+            "grover round p=3 n={n:2}  dense {:>12.1} µs   fused {:>12.1} µs   speedup {:.2}x \
+             (median {:.2}x)",
+            row.unfused_dense_ns.min / 1e3,
+            row.fused_table_ns.min / 1e3,
+            row.speedup.min,
+            row.speedup.median
+        );
+        grover_rows.push(row);
     }
 
     let mut wht_rows = Vec::new();
@@ -381,8 +425,8 @@ fn main() {
         let row = walsh_hadamard_row(n);
         println!(
             "walsh-hadamard   n={n:2}  default {:>12.1} µs   serial {:>12.1} µs   {:.2} GB/s computed",
-            row.default_ns / 1e3,
-            row.serial_ns / 1e3,
+            row.default_ns.min / 1e3,
+            row.serial_ns.min / 1e3,
             row.gb_per_s_computed
         );
         wht_rows.push(row);
@@ -395,7 +439,7 @@ fn main() {
             println!(
                 "pauli-x gradient n={n:2} p={p}  expectation {:>9.1} µs   adjoint gradient {:>9.1} µs   \
                  {} transforms per gradient",
-                row.expectation_us, row.adjoint_gradient_us, row.transforms_per_gradient
+                row.expectation_us.min, row.adjoint_gradient_us.min, row.transforms_per_gradient
             );
             gradient_rows.push(row);
         }
@@ -409,12 +453,13 @@ fn main() {
                 "xy mixer {:>6}({n:2},{k:2})  build {:>9.3} ms   apply β=0.3 {:>11.1} µs   \
                  β=3.0 {:>11.1} µs   H {:>11.1} µs{}",
                 row.coupling,
-                row.build_ms,
-                row.apply_us_beta_0_3,
-                row.apply_us_beta_3_0,
-                row.hamiltonian_us,
-                match (row.dense_build_ms, row.dense_apply_us) {
-                    (Some(b), Some(a)) => format!("   dense: build {b:.1} ms, apply {a:.1} µs"),
+                row.build_ms.min,
+                row.apply_us_beta_0_3.min,
+                row.apply_us_beta_3_0.min,
+                row.hamiltonian_us.min,
+                match (row.dense_build_ms, &row.dense_apply_us) {
+                    (Some(b), Some(a)) =>
+                        format!("   dense: build {b:.1} ms, apply {:.1} µs", a.min),
                     _ => String::new(),
                 }
             );
@@ -428,7 +473,7 @@ fn main() {
         println!(
             "precompute       n={n:2}  serial {:>9.2} ms   precompute_full {:>9.2} ms   \
              degeneracies_full {:>9.2} ms",
-            row.serial_evaluate_ms, row.precompute_full_ms, row.degeneracies_full_ms
+            row.serial_evaluate_ms.min, row.precompute_full_ms.min, row.degeneracies_full_ms.min
         );
         precompute_rows.push(row);
     }
@@ -438,8 +483,11 @@ fn main() {
         let row = constrained_subspace_row(n, k);
         println!(
             "dks p=3  ({n:2},{k:2})  dicke+clique {:>9.1} µs   full-space penalty {:>9.1} µs   \
-             ratio {:.2}",
-            row.dicke_clique_us, row.full_space_penalty_us, row.subspace_over_penalty
+             ratio {:.2} (median {:.2})",
+            row.dicke_clique_us.min,
+            row.full_space_penalty_us.min,
+            row.subspace_over_penalty.min,
+            row.subspace_over_penalty.median
         );
         subspace_rows.push(row);
     }
@@ -454,8 +502,11 @@ fn main() {
                       µs) against the dense eigendecomposition at n <= 12, MaxCut cost \
                       precomputation (serial loop, precompute_full, degeneracies_full; ms), and \
                       p = 3 Densest-k-Subgraph on the Dicke subspace with the Clique mixer \
-                      against the full-space penalty objective with the X mixer (µs); times \
-                      are minimum over repetitions"
+                      against the full-space penalty objective with the X mixer (µs); every \
+                      time is a {min, median} pair over its repetitions, speedups and ratios \
+                      are given for the minima and for the medians, and the two sides of \
+                      every comparison row (dense/table, unfused/fused, default/serial, \
+                      subspace/penalty) are timed alternately, one repetition at a time"
             .to_string(),
         git: git_describe(),
         cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),

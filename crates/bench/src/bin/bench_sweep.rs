@@ -1,5 +1,5 @@
 //! Sweep-level prefix-reuse snapshot: grid searches and finite-difference gradients
-//! with and without `PrefixCache` suffix replay, written to `BENCH_sweep.json`.
+//! with and without prefix-checkpoint suffix replay, written to `BENCH_sweep.json`.
 //!
 //! The cached and the cold paths must return **byte-identical** best points (the
 //! cache's contract is "same kernels, same reduction order, just skipped rounds");
@@ -8,14 +8,19 @@
 //! Usage:
 //!   `cargo run --release -p juliqaoa_bench --bin bench_sweep [output.json] [--smoke]`
 //!
+//! The committed `BENCH_sweep.json` is a `RAYON_NUM_THREADS=1` run from the repository
+//! root (so the `git` stamp resolves): with one thread each grid scan is a single
+//! objective, and its reuse counts are exact.
+//!
 //! `--smoke` runs a tiny configuration for CI: it additionally asserts that prefix
 //! reuse is not slower than full re-evolution (speedup ≥ 1).
 
+use juliqaoa_bench::harness::git_describe;
 use juliqaoa_core::{Angles, PrefixStats, Simulator};
 use juliqaoa_mixers::Mixer;
 use juliqaoa_optim::{
-    grid_search_ordered, qaoa_axis_order, GradientMethod, Objective, OptimizeResult,
-    PrefixCacheHome, QaoaObjective, RunControl,
+    grid_search_ordered, qaoa_axis_order, EvalTally, GradientMethod, Objective, OptimizeResult,
+    QaoaObjective, RunControl,
 };
 use juliqaoa_problems::{paper_maxcut_instance, precompute_full, MaxCut};
 use juliqaoa_telemetry::Histogram;
@@ -101,6 +106,8 @@ impl<O: Objective> Objective for TimedObjective<'_, O> {
 #[derive(Serialize)]
 struct Snapshot {
     description: String,
+    git: String,
+    cpus: usize,
     threads: usize,
     par_threshold: usize,
     grid_search: Vec<GridRow>,
@@ -123,13 +130,13 @@ fn scan(
 ) -> (OptimizeResult, f64, PrefixStats) {
     let order = qaoa_axis_order(p);
     let tau = 2.0 * std::f64::consts::PI;
-    let home = PrefixCacheHome::with_budget(juliqaoa_core::prefix::default_prefix_budget());
+    let tally = EvalTally::default();
     let started = Instant::now();
     let res = grid_search_ordered(
         || {
-            let obj = QaoaObjective::new(sim);
+            let obj = QaoaObjective::new(sim).with_tally(&tally);
             let obj = if cached {
-                obj.with_cache_home(&home)
+                obj
             } else {
                 obj.without_prefix_reuse()
             };
@@ -145,7 +152,7 @@ fn scan(
         &order,
         &RunControl::new(),
     );
-    (res, started.elapsed().as_secs_f64(), home.stats())
+    (res, started.elapsed().as_secs_f64(), tally.prefix_stats())
 }
 
 fn grid_row(sim: &Simulator, n: usize, p: usize, resolution: usize) -> GridRow {
@@ -320,10 +327,12 @@ fn main() {
 
     let snapshot = Snapshot {
         description: "prefix-state reuse in angle sweeps: suffix-major grid search and \
-                      finite-difference gradients with PrefixCache suffix replay vs full \
+                      finite-difference gradients with prefix-checkpoint suffix replay vs full \
                       re-evolution (MaxCut G(n,0.5), transverse-field mixer); best points \
                       and gradients asserted byte-identical between the two paths"
             .to_string(),
+        git: git_describe(),
+        cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
         threads: rayon::current_num_threads(),
         par_threshold: juliqaoa_linalg::par_threshold(),
         grid_search: grid_rows,

@@ -79,13 +79,13 @@ fn main() {
         // Purpose-built simulator: pre-computation once, then pure evaluation.
         let sim = Simulator::new(obj.clone(), Mixer::transverse_field(n)).expect("setup");
         let mut ws = sim.workspace();
-        let (core_min, _) = timer.measure(|| {
+        let core_time = timer.measure(|| {
             black_box(sim.expectation_with(&angles, &mut ws).expect("setup"));
         });
         let core_bytes = ws.bytes() + obj.len() * std::mem::size_of::<f64>() * 2;
 
         // Gate-level baseline: rebuilds and runs the circuit per evaluation.
-        let (gate_min, _) = timer.measure(|| {
+        let gate_time = timer.measure(|| {
             black_box(maxcut_qaoa_expectation_gate_sim(
                 &graph,
                 angles.betas(),
@@ -96,24 +96,24 @@ fn main() {
         let gate_bytes = (1usize << n) * std::mem::size_of::<juliqaoa_linalg::Complex64>()
             + obj.len() * std::mem::size_of::<f64>();
 
-        t_core.push(n as f64, core_min.as_secs_f64());
-        t_gate.push(n as f64, gate_min.as_secs_f64());
+        t_core.push(n as f64, core_time.min.as_secs_f64());
+        t_gate.push(n as f64, gate_time.min.as_secs_f64());
         m_core.push(n as f64, core_bytes as f64);
         m_gate.push(n as f64, gate_bytes as f64);
 
         // Dense-operator baseline only up to its memory limit.
         if n <= DENSE_MAX_N {
             let dense = DenseSimulator::new(n, obj.clone());
-            let (dense_min, _) = timer.measure(|| {
+            let dense_time = timer.measure(|| {
                 black_box(dense.expectation(angles.betas(), angles.gammas()));
             });
-            t_dense.push(n as f64, dense_min.as_secs_f64());
+            t_dense.push(n as f64, dense_time.min.as_secs_f64());
             m_dense.push(n as f64, dense.operator_bytes() as f64);
             if n == 6 {
                 headline = Some((
-                    core_min.as_secs_f64(),
-                    gate_min.as_secs_f64(),
-                    dense_min.as_secs_f64(),
+                    core_time.min.as_secs_f64(),
+                    gate_time.min.as_secs_f64(),
+                    dense_time.min.as_secs_f64(),
                 ));
             }
         }

@@ -81,23 +81,23 @@ fn main() {
         let gammas: Vec<f64> = (0..p).map(|i| 0.7 - 0.01 * i as f64).collect();
         let angles = Angles::new(betas.clone(), gammas.clone());
 
-        let (core_min, _) = timer.measure(|| {
+        let core_time = timer.measure(|| {
             black_box(sim.expectation_with(&angles, &mut ws).expect("setup"));
         });
-        t_core.push(p as f64, core_min.as_secs_f64());
+        t_core.push(p as f64, core_time.min.as_secs_f64());
 
-        let (gate_min, _) = timer.measure(|| {
+        let gate_time = timer.measure(|| {
             black_box(maxcut_qaoa_expectation_gate_sim(
                 &graph, &betas, &gammas, &obj,
             ));
         });
-        t_gate.push(p as f64, gate_min.as_secs_f64());
+        t_gate.push(p as f64, gate_time.min.as_secs_f64());
 
         if let Some(dense) = &dense {
-            let (dense_min, _) = timer.measure(|| {
+            let dense_time = timer.measure(|| {
                 black_box(dense.expectation(&betas, &gammas));
             });
-            t_dense.push(p as f64, dense_min.as_secs_f64());
+            t_dense.push(p as f64, dense_time.min.as_secs_f64());
         }
         eprintln!("  finished p = {p}");
     }

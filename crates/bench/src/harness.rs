@@ -16,10 +16,35 @@ pub fn git_describe() -> String {
 }
 
 /// A repeated-measurement timer: runs the closure several times and reports the minimum
-/// (the conventional low-noise estimator for micro-benchmarks) and the mean.
+/// (the conventional low-noise estimator for micro-benchmarks) and the median.
 pub struct BenchTimer {
     /// Number of timed repetitions.
     pub repetitions: usize,
+}
+
+/// One closure's times over a [`BenchTimer`]'s repetitions.
+#[derive(Clone, Copy, Debug)]
+pub struct Timing {
+    /// The fastest repetition.
+    pub min: Duration,
+    /// The median repetition (the upper middle one for an even count).
+    pub median: Duration,
+}
+
+impl Timing {
+    fn of(mut samples: Vec<Duration>) -> Self {
+        samples.sort_unstable();
+        Timing {
+            min: samples[0],
+            median: samples[samples.len() / 2],
+        }
+    }
+}
+
+fn time_once(f: &mut impl FnMut()) -> Duration {
+    let start = Instant::now();
+    f();
+    start.elapsed()
 }
 
 impl BenchTimer {
@@ -29,20 +54,21 @@ impl BenchTimer {
         BenchTimer { repetitions }
     }
 
-    /// Times `f`, returning `(minimum, mean)` over the repetitions.
-    pub fn measure(&self, mut f: impl FnMut()) -> (Duration, Duration) {
-        let mut total = Duration::ZERO;
-        let mut min = Duration::MAX;
+    /// Times `f` over the repetitions.
+    pub fn measure(&self, mut f: impl FnMut()) -> Timing {
+        Timing::of((0..self.repetitions).map(|_| time_once(&mut f)).collect())
+    }
+
+    /// Times two closures against each other, alternating them one repetition at a
+    /// time, so host contention that outlasts a repetition slows both sides alike
+    /// instead of whichever side ran during it.
+    pub fn measure_pair(&self, mut a: impl FnMut(), mut b: impl FnMut()) -> (Timing, Timing) {
+        let (mut times_a, mut times_b) = (Vec::new(), Vec::new());
         for _ in 0..self.repetitions {
-            let start = Instant::now();
-            f();
-            let elapsed = start.elapsed();
-            total += elapsed;
-            if elapsed < min {
-                min = elapsed;
-            }
+            times_a.push(time_once(&mut a));
+            times_b.push(time_once(&mut b));
         }
-        (min, total / self.repetitions as u32)
+        (Timing::of(times_a), Timing::of(times_b))
     }
 }
 
@@ -105,11 +131,16 @@ mod tests {
     #[test]
     fn bench_timer_min_le_mean() {
         let timer = BenchTimer::new(5);
-        let (min, mean) = timer.measure(|| {
+        let t = timer.measure(|| {
             std::hint::black_box((0..10_000).sum::<u64>());
         });
-        assert!(min <= mean);
-        assert!(min.as_nanos() > 0);
+        assert!(t.min <= t.median);
+        assert!(t.min.as_nanos() > 0);
+        let (a, b) = timer.measure_pair(
+            || drop(std::hint::black_box(vec![0u8; 64])),
+            || drop(std::hint::black_box(vec![0u8; 128])),
+        );
+        assert!(a.min <= a.median && b.min <= b.median);
     }
 
     #[test]

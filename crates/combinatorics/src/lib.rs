@@ -7,7 +7,7 @@
 //! machinery for that indexing:
 //!
 //! * [`bits`] — single-bit manipulation and conversions between integers and 0/1 arrays;
-//! * [`binomial`] — binomial coefficients with overflow-checked u128 arithmetic;
+//! * [`mod@binomial`] — binomial coefficients with overflow-checked u128 arithmetic;
 //! * [`gosper`] — Gosper's hack, iterating all weight-k words in lexicographic order
 //!   (§2.4 of the paper uses it to partition degeneracy counting across workers);
 //! * [`ranking`] — the combinatorial number system: a bijection between weight-k words

@@ -14,16 +14,15 @@
 //! buffers are ever needed (all held by the caller's [`Workspace`]).
 //!
 //! Cost, counted in Walsh–Hadamard transforms for a Pauli-X mixer: the forward pass
-//! makes `2p` (fewer when the prefix cache serves it), and each reverse round makes
-//! five — one rotates `ψ` into the mixer eigenbasis, and from that one state come both
-//! `H_M ψ` (one transform back) and the rolled-back `ψ` (one more), while `λ`'s
-//! rollback takes two.  A cold gradient is therefore `7p` transforms, 3.5 times an
+//! makes `2p` (fewer when the workspace's prefix checkpoints serve it), and each
+//! reverse round makes five — one rotates `ψ` into the mixer eigenbasis, and from that
+//! one state come both `H_M ψ` (one transform back) and the rolled-back `ψ` (one
+//! more), while `λ`'s rollback takes two.  A cold gradient is therefore `7p` transforms, 3.5 times an
 //! evaluation.  Other mixers apply `H_M` once and their inverse evolution twice per
 //! round.  Round 0 skips the phase rollback, whose output nobody reads.
 
 use crate::angles::Angles;
 use crate::error::QaoaError;
-use crate::prefix::PrefixCache;
 use crate::simulator::Simulator;
 use crate::workspace::Workspace;
 use juliqaoa_linalg::vector;
@@ -58,7 +57,12 @@ impl AdjointGradient {
 /// Computes the expectation value and its full gradient in a single reverse sweep.
 ///
 /// The workspace provides all scratch storage; no allocation happens beyond the two
-/// small output vectors.
+/// small output vectors.  The forward pass is [`Simulator::evolve_into`], so a
+/// workspace that keeps prefix checkpoints turns the common optimizer pattern — a
+/// value and then the gradient at the same point — into a replay of the final round
+/// only (for a Pauli-X mixer, the stored eigenbasis state, the diagonal phase and one
+/// transform back).  The reverse sweep rolls the state back in place and never
+/// consults the checkpoints, so the result is bit-identical either way.
 pub fn adjoint_gradient(
     sim: &Simulator,
     angles: &Angles,
@@ -66,35 +70,6 @@ pub fn adjoint_gradient(
 ) -> Result<AdjointGradient, QaoaError> {
     // Forward pass: ws.state = |β,γ⟩ (also validates the mixer schedule).
     sim.evolve_into(angles, ws)?;
-    adjoint_reverse_sweep(sim, angles, ws)
-}
-
-/// [`adjoint_gradient`] with a prefix-cached forward pass.
-///
-/// The common optimizer pattern evaluates the objective at a point and then asks for
-/// the gradient at the *same* point; routing the forward pass through the
-/// [`PrefixCache`] turns that second full evolution into a replay of the final round
-/// only.  The cache keeps no full-round checkpoint after the last round, so for a
-/// Pauli-X mixer the repeat is a tail replay: the stored eigenbasis state, the
-/// diagonal phase and one transform back (a Grover mixer replays its rank-1 update).
-/// The reverse sweep is untouched (it rolls the state back in place and never consults
-/// the cache), so the result is bit-identical to [`adjoint_gradient`].
-pub fn adjoint_gradient_cached(
-    sim: &Simulator,
-    angles: &Angles,
-    ws: &mut Workspace,
-    cache: &mut PrefixCache,
-) -> Result<AdjointGradient, QaoaError> {
-    sim.evolve_cached(angles, ws, cache)?;
-    adjoint_reverse_sweep(sim, angles, ws)
-}
-
-/// The shared reverse sweep: consumes `ws.state = |β,γ⟩` and produces the gradient.
-fn adjoint_reverse_sweep(
-    sim: &Simulator,
-    angles: &Angles,
-    ws: &mut Workspace,
-) -> Result<AdjointGradient, QaoaError> {
     let p = angles.p();
     let obj = sim.objective_values();
 

@@ -15,7 +15,7 @@
 //! distinct values, and the Grover mixer is the rank-1 update toward `s_c = √(d_c/N)`.
 //! So [`Simulator::grover_classes`] is an ordinary [`Simulator`] — objective = the
 //! distinct values, mixer = [`GroverMixer::weighted`], and the uniform initial state is
-//! `s`, read off the mixer — and the round kernels, the [`crate::PrefixCache`], the
+//! `s`, read off the mixer — and the round kernels, the prefix checkpoints ([`crate::prefix`]), the
 //! adjoint gradient and every consumer of `|φ_c|²` (expectation, ground-state
 //! probability, shot sampling over classes) work unchanged.
 //!
@@ -265,7 +265,7 @@ mod tests {
         // A weighted Grover mixer over a compressible objective keeps the table-driven
         // phase separator but never the fused round, whose amplitude sum is only the
         // uniform mixer's overlap.  With a flat reference over the full state it must
-        // reproduce class space: cold, through a prefix cache's β-only tail replays,
+        // reproduce class space: cold, through prefix checkpoints' β-only tail replays,
         // and through the adjoint gradient.
         let n = 6;
         let dim = 1 << n;
@@ -275,7 +275,9 @@ mod tests {
         let weighted = Simulator::new(precompute_full(&cost), Mixer::Grover(flat)).unwrap();
         assert!(weighted.phase_classes().is_some());
         let classes = Simulator::grover_classes(&degeneracies_full(&cost, 4)).unwrap();
-        let mut cache = weighted.prefix_cache();
+        let mut ws_reuse = weighted
+            .workspace()
+            .with_prefix_reuse(crate::prefix::default_prefix_budget());
         let mut ws = weighted.workspace();
         let mut ws_classes = classes.workspace();
         for seed in 0..4 {
@@ -292,14 +294,13 @@ mod tests {
             for step in 0..3 {
                 betas[2] += 0.1 * step as f64;
                 let sweep = Angles::new(betas.clone(), angles.gammas().to_vec());
-                let cached = weighted
-                    .expectation_cached(&sweep, &mut ws, &mut cache)
-                    .unwrap();
+                let cached = weighted.expectation_with(&sweep, &mut ws_reuse).unwrap();
                 let cold = weighted.expectation(&sweep).unwrap();
                 assert_eq!(cached.to_bits(), cold.to_bits());
             }
         }
-        assert!(cache.stats().tail_hits > 0, "the β sweep replays the tail");
+        let stats = ws_reuse.prefix_cache().expect("keeps checkpoints").stats();
+        assert!(stats.tail_hits > 0, "the β sweep replays the tail");
     }
 
     #[test]

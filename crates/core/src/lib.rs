@@ -21,8 +21,9 @@
 //! * [`gradient`] — the adjoint-mode analytic gradient of `⟨β,γ|C|β,γ⟩`, the stand-in
 //!   for the paper's Enzyme automatic differentiation (same `O(1)`-evaluations cost).
 //! * [`prefix::PrefixCache`] — per-round checkpoint statevectors for incremental
-//!   re-evolution: an angle sweep that only changes the deepest rounds resumes from
-//!   the shared prefix instead of replaying the whole circuit, bit-identically.
+//!   re-evolution, kept by a [`Workspace`] built [`Workspace::with_prefix_reuse`]: an
+//!   angle sweep that only changes the deepest rounds resumes from the shared prefix
+//!   instead of replaying the whole circuit, bit-identically.
 //! * [`Simulator::grover_classes`] (module [`grover`]) — the §2.4 fast path: Grover-mixer
 //!   QAOA in class space, one amplitude per distinct objective value, through the same
 //!   [`Simulator`]; this is what enables very large `n`.
@@ -41,7 +42,7 @@ pub mod workspace;
 
 pub use angles::Angles;
 pub use error::QaoaError;
-pub use gradient::{adjoint_gradient, adjoint_gradient_cached, AdjointGradient};
+pub use gradient::{adjoint_gradient, AdjointGradient};
 pub use prefix::{PrefixCache, PrefixStats};
 pub use result::SimulationResult;
 pub use simulator::{InitialState, Simulator, ValueClasses};

@@ -9,6 +9,11 @@
 //! each round once, then let every evaluation that agrees with the cached angles
 //! through round `k` resume from checkpoint `k` and re-evolve only the suffix.
 //!
+//! The checkpoints live in the evaluator's [`crate::Workspace`]: one built
+//! [`crate::Workspace::with_prefix_reuse`] makes every [`crate::Simulator::evolve_into`]
+//! through it (expectations and the adjoint gradient's forward pass included) resume
+//! from them, and one built with [`crate::Workspace::new`] keeps none.
+//!
 //! # Checkpoint invalidation rule
 //!
 //! A checkpoint is valid for an evaluation exactly when **every** round up to and
@@ -22,8 +27,9 @@
 //! * The cache is bound to a simulator *identity token* — a unique id every
 //!   [`crate::Simulator`] construction (and every kernel-path or initial-state
 //!   mutation) refreshes.  Binding the cache to a different token clears it, so a
-//!   cache can never replay checkpoints produced by a different circuit.  Clones of a
-//!   simulator share the token because they are bit-identical evaluators.
+//!   workspace handed to two simulators can never replay checkpoints produced by the
+//!   other circuit.  Clones of a simulator share the token because they are
+//!   bit-identical evaluators.
 //! * When an evaluation's angles diverge from the stored prefix at round `k`, the
 //!   checkpoints for rounds `≥ k` are stale; they are truncated as soon as the cache
 //!   decides to record the new trajectory (see the write policy below).
@@ -134,23 +140,13 @@ pub struct PrefixStats {
     pub tail_hits: u64,
 }
 
-impl PrefixStats {
-    /// Adds another counter set into this one (aggregation across caches).
-    pub fn absorb(&mut self, other: PrefixStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.rounds_saved += other.rounds_saved;
-        self.tail_hits += other.tail_hits;
-    }
-}
-
 /// A stack of per-round checkpoint statevectors for incremental re-evolution.
 ///
-/// Owned by one evaluation loop (an optimizer objective) and handed to
-/// [`crate::Simulator::evolve_cached`] on every evaluation; see the module docs for
-/// the invalidation rule and write policy.  All stored states count against a byte
-/// budget fixed at construction — a budget too small for even one checkpoint makes
-/// the cache inert (every evaluation runs cold) rather than wrong.
+/// Held by a [`crate::Workspace`] built [`crate::Workspace::with_prefix_reuse`], and
+/// consulted by every evolution through it; see the module docs for the invalidation
+/// rule and write policy.  All stored states count against a byte budget fixed at
+/// construction — a budget too small for even one checkpoint makes the cache inert
+/// (every evaluation runs cold) rather than wrong.
 #[derive(Clone, Debug)]
 pub struct PrefixCache {
     /// Identity token of the simulator the checkpoints belong to (0 = unbound).
@@ -167,20 +163,9 @@ pub struct PrefixCache {
     stats: PrefixStats,
 }
 
-impl Default for PrefixCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl PrefixCache {
-    /// A cache with the [`default_prefix_budget`] byte budget.
-    pub fn new() -> Self {
-        Self::with_budget(default_prefix_budget())
-    }
-
     /// A cache whose stored states may use at most `budget_bytes` bytes in total.
-    pub fn with_budget(budget_bytes: usize) -> Self {
+    pub(crate) fn with_budget(budget_bytes: usize) -> Self {
         PrefixCache {
             token: 0,
             dim: 0,
@@ -193,13 +178,8 @@ impl PrefixCache {
         }
     }
 
-    /// Number of full-round checkpoints currently stored.
-    pub fn checkpoints(&self) -> usize {
-        self.rounds.len()
-    }
-
     /// Approximate bytes held in checkpoint states (including the tail and spares).
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         let vecs = self.rounds.len() + self.spare.len() + usize::from(self.tail.is_some());
         vecs * self.dim * std::mem::size_of::<Complex64>()
     }
@@ -209,14 +189,8 @@ impl PrefixCache {
         self.stats
     }
 
-    /// Returns the counters and resets them to zero (used when a cache cycles
-    /// through a shared home between jobs, so totals are never double-counted).
-    pub fn take_stats(&mut self) -> PrefixStats {
-        std::mem::take(&mut self.stats)
-    }
-
     /// Drops every checkpoint (counters are kept).
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         while let Some(cp) = self.rounds.pop() {
             self.spare.push(cp.state);
         }
@@ -404,31 +378,6 @@ impl PrefixCache {
         self.stats.misses += 1;
         KERNELS.prefix_cold_starts.inc();
     }
-
-    /// A comparable warmth score: how much replay work this cache's checkpoints can
-    /// save the next evaluation.  Full-round checkpoints dominate (each one skips a
-    /// whole round); a tail sub-checkpoint breaks ties between equally deep caches.
-    pub fn warmth(&self) -> usize {
-        2 * self.rounds.len() + usize::from(self.tail.is_some())
-    }
-
-    /// Deepest-wins merge: keeps whichever of the two caches serves deeper prefixes
-    /// (ties favour `self`), folding the other's reuse counters into the survivor so
-    /// no hits are lost when concurrently warmed caches race back to a shared slot.
-    ///
-    /// The two caches' checkpoints are never spliced together — they may describe
-    /// different angle trajectories, and a mixed stack could violate the invariant
-    /// that rounds `0..k` were applied with one consistent angle prefix.  Keeping the
-    /// deeper cache whole is always safe and loses at most the shallower warm-up.
-    pub fn merge_deeper(self, other: PrefixCache) -> PrefixCache {
-        let (mut keep, discard) = if other.warmth() > self.warmth() {
-            (other, self)
-        } else {
-            (self, other)
-        };
-        keep.stats.absorb(discard.stats);
-        keep
-    }
 }
 
 #[cfg(test)]
@@ -445,13 +394,13 @@ mod tests {
         cache.bind(1, 8);
         cache.plan_writes(&Angles::new(vec![0.1], vec![0.2]), 0);
         cache.push_checkpoint(0.2, 0.1, &state(8, 1.0));
-        assert_eq!(cache.checkpoints(), 1);
+        assert_eq!(cache.rounds.len(), 1);
         cache.bind(2, 8);
-        assert_eq!(cache.checkpoints(), 0);
+        assert_eq!(cache.rounds.len(), 0);
         // Re-binding the same token is a no-op.
         cache.push_checkpoint(0.2, 0.1, &state(8, 2.0));
         cache.bind(2, 8);
-        assert_eq!(cache.checkpoints(), 1);
+        assert_eq!(cache.rounds.len(), 1);
     }
 
     #[test]
@@ -477,7 +426,7 @@ mod tests {
         let angles = Angles::new(vec![0.1, 0.2], vec![0.3, 0.4]);
         assert!(!cache.plan_writes(&angles, 0));
         cache.push_checkpoint(0.3, 0.1, &state(8, 1.0));
-        assert_eq!(cache.checkpoints(), 0);
+        assert_eq!(cache.rounds.len(), 0);
         cache.store_tail(1, 0.4, TailKind::Eigenbasis, &state(8, 1.0));
         assert!(cache.matching_tail(1, 0.4).is_none());
     }
@@ -495,7 +444,7 @@ mod tests {
         // A full miss with no shared prefix against the last evaluation: no writes,
         // and the stored checkpoint survives.
         assert!(!cache.plan_writes(&c, 0));
-        assert_eq!(cache.checkpoints(), 1);
+        assert_eq!(cache.rounds.len(), 1);
         // Sharing round 0 with the previous evaluation beyond what the (stale) store
         // can serve triggers a rewrite... here the store already serves round 0.
         assert!(cache.plan_writes(&a, 1));
@@ -511,75 +460,10 @@ mod tests {
         cache.push_checkpoint(0.3, 0.4, &state(16, 2.0));
         let bytes_before = cache.bytes();
         cache.truncate_to(0);
-        assert_eq!(cache.checkpoints(), 0);
+        assert_eq!(cache.rounds.len(), 0);
         // Buffers moved to the spare pool, not freed.
         assert_eq!(cache.bytes(), bytes_before);
         cache.push_checkpoint(0.5, 0.6, &state(16, 3.0));
         assert_eq!(cache.bytes(), bytes_before);
-    }
-
-    #[test]
-    fn warmth_orders_caches_by_checkpoint_depth() {
-        let mut shallow = PrefixCache::with_budget(1 << 20);
-        shallow.bind(1, 8);
-        shallow.push_checkpoint(0.1, 0.2, &state(8, 1.0));
-        let mut deep = PrefixCache::with_budget(1 << 20);
-        deep.bind(1, 8);
-        deep.push_checkpoint(0.1, 0.2, &state(8, 1.0));
-        deep.push_checkpoint(0.3, 0.4, &state(8, 2.0));
-        assert!(deep.warmth() > shallow.warmth());
-        // A tail breaks ties between equally deep caches but never outranks a full
-        // round.
-        let mut tailed = PrefixCache::with_budget(1 << 20);
-        tailed.bind(1, 8);
-        tailed.push_checkpoint(0.1, 0.2, &state(8, 1.0));
-        tailed.store_tail(1, 0.5, TailKind::Eigenbasis, &state(8, 3.0));
-        assert!(tailed.warmth() > shallow.warmth());
-        assert!(deep.warmth() > tailed.warmth());
-        assert_eq!(PrefixCache::with_budget(1 << 20).warmth(), 0);
-    }
-
-    #[test]
-    fn merge_deeper_keeps_the_warmer_cache_and_both_counter_sets() {
-        let mut a = PrefixCache::with_budget(1 << 20);
-        a.bind(1, 8);
-        a.push_checkpoint(0.1, 0.2, &state(8, 1.0));
-        a.record_hit(1, false);
-        let mut b = PrefixCache::with_budget(1 << 20);
-        b.bind(1, 8);
-        b.push_checkpoint(0.5, 0.6, &state(8, 4.0));
-        b.push_checkpoint(0.7, 0.8, &state(8, 5.0));
-        b.record_miss();
-        // b is deeper: it survives, carrying a's counters.
-        let merged = a.merge_deeper(b);
-        assert_eq!(merged.checkpoints(), 2);
-        assert_eq!(
-            merged.matching_rounds(&Angles::new(vec![0.6], vec![0.5])),
-            1
-        );
-        assert_eq!(merged.stats().hits, 1);
-        assert_eq!(merged.stats().misses, 1);
-        // Ties keep self (no churn when both are equally warm).
-        let mut c = PrefixCache::with_budget(1 << 20);
-        c.bind(1, 8);
-        c.push_checkpoint(0.9, 0.1, &state(8, 6.0));
-        let mut d = PrefixCache::with_budget(1 << 20);
-        d.bind(1, 8);
-        d.push_checkpoint(0.2, 0.3, &state(8, 7.0));
-        let tied = c.merge_deeper(d);
-        assert_eq!(tied.matching_rounds(&Angles::new(vec![0.1], vec![0.9])), 1);
-    }
-
-    #[test]
-    fn stats_take_resets() {
-        let mut cache = PrefixCache::new();
-        cache.record_hit(3, true);
-        cache.record_miss();
-        let s = cache.take_stats();
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.rounds_saved, 3);
-        assert_eq!(s.tail_hits, 1);
-        assert_eq!(cache.stats(), PrefixStats::default());
     }
 }

@@ -13,7 +13,9 @@
 //! A Grover-mixer problem can also run in *class space* ([`Simulator::grover_classes`]):
 //! the same kernels over one amplitude per distinct objective value.
 //!
-//! Nothing in the hot loop allocates; all buffers live in a caller-held [`Workspace`].
+//! Nothing in the hot loop allocates; all buffers live in a caller-held [`Workspace`],
+//! and so do the prefix checkpoints a sweep resumes from when the workspace keeps
+//! them ([`Workspace::with_prefix_reuse`]).
 
 use crate::angles::Angles;
 use crate::error::QaoaError;
@@ -299,14 +301,10 @@ impl Simulator {
         self.obj_vals.iter().copied().fold(f64::INFINITY, f64::min)
     }
 
-    /// Allocates a workspace matched to this simulator's dimension.
+    /// Allocates a workspace matched to this simulator's dimension; it keeps no
+    /// prefix checkpoints, so every evaluation through it evolves from round 0.
     pub fn workspace(&self) -> Workspace {
         Workspace::new(self.dim)
-    }
-
-    /// Allocates a default-budget [`PrefixCache`] for [`Simulator::evolve_cached`].
-    pub fn prefix_cache(&self) -> PrefixCache {
-        PrefixCache::new()
     }
 
     /// Writes the initial state into `state`.
@@ -376,10 +374,10 @@ impl Simulator {
 
     /// Applies one full QAOA round (phase separator, then mixer) to `ws.state`.
     ///
-    /// This is the single round kernel shared by the cold and the prefix-cached
-    /// evolution paths, which is what makes the two bit-identical: a resumed
-    /// evaluation runs exactly these operations on a byte copy of the state a cold
-    /// evaluation would have reached.
+    /// This is the single round kernel shared by the cold and the resumed evolution
+    /// paths, which is what makes the two bit-identical: a resumed evaluation runs
+    /// exactly these operations on a byte copy of the state a cold evaluation would
+    /// have reached.
     fn apply_round_kernels(&self, gamma: f64, beta: f64, mixer: &Mixer, ws: &mut Workspace) {
         if let Some((classes, grover)) = self.fused_grover(mixer) {
             // Fused GM-QAOA round: one cis per distinct objective value, and the
@@ -408,7 +406,20 @@ impl Simulator {
     /// round costs two passes over the state instead of three.  The dense per-amplitude
     /// `cis` path remains for non-compressible objectives; both paths agree to within
     /// `1e-12` (the phase factors are bit-identical, only reduction order can differ).
+    ///
+    /// When `ws` keeps prefix checkpoints ([`Workspace::with_prefix_reuse`]) and the
+    /// leading rounds of `angles` agree bit-for-bit with what it recorded from earlier
+    /// evaluations of this simulator, the evolution resumes from the deepest matching
+    /// checkpoint instead of round 0.  The result is **bit-identical** to the cold
+    /// loop — same kernels, same reduction order, just skipped rounds.  The
+    /// checkpoints are bound to this simulator's [`Simulator::identity_token`], so a
+    /// workspace last used with a different simulator is cleared rather than replayed.
     pub fn evolve_into(&self, angles: &Angles, ws: &mut Workspace) -> Result<(), QaoaError> {
+        if let Some(mut cache) = ws.prefix.take() {
+            let resumed = self.evolve_from_checkpoints(angles, ws, &mut cache);
+            ws.prefix = Some(cache);
+            return resumed;
+        }
         ws.resize(self.dim);
         self.prepare_initial(&mut ws.state);
         let p = angles.p();
@@ -420,58 +431,24 @@ impl Simulator {
         Ok(())
     }
 
-    /// [`Simulator::evolve_into`] with prefix-state reuse: when the leading rounds of
-    /// `angles` agree bit-for-bit with what `cache` recorded from earlier evaluations
-    /// of this simulator, the evolution resumes from the deepest matching checkpoint
-    /// instead of round 0.
-    ///
-    /// The result in `ws.state` is **bit-identical** to a cold [`Simulator::evolve_into`]
-    /// — same kernels, same reduction order, just skipped rounds (see
-    /// [`PrefixCache`] for the invalidation rule).  The cache is bound to this
-    /// simulator's [`Simulator::identity_token`]; handing it a cache last used with a
-    /// different simulator clears it rather than replaying foreign checkpoints.
-    pub fn evolve_cached(
+    /// Resumes the evolution from the deepest checkpoint in `cache` matching `angles`
+    /// and replays the remaining rounds, recording new checkpoints per the cache's
+    /// write policy ([`crate::prefix`]).
+    fn evolve_from_checkpoints(
         &self,
-        angles: &Angles,
-        ws: &mut Workspace,
-        cache: &mut PrefixCache,
-    ) -> Result<(), QaoaError> {
-        cache.bind(self.token, self.dim);
-        let k = cache.matching_rounds(angles);
-        self.evolve_from_round(k, angles, ws, cache)
-    }
-
-    /// Resumes the evolution from the checkpoint holding the state after
-    /// `start_round` rounds and replays rounds `start_round..p`, recording new
-    /// checkpoints per the cache's write policy.
-    ///
-    /// Most callers want [`Simulator::evolve_cached`], which picks the deepest usable
-    /// `start_round` automatically.
-    ///
-    /// # Panics
-    /// Panics if `start_round` exceeds `angles.p()` or the cache's bit-matching
-    /// checkpoint prefix for these angles ([`PrefixCache`] docs).
-    pub fn evolve_from_round(
-        &self,
-        start_round: usize,
         angles: &Angles,
         ws: &mut Workspace,
         cache: &mut PrefixCache,
     ) -> Result<(), QaoaError> {
         let p = angles.p();
-        assert!(start_round <= p, "cannot resume beyond the final round");
         cache.bind(self.token, self.dim);
-        assert!(
-            start_round <= cache.matching_rounds(angles),
-            "no matching checkpoint for a resume at round {start_round}"
-        );
         // Validate the mixer schedule up front: a resumed evaluation must fail
         // exactly when the cold one would, even if every round is skipped.
         if p > 0 {
             self.mixer_for_round(p - 1, p)?;
         }
         ws.resize(self.dim);
-        let k = start_round;
+        let k = cache.matching_rounds(angles);
 
         if k == p {
             // Full hit: the stored prefix covers every round.
@@ -582,18 +559,6 @@ impl Simulator {
             }
         }
         Ok(())
-    }
-
-    /// The expectation value with prefix-state reuse; bit-identical to
-    /// [`Simulator::expectation_with`] (see [`Simulator::evolve_cached`]).
-    pub fn expectation_cached(
-        &self,
-        angles: &Angles,
-        ws: &mut Workspace,
-        cache: &mut PrefixCache,
-    ) -> Result<f64, QaoaError> {
-        self.evolve_cached(angles, ws, cache)?;
-        Ok(vector::diagonal_expectation(&ws.state, &self.obj_vals))
     }
 
     /// The expectation value `⟨β,γ|C|β,γ⟩` using a caller-held workspace (the zero
@@ -875,6 +840,18 @@ mod tests {
         }
     }
 
+    /// A workspace that keeps prefix checkpoints at the default budget.
+    fn reuse_workspace(sim: &Simulator) -> Workspace {
+        sim.workspace()
+            .with_prefix_reuse(crate::prefix::default_prefix_budget())
+    }
+
+    fn prefix_stats(ws: &Workspace) -> crate::PrefixStats {
+        ws.prefix_cache()
+            .expect("workspace keeps checkpoints")
+            .stats()
+    }
+
     fn assert_states_bit_equal(a: &[Complex64], b: &[Complex64]) {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b.iter()) {
@@ -895,8 +872,7 @@ mod tests {
         ] {
             let (base, _) = maxcut_simulator(6);
             let sim = Simulator::new(base.objective_values().to_vec(), mixer.clone()).unwrap();
-            let mut cache = sim.prefix_cache();
-            let mut ws_c = sim.workspace();
+            let mut ws_c = reuse_workspace(&sim);
             let mut ws_cold = sim.workspace();
             let base_angles = Angles::random(3, &mut StdRng::seed_from_u64(31));
             for step in 0..12 {
@@ -905,11 +881,11 @@ mod tests {
                 flat[2] += 0.1 * (step % 4) as f64;
                 flat[5] += 0.2 * (step / 4) as f64;
                 let angles = Angles::from_flat(&flat);
-                sim.evolve_cached(&angles, &mut ws_c, &mut cache).unwrap();
+                sim.evolve_into(&angles, &mut ws_c).unwrap();
                 sim.evolve_into(&angles, &mut ws_cold).unwrap();
                 assert_states_bit_equal(&ws_c.state, &ws_cold.state);
             }
-            let stats = cache.stats();
+            let stats = prefix_stats(&ws_c);
             assert!(stats.hits >= 9, "{}: hits {}", mixer.name(), stats.hits);
             if mixer.eigenbasis_supported() {
                 assert!(stats.tail_hits > 0, "{}: no tail hits", mixer.name());
@@ -920,20 +896,19 @@ mod tests {
     #[test]
     fn cached_full_repeat_and_divergence_match_cold() {
         let (sim, _) = maxcut_simulator(6);
-        let mut cache = sim.prefix_cache();
-        let mut ws_c = sim.workspace();
+        let mut ws_c = reuse_workspace(&sim);
         let mut ws_cold = sim.workspace();
         let a = Angles::random(4, &mut StdRng::seed_from_u64(5));
         let mut b_flat = a.to_flat();
         b_flat[0] += 0.5; // diverge at round 0: a complete miss
         let b = Angles::from_flat(&b_flat);
         for angles in [&a, &a, &b, &a, &b, &b] {
-            sim.evolve_cached(angles, &mut ws_c, &mut cache).unwrap();
+            sim.evolve_into(angles, &mut ws_c).unwrap();
             sim.evolve_into(angles, &mut ws_cold).unwrap();
             assert_states_bit_equal(&ws_c.state, &ws_cold.state);
         }
         // Expectations ride on the same state, so they are bit-identical too.
-        let e_c = sim.expectation_cached(&a, &mut ws_c, &mut cache).unwrap();
+        let e_c = sim.expectation_with(&a, &mut ws_c).unwrap();
         let e = sim.expectation_with(&a, &mut ws_cold).unwrap();
         assert_eq!(e_c.to_bits(), e.to_bits());
     }
@@ -949,18 +924,17 @@ mod tests {
         .unwrap();
         assert_ne!(sim_a.identity_token(), sim_b.identity_token());
         let angles = Angles::random(3, &mut StdRng::seed_from_u64(9));
-        let mut cache = sim_a.prefix_cache();
-        let mut ws = sim_a.workspace();
-        // Warm the cache on sim_a with two identical evaluations.
-        sim_a.evolve_cached(&angles, &mut ws, &mut cache).unwrap();
-        sim_a.evolve_cached(&angles, &mut ws, &mut cache).unwrap();
-        assert!(cache.stats().hits > 0);
-        // The same angles on sim_b must not reuse sim_a's checkpoints.
-        let mut ws_b = sim_b.workspace();
-        sim_b.evolve_cached(&angles, &mut ws_b, &mut cache).unwrap();
+        let mut ws = reuse_workspace(&sim_a);
+        // Warm the checkpoints on sim_a with two identical evaluations.
+        sim_a.evolve_into(&angles, &mut ws).unwrap();
+        sim_a.evolve_into(&angles, &mut ws).unwrap();
+        assert!(prefix_stats(&ws).hits > 0);
+        // The same workspace and angles on sim_b must not reuse sim_a's checkpoints.
+        sim_b.evolve_into(&angles, &mut ws).unwrap();
         let mut ws_cold = sim_b.workspace();
         sim_b.evolve_into(&angles, &mut ws_cold).unwrap();
-        assert_states_bit_equal(&ws_b.state, &ws_cold.state);
+        assert_states_bit_equal(&ws.state, &ws_cold.state);
+        assert_eq!(prefix_stats(&ws).misses, 2, "sim_b's evaluation ran cold");
         // Clones, by contrast, share the identity and may reuse.
         let clone = sim_a.clone();
         assert_eq!(clone.identity_token(), sim_a.identity_token());
@@ -969,17 +943,17 @@ mod tests {
     #[test]
     fn zero_budget_cache_still_gives_identical_results() {
         let (sim, _) = maxcut_simulator(5);
-        let mut cache = PrefixCache::with_budget(0);
-        let mut ws_c = sim.workspace();
+        let mut ws_c = sim.workspace().with_prefix_reuse(0);
         let mut ws_cold = sim.workspace();
         let angles = Angles::random(3, &mut StdRng::seed_from_u64(3));
         for _ in 0..3 {
-            sim.evolve_cached(&angles, &mut ws_c, &mut cache).unwrap();
+            sim.evolve_into(&angles, &mut ws_c).unwrap();
             sim.evolve_into(&angles, &mut ws_cold).unwrap();
             assert_states_bit_equal(&ws_c.state, &ws_cold.state);
         }
-        assert_eq!(cache.stats().hits, 0);
-        assert_eq!(cache.checkpoints(), 0);
+        assert_eq!(prefix_stats(&ws_c).hits, 0);
+        // No checkpoint, tail or spare buffer was ever stored.
+        assert_eq!(ws_c.prefix_cache().unwrap().bytes(), 0);
     }
 
     #[test]
@@ -989,15 +963,11 @@ mod tests {
         let sim =
             Simulator::with_mixers(obj, vec![Mixer::transverse_field(n), Mixer::grover_full(n)])
                 .unwrap();
-        let mut cache = sim.prefix_cache();
-        let mut ws = sim.workspace();
-        // Valid two-round evaluation warms the cache.
-        sim.evolve_cached(&Angles::zeros(2), &mut ws, &mut cache)
-            .unwrap();
-        // Three rounds is a schedule mismatch on the cached path too.
-        let err = sim
-            .evolve_cached(&Angles::zeros(3), &mut ws, &mut cache)
-            .unwrap_err();
+        let mut ws = reuse_workspace(&sim);
+        // Valid two-round evaluation warms the checkpoints.
+        sim.evolve_into(&Angles::zeros(2), &mut ws).unwrap();
+        // Three rounds is a schedule mismatch on the resuming path too.
+        let err = sim.evolve_into(&Angles::zeros(3), &mut ws).unwrap_err();
         assert!(matches!(err, QaoaError::MixerScheduleMismatch { .. }));
     }
 

@@ -4,7 +4,14 @@
 //! A [`Workspace`] owns every buffer a simulation (and its gradient) needs; the
 //! angle-finding outer loop creates one workspace and hands it to every expectation /
 //! gradient evaluation, so the hot loop performs no heap allocation at all.
+//!
+//! A workspace built [`Workspace::with_prefix_reuse`] also keeps the sweep's prefix
+//! checkpoints ([`crate::prefix`]): every evolution through it resumes from the
+//! deepest checkpoint its angles share, bit-identically.  So one object is the whole
+//! evaluator's state, and [`Workspace::new`] (which keeps none) evolves every
+//! evaluation from round 0.
 
+use crate::prefix::PrefixCache;
 use juliqaoa_linalg::Complex64;
 
 /// Scratch buffers for repeated simulations of a fixed problem size.
@@ -22,6 +29,8 @@ pub struct Workspace {
     /// one entry per *distinct* objective value, so it is tiny compared to the state
     /// buffers and its allocation is reused across rounds and simulations.
     pub phase_table: Vec<Complex64>,
+    /// Prefix checkpoints the evolution resumes from; `None` evolves cold.
+    pub(crate) prefix: Option<PrefixCache>,
 }
 
 impl Workspace {
@@ -33,7 +42,21 @@ impl Workspace {
             lambda: vec![Complex64::ZERO; dim],
             tmp: vec![Complex64::ZERO; dim],
             phase_table: Vec::new(),
+            prefix: None,
         }
+    }
+
+    /// Keeps prefix checkpoints whose stored states use at most `budget_bytes` bytes
+    /// in total (see [`crate::prefix`]).  A budget too small for one checkpoint keeps
+    /// none, so every evaluation still runs cold.
+    pub fn with_prefix_reuse(mut self, budget_bytes: usize) -> Self {
+        self.prefix = Some(PrefixCache::with_budget(budget_bytes));
+        self
+    }
+
+    /// The prefix checkpoints and their reuse counters, when this workspace keeps them.
+    pub fn prefix_cache(&self) -> Option<&PrefixCache> {
+        self.prefix.as_ref()
     }
 
     /// The statevector dimension this workspace serves.
@@ -51,9 +74,12 @@ impl Workspace {
         }
     }
 
-    /// Approximate heap footprint in bytes (used by the memory-scaling benchmark).
+    /// Approximate heap footprint in bytes (used by the memory-scaling benchmark),
+    /// prefix checkpoints included.
     pub fn bytes(&self) -> usize {
+        let checkpoints = self.prefix.as_ref().map_or(0, PrefixCache::bytes);
         (4 * self.state.capacity() + self.phase_table.capacity()) * std::mem::size_of::<Complex64>()
+            + checkpoints
     }
 }
 

@@ -17,6 +17,9 @@
 //!   Lanczos problems of the matrix-free Clique mixer.
 //! * [`walsh`] — in-place fast Walsh–Hadamard transforms (`H^{⊗n}`), the diagonalising
 //!   change of basis for every Pauli-X product mixer.
+//! * [`PhaseClasses`] — the distinct values of a real diagonal plus a per-state class
+//!   index, which the table-driven phase kernels in [`vector`] take; objective values
+//!   and Pauli-X mixer spectra compress through it alike.
 //!
 //! All kernels choose between a serial and a rayon-parallel implementation based on the
 //! problem size so that small-n simulations keep their "functionally zero overhead"
@@ -26,6 +29,7 @@ pub mod complex;
 pub mod eigen;
 pub mod matrix;
 pub mod parallel;
+pub mod phase_classes;
 pub mod vector;
 pub mod walsh;
 
@@ -36,3 +40,4 @@ pub use parallel::{
     enter_outer_parallelism, in_outer_parallelism, par_threshold, parallel_kernels_enabled,
     OuterParallelGuard, DEFAULT_PAR_THRESHOLD,
 };
+pub use phase_classes::PhaseClasses;

@@ -1,21 +1,23 @@
-//! Phase-class compression of objective-value vectors.
+//! Class compression of real diagonals: objective values and mixer spectra.
 //!
 //! MaxCut, k-SAT, Densest-k-Subgraph and the other objectives of the paper take only
 //! `O(m)` distinct values over the `2ⁿ` (or `C(n,k)`) feasible states — the same
-//! degeneracy structure [`crate::DegeneracyTable`] exploits for the Grover fast path.
-//! [`PhaseClasses`] stores that structure in simulation order: the list of distinct
-//! values plus, for every state, the index of its value class.  The phase separator
-//! `e^{-iγ H_C}` then needs one `cis` per *distinct* value per round (into a small
-//! table) followed by a gather-multiply sweep, instead of a sine/cosine pair per
-//! amplitude — see `juliqaoa_linalg::vector::apply_phases_indexed`.
+//! degeneracy structure `juliqaoa_problems::DegeneracyTable` exploits for the Grover
+//! fast path — and a Pauli-X mixer's Hadamard-basis spectrum is just as degenerate
+//! (the transverse field has `n + 1` eigenvalues).  [`PhaseClasses`] stores that
+//! structure in state order: the list of distinct values plus, for every state, the
+//! index of its value class.  A diagonal evolution `e^{-iθ·diag(v)}` then needs one
+//! `cis` per *distinct* value (into a small table, [`crate::vector::build_phase_table`])
+//! followed by a gather-multiply sweep ([`crate::vector::apply_phases_indexed`]),
+//! instead of a sine/cosine pair per amplitude.
 //!
 //! Compression is only attempted up to [`PhaseClasses::MAX_CLASSES`] distinct values;
-//! objectives that are effectively injective (e.g. continuous random weights) fall
-//! back to the dense kernel, which the simulator keeps for exactly this case.
+//! diagonals that are effectively injective (e.g. continuous random weights) fall
+//! back to the dense kernel, which every caller keeps for exactly this case.
 
 use std::collections::HashMap;
 
-/// Objective values compressed into `(distinct values, per-state class index)`.
+/// A real diagonal compressed into `(distinct values, per-state class index)`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PhaseClasses {
     distinct: Vec<f64>,
@@ -30,7 +32,8 @@ impl PhaseClasses {
     /// reports the objective as non-compressible instead.
     pub const MAX_CLASSES: usize = 1 << 16;
 
-    /// Compresses an objective-value vector, preserving order.
+    /// Compresses a real diagonal (objective values or mixer eigenvalues), preserving
+    /// order.
     ///
     /// Returns `None` when the values are not worth compressing: more than
     /// [`Self::MAX_CLASSES`] distinct values, or more distinct values than half the
@@ -38,15 +41,15 @@ impl PhaseClasses {
     /// by exact bit pattern, so `-0.0` and `0.0` form distinct classes and every NaN
     /// bit pattern its own class — both still multiply amplitudes by exactly the same
     /// factor the dense kernel would.
-    pub fn build(obj_vals: &[f64]) -> Option<Self> {
-        if obj_vals.is_empty() {
+    pub fn build(values: &[f64]) -> Option<Self> {
+        if values.is_empty() {
             return None;
         }
-        let cap = Self::MAX_CLASSES.min((obj_vals.len() / 2).max(1));
+        let cap = Self::MAX_CLASSES.min((values.len() / 2).max(1));
         let mut first_index: HashMap<u64, u16> = HashMap::new();
         let mut distinct: Vec<f64> = Vec::new();
-        let mut class_idx: Vec<u16> = Vec::with_capacity(obj_vals.len());
-        for &v in obj_vals {
+        let mut class_idx: Vec<u16> = Vec::with_capacity(values.len());
+        for &v in values {
             // `cap <= MAX_CLASSES = 2^16` keeps every *stored* index within u16: the
             // cast can only wrap on the iteration that pushes class 2^16, and that
             // iteration returns `None` below before the index is ever used.
@@ -98,23 +101,16 @@ impl PhaseClasses {
     }
 }
 
-/// Builds [`PhaseClasses`] for a pre-computed objective vector (convenience wrapper
-/// mirroring [`crate::precompute_full`] / [`crate::precompute_dicke`], whose outputs
-/// are exactly what this consumes).
-pub fn phase_classes(obj_vals: &[f64]) -> Option<PhaseClasses> {
-    PhaseClasses::build(obj_vals)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::maxcut::MaxCut;
-    use crate::precompute::precompute_full;
-    use juliqaoa_graphs::cycle_graph;
 
     #[test]
     fn reconstructs_the_original_values() {
-        let obj = precompute_full(&MaxCut::new(cycle_graph(8)));
+        // MaxCut on the 8-cycle: the cut value of every 8-bit assignment.
+        let obj: Vec<f64> = (0u32..256)
+            .map(|x| (x ^ (((x >> 1) | (x << 7)) & 0xff)).count_ones() as f64)
+            .collect();
         let classes = PhaseClasses::build(&obj).expect("MaxCut is compressible");
         assert_eq!(classes.len(), obj.len());
         for (x, &v) in obj.iter().enumerate() {

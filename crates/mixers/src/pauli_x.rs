@@ -8,49 +8,14 @@
 //! once for all `2ⁿ` states; evolution afterwards is `H^{⊗n} · e^{-iβ·diag(λ)} · H^{⊗n}`.
 
 use juliqaoa_combinatorics::{bits, GosperIter};
-use juliqaoa_linalg::{vector, Complex64};
+use juliqaoa_linalg::{vector, Complex64, PhaseClasses};
 use rayon::prelude::*;
 use std::cell::RefCell;
-use std::collections::HashMap;
-
-/// Largest number of distinct eigenvalues for which the diagonal evolution takes the
-/// table-driven path; structured mixers (transverse field: `n + 1` values, uniform
-/// products: a few dozen) sit far below this, while an adversarial spectrum falls back
-/// to the dense per-amplitude `cis` sweep.
-const MAX_DIAG_CLASSES: usize = 1024;
 
 thread_local! {
     /// Reusable per-thread phase table for the diagonal evolution, so the hot loop
     /// allocates nothing after the first round on each thread.
     static DIAG_TABLE: RefCell<Vec<Complex64>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Compression of the Hadamard-basis diagonal: the distinct eigenvalues plus a per-state
-/// index into them — the mixer-side analogue of the objective's phase classes.
-#[derive(Clone, Debug)]
-struct DiagClasses {
-    distinct: Vec<f64>,
-    index: Vec<u16>,
-}
-
-impl DiagClasses {
-    fn build(eigenvalues: &[f64]) -> Option<Self> {
-        let mut by_bits: HashMap<u64, u16> = HashMap::new();
-        let mut distinct = Vec::new();
-        let mut index = Vec::with_capacity(eigenvalues.len());
-        for &lambda in eigenvalues {
-            let next = distinct.len() as u16;
-            let k = *by_bits.entry(lambda.to_bits()).or_insert_with(|| {
-                distinct.push(lambda);
-                next
-            });
-            if distinct.len() > MAX_DIAG_CLASSES {
-                return None;
-            }
-            index.push(k);
-        }
-        Some(DiagClasses { distinct, index })
-    }
 }
 
 /// A single mixer term: a coefficient times a product of `X` operators over the qubits
@@ -72,9 +37,10 @@ pub struct PauliXMixer {
     /// `λ(z)` for every computational basis state `z`, i.e. the mixer eigenvalues in the
     /// Hadamard basis.  Length `2ⁿ`.
     eigenvalues: Vec<f64>,
-    /// Distinct-eigenvalue compression of the diagonal (`None` when the spectrum has
-    /// too many distinct values for the table path to pay).
-    diag_classes: Option<DiagClasses>,
+    /// Distinct-eigenvalue compression of the diagonal ([`PhaseClasses`], `None` when
+    /// the spectrum has too many distinct values for the table path to pay).  The
+    /// dense `eigenvalues` stay: the adjoint gradient's `H_M` application streams them.
+    diag_classes: Option<PhaseClasses>,
 }
 
 impl PauliXMixer {
@@ -98,7 +64,7 @@ impl PauliXMixer {
             );
         }
         let eigenvalues = compute_eigenvalues(n, &terms);
-        let diag_classes = DiagClasses::build(&eigenvalues);
+        let diag_classes = PhaseClasses::build(&eigenvalues);
         PauliXMixer {
             n,
             terms,
@@ -162,10 +128,7 @@ impl PauliXMixer {
 
     /// Heap bytes of the terms, the `2ⁿ` diagonal and its compression.
     pub fn bytes(&self) -> usize {
-        let classes = self
-            .diag_classes
-            .as_ref()
-            .map_or(0, |c| 8 * c.distinct.capacity() + 2 * c.index.capacity());
+        let classes = self.diag_classes.as_ref().map_or(0, PhaseClasses::bytes);
         std::mem::size_of::<XTerm>() * self.terms.capacity()
             + 8 * self.eigenvalues.capacity()
             + classes
@@ -186,8 +149,8 @@ impl PauliXMixer {
         match &self.diag_classes {
             Some(classes) => DIAG_TABLE.with(|cell| {
                 let mut table = cell.borrow_mut();
-                vector::build_phase_table(&classes.distinct, beta, &mut table);
-                vector::apply_phases_indexed(state, &classes.index, &table);
+                vector::build_phase_table(classes.distinct_values(), beta, &mut table);
+                vector::apply_phases_indexed(state, classes.class_indices(), &table);
             }),
             None => vector::apply_phases(state, &self.eigenvalues, beta),
         }
@@ -296,7 +259,7 @@ mod tests {
     #[test]
     fn transverse_field_diagonal_compresses_to_n_plus_one_values() {
         let m = PauliXMixer::transverse_field(8);
-        assert_eq!(m.diag_classes.map(|c| c.distinct.len()), Some(9));
+        assert_eq!(m.diag_classes.map(|c| c.num_classes()), Some(9));
     }
 
     #[test]

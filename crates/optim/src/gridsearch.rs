@@ -17,8 +17,9 @@
 //! names the coordinate that digit `d` (digit 0 fastest) drives.  For QAOA objectives
 //! use [`qaoa_axis_order`], which makes the **deepest round's angles the
 //! fastest-varying axes**: consecutive grid points then share a `p−1`-round circuit
-//! prefix, so an objective with a prefix cache re-evolves one round per point instead
-//! of `p` — the sweep-level payoff of `juliqaoa_core::PrefixCache`.  The visited point
+//! prefix, so an objective whose workspace keeps prefix checkpoints re-evolves one
+//! round per point instead of `p` — the sweep-level payoff of
+//! `juliqaoa_core::PrefixCache`.  The visited point
 //! set is the full Cartesian grid either way; only the scan order (and therefore
 //! which point wins exact-tie comparisons) depends on the order.
 //!

@@ -7,11 +7,11 @@
 //! * [`objective`] — the minimisation interface and the [`objective::QaoaObjective`]
 //!   adapter that exposes a [`juliqaoa_core::Simulator`] to the optimizers (with either
 //!   adjoint or finite-difference gradients — the comparison of Figure 5).
-//! * [`bfgs`] / [`linesearch`] — the BFGS quasi-Newton local minimizer used by every
+//! * [`mod@bfgs`] / [`linesearch`] — the BFGS quasi-Newton local minimizer used by every
 //!   search strategy.
-//! * [`basinhopping`] — the global strategy of Wales & Doye the paper adopts
+//! * [`mod@basinhopping`] — the global strategy of Wales & Doye the paper adopts
 //!   for its iterative angle finding.
-//! * [`random_restart`] — the "random local minima exploration" baseline of Lotshaw et
+//! * [`mod@random_restart`] — the "random local minima exploration" baseline of Lotshaw et
 //!   al. (Listing 3's `find_angles_rand`), with the candidates fanned out across cores.
 //! * [`gridsearch`] — brute-force grid evaluation at small `p`, scanned in parallel
 //!   index blocks.
@@ -50,7 +50,7 @@ pub use gridsearch::{grid_search, grid_search_ordered, qaoa_axis_order};
 pub use iterative::{find_angles, IterativeOptions, IterativeResult};
 pub use median::median_angles;
 pub use objective::{
-    FnObjective, GradientMethod, Objective, OptimizeResult, PrefixCacheHome, QaoaObjective,
+    EvalTally, FnObjective, GradientMethod, Objective, OptimizeResult, QaoaObjective,
 };
 pub use random_restart::{random_restart, random_restart_with_control, RandomRestartOptions};
 pub use sampled::{SampledObjective, ShotDraw};

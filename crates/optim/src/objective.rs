@@ -4,14 +4,14 @@
 //! [`QaoaObjective`] bridges the two by negating, exactly as Listing 3 does
 //! (`optimize(x -> -exp_value(x, …))`).  It also owns the simulation [`Workspace`] so
 //! every evaluation inside the optimization loop is allocation-free, and it counts
-//! evaluations so the benchmark harness can report costs.
+//! evaluations so the benchmark harness can report costs.  The workspace keeps the
+//! sweep's prefix checkpoints, so the objective is the whole evaluator; an
+//! [`EvalTally`] collects what a run's objectives did once they are dropped.
 
-use juliqaoa_core::{
-    adjoint_gradient, adjoint_gradient_cached, Angles, PrefixCache, PrefixStats, Simulator,
-    Workspace,
-};
+use juliqaoa_core::prefix::default_prefix_budget;
+use juliqaoa_core::{adjoint_gradient, Angles, PrefixCache, PrefixStats, Simulator, Workspace};
 use juliqaoa_telemetry::kernels::KERNELS;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A real-valued function of a flat parameter vector, to be minimised.
 pub trait Objective {
@@ -170,84 +170,81 @@ pub enum GradientMethod {
     },
 }
 
-/// A parking slot through which a [`PrefixCache`] survives across the short-lived
-/// objectives an optimizer run creates.
+/// Counters the objectives of one run add to when they are dropped: the shots they
+/// drew and the reuse of their workspace's prefix checkpoints.
 ///
-/// The outer-loop drivers (`random_restart`, `grid_search`) build objectives through a
-/// per-worker factory and drop them when the run ends, which would discard the
-/// checkpoints a sweep accumulated.  A home outlives the run: objectives built with
-/// [`QaoaObjective::with_cache_home`] check a cache out of the home (or get a fresh
-/// one with the same budget) and return it — counters merged — when dropped.  After
-/// the optimizer returns, the caller reads the aggregated [`PrefixStats`], and a
-/// later objective over the same simulator (e.g. a job's sampling readout at the
-/// optimum) resumes from the run's checkpoints.  The cache dies with the home.
-///
-/// With several workers, only one objective gets the parked cache; the rest run with
-/// fresh caches, and at check-in the deepest cache wins the parking slot
-/// ([`PrefixCache::merge_deeper`]).  Results are unaffected either way — prefix
-/// reuse is bit-identical.
-pub struct PrefixCacheHome {
-    slot: Mutex<Option<PrefixCache>>,
-    budget: usize,
-    stats: Mutex<PrefixStats>,
+/// The outer-loop drivers (`random_restart`, `grid_search`) build objectives through
+/// a per-worker factory and drop them when the run ends.  Objectives built
+/// `with_tally` fold their counts in as they are dropped, so after the driver
+/// returns the caller reads the run's totals, including the evaluations hidden
+/// inside finite-difference gradient probes.
+#[derive(Debug, Default)]
+pub struct EvalTally {
+    shots: AtomicU64,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    rounds_saved: AtomicU64,
+    tail_hits: AtomicU64,
 }
 
-impl PrefixCacheHome {
-    /// An empty home handing out fresh caches with the given byte budget.
-    pub fn with_budget(budget: usize) -> Self {
-        PrefixCacheHome {
-            slot: Mutex::new(None),
-            budget,
-            stats: Mutex::new(PrefixStats::default()),
+impl EvalTally {
+    /// Adds one objective's shots and the reuse counters of its workspace.
+    pub(crate) fn add(&self, shots: u64, ws: &Workspace) {
+        let prefix = ws
+            .prefix_cache()
+            .map(PrefixCache::stats)
+            .unwrap_or_default();
+        let add = |counter: &AtomicU64, n: u64| {
+            // relaxed: commutative counter adds, read only after every writer is dropped.
+            counter.fetch_add(n, Ordering::Relaxed);
+        };
+        add(&self.shots, shots);
+        add(&self.hits, prefix.hits);
+        add(&self.misses, prefix.misses);
+        add(&self.rounds_saved, prefix.rounds_saved);
+        add(&self.tail_hits, prefix.tail_hits);
+    }
+
+    /// Shots drawn by every sampled objective that has added to this tally.
+    pub fn shots(&self) -> u64 {
+        load(&self.shots)
+    }
+
+    /// Prefix-checkpoint reuse of every objective that has added to this tally.
+    pub fn prefix_stats(&self) -> PrefixStats {
+        PrefixStats {
+            hits: load(&self.hits),
+            misses: load(&self.misses),
+            rounds_saved: load(&self.rounds_saved),
+            tail_hits: load(&self.tail_hits),
         }
     }
+}
 
-    /// Takes the parked cache, or a fresh one with the home's budget.
-    pub fn checkout(&self) -> PrefixCache {
-        self.slot
-            .lock()
-            .expect("prefix home poisoned")
-            .take()
-            .unwrap_or_else(|| PrefixCache::with_budget(self.budget))
-    }
+fn load(counter: &AtomicU64) -> u64 {
+    // relaxed: a reporting statistic; callers read it once the objectives are dropped.
+    counter.load(Ordering::Relaxed)
+}
 
-    /// Returns a cache to the home, merging its counters into the aggregate.  When
-    /// several objectives race back (parallel drivers build one per worker), the
-    /// *deepest* cache parks — [`PrefixCache::merge_deeper`] — so the next checkout
-    /// gets the warmest checkpoints instead of whichever cache returned first.
-    pub fn check_in(&self, mut cache: PrefixCache) {
-        let stats = cache.take_stats();
-        self.stats
-            .lock()
-            .expect("prefix home poisoned")
-            .absorb(stats);
-        let mut slot = self.slot.lock().expect("prefix home poisoned");
-        *slot = Some(match slot.take() {
-            Some(parked) => parked.merge_deeper(cache),
-            None => cache,
-        });
-    }
-
-    /// Aggregated reuse counters across every objective that lived in this home.
-    pub fn stats(&self) -> PrefixStats {
-        *self.stats.lock().expect("prefix home poisoned")
-    }
+/// A fresh evaluation workspace for `sim` that keeps prefix checkpoints at the
+/// default budget.
+pub(crate) fn reuse_workspace(sim: &Simulator) -> Workspace {
+    sim.workspace().with_prefix_reuse(default_prefix_budget())
 }
 
 /// The (negated) QAOA expectation value as a minimisation objective.
 ///
-/// Evaluations route through a [`PrefixCache`] by default, so sweeps whose
+/// The objective's workspace keeps prefix checkpoints by default, so sweeps whose
 /// consecutive points share leading rounds (grid scans with suffix-major axis order,
 /// finite-difference gradients, value-then-gradient pairs at one point) resume from
-/// checkpoints instead of re-evolving from round 0 — with bit-identical results.
-/// Disable with [`QaoaObjective::without_prefix_reuse`] to measure the cold path.
+/// them instead of re-evolving from round 0 — with bit-identical results.  Disable
+/// with [`QaoaObjective::without_prefix_reuse`] to measure the cold path.
 pub struct QaoaObjective<'a> {
     sim: &'a Simulator,
     ws: Workspace,
     gradient_method: GradientMethod,
     evals: usize,
-    prefix: Option<PrefixCache>,
-    home: Option<&'a PrefixCacheHome>,
+    tally: Option<&'a EvalTally>,
 }
 
 impl<'a> QaoaObjective<'a> {
@@ -260,12 +257,11 @@ impl<'a> QaoaObjective<'a> {
     /// to compare adjoint against finite differences).
     pub fn with_gradient_method(sim: &'a Simulator, gradient_method: GradientMethod) -> Self {
         QaoaObjective {
-            ws: sim.workspace(),
+            ws: reuse_workspace(sim),
             sim,
             gradient_method,
             evals: 0,
-            prefix: Some(PrefixCache::new()),
-            home: None,
+            tally: None,
         }
     }
 
@@ -273,22 +269,14 @@ impl<'a> QaoaObjective<'a> {
     /// Results are bit-identical either way; this exists for benchmarking the win and
     /// as an escape hatch for memory-constrained sweeps.
     pub fn without_prefix_reuse(mut self) -> Self {
-        self.prefix = None;
-        self.home = None;
+        self.ws = self.sim.workspace();
         self
     }
 
-    /// Checks this objective's prefix cache out of `home`, returning it (with its
-    /// counters) when the objective is dropped — see [`PrefixCacheHome`].
-    pub fn with_cache_home(mut self, home: &'a PrefixCacheHome) -> Self {
-        self.prefix = Some(home.checkout());
-        self.home = Some(home);
+    /// Adds this objective's prefix reuse to `tally` when it is dropped.
+    pub fn with_tally(mut self, tally: &'a EvalTally) -> Self {
+        self.tally = Some(tally);
         self
-    }
-
-    /// The prefix cache's reuse counters so far (`None` when reuse is disabled).
-    pub fn prefix_stats(&self) -> Option<PrefixStats> {
-        self.prefix.as_ref().map(|c| c.stats())
     }
 
     /// The number of rounds `p` this objective's parameter vector describes is decided by
@@ -316,12 +304,11 @@ impl Objective for QaoaObjective<'_> {
     fn value(&mut self, x: &[f64]) -> f64 {
         self.evals += 1;
         KERNELS.objective_evals.inc();
-        let angles = Angles::from_flat(x);
-        let e = match self.prefix.as_mut() {
-            Some(cache) => self.sim.expectation_cached(&angles, &mut self.ws, cache),
-            None => self.sim.expectation_with(&angles, &mut self.ws),
-        };
-        -e.expect("simulator and angles are mutually consistent")
+        let e = self
+            .sim
+            .expectation_with(&Angles::from_flat(x), &mut self.ws)
+            .expect("simulator and angles are mutually consistent");
+        -e
     }
 
     fn value_and_gradient(&mut self, x: &[f64], grad: &mut [f64]) -> f64 {
@@ -333,11 +320,8 @@ impl Objective for QaoaObjective<'_> {
                 // from a just-evaluated value at the same point).
                 self.evals += 1;
                 KERNELS.objective_evals.inc();
-                let g = match self.prefix.as_mut() {
-                    Some(cache) => adjoint_gradient_cached(self.sim, &angles, &mut self.ws, cache),
-                    None => adjoint_gradient(self.sim, &angles, &mut self.ws),
-                }
-                .expect("simulator and angles are mutually consistent");
+                let g = adjoint_gradient(self.sim, &angles, &mut self.ws)
+                    .expect("simulator and angles are mutually consistent");
                 for (dst, src) in grad.iter_mut().zip(g.to_flat()) {
                     *dst = -src;
                 }
@@ -366,8 +350,8 @@ impl Objective for QaoaObjective<'_> {
 
 impl Drop for QaoaObjective<'_> {
     fn drop(&mut self) {
-        if let (Some(home), Some(cache)) = (self.home, self.prefix.take()) {
-            home.check_in(cache);
+        if let Some(tally) = self.tally {
+            tally.add(0, &self.ws);
         }
     }
 }
@@ -458,8 +442,11 @@ mod tests {
     #[test]
     fn cached_and_uncached_objectives_are_bit_identical() {
         let sim = small_sim();
-        let mut cached = QaoaObjective::new(&sim);
-        let mut cold = QaoaObjective::new(&sim).without_prefix_reuse();
+        let (cached_tally, cold_tally) = (EvalTally::default(), EvalTally::default());
+        let mut cached = QaoaObjective::new(&sim).with_tally(&cached_tally);
+        let mut cold = QaoaObjective::new(&sim)
+            .without_prefix_reuse()
+            .with_tally(&cold_tally);
         let base = juliqaoa_core::Angles::random(3, &mut StdRng::seed_from_u64(8)).to_flat();
         // A suffix sweep plus exact repeats: the cached objective takes checkpoint
         // paths, the cold one re-evolves, and every value must match bit-for-bit.
@@ -470,17 +457,22 @@ mod tests {
             let b = cold.value(&x);
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        let stats = cached.prefix_stats().expect("cache enabled");
-        assert!(stats.hits > 0, "sweep must reuse prefixes");
-        assert!(cold.prefix_stats().is_none());
+        drop((cached, cold));
+        assert!(
+            cached_tally.prefix_stats().hits > 0,
+            "sweep must reuse prefixes"
+        );
+        assert_eq!(cold_tally.prefix_stats(), PrefixStats::default());
     }
 
     #[test]
     fn finite_difference_gradient_reuses_prefixes_bit_identically() {
         let sim = small_sim();
         let eps = 1e-6;
+        let tally = EvalTally::default();
         let mut cached =
-            QaoaObjective::with_gradient_method(&sim, GradientMethod::FiniteDifference { eps });
+            QaoaObjective::with_gradient_method(&sim, GradientMethod::FiniteDifference { eps })
+                .with_tally(&tally);
         let mut cold =
             QaoaObjective::with_gradient_method(&sim, GradientMethod::FiniteDifference { eps })
                 .without_prefix_reuse();
@@ -494,42 +486,71 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         // Perturbing one round at a time shares prefixes with neighbours.
-        let stats = cached.prefix_stats().expect("cache enabled");
-        assert!(stats.hits > 0, "FD gradient must reuse prefixes");
+        drop(cached);
+        assert!(
+            tally.prefix_stats().hits > 0,
+            "FD gradient must reuse prefixes"
+        );
     }
 
     #[test]
     fn adjoint_gradient_after_value_is_a_full_prefix_hit() {
         let sim = small_sim();
-        let mut obj = QaoaObjective::new(&sim);
+        let tally = EvalTally::default();
+        let mut obj = QaoaObjective::new(&sim).with_tally(&tally);
         let x = juliqaoa_core::Angles::random(2, &mut StdRng::seed_from_u64(4)).to_flat();
         let v = obj.value(&x);
         let _ = obj.value(&x); // repeat: full hit
         let mut g = vec![0.0; x.len()];
         let vg = obj.value_and_gradient(&x, &mut g);
         assert_eq!(v.to_bits(), vg.to_bits());
-        let stats = obj.prefix_stats().expect("cache enabled");
-        assert!(stats.hits >= 1);
+        drop(obj);
+        assert!(tally.prefix_stats().hits >= 1);
     }
 
     #[test]
-    fn cache_home_round_trips_the_cache_and_aggregates_stats() {
+    fn objectives_sharing_a_tally_leave_the_sum_of_their_counts() {
+        use crate::sampled::SampledObjective;
+        use juliqaoa_sampling::ShotEstimator;
         let sim = small_sim();
-        let home = PrefixCacheHome::with_budget(1 << 20);
-        let x = juliqaoa_core::Angles::random(2, &mut StdRng::seed_from_u64(6)).to_flat();
-        {
-            let mut obj = QaoaObjective::new(&sim).with_cache_home(&home);
-            let _ = obj.value(&x);
-            let _ = obj.value(&x);
-        } // drop returns the cache
-        assert!(home.stats().hits >= 1);
-        {
-            // The next objective inherits the warmed cache: an immediate full hit.
-            let mut obj = QaoaObjective::new(&sim).with_cache_home(&home);
-            let _ = obj.value(&x);
-        }
-        let stats = home.stats();
-        assert!(stats.hits >= 2, "warm cache must survive the round trip");
+        let base = juliqaoa_core::Angles::random(2, &mut StdRng::seed_from_u64(6)).to_flat();
+        let sweep: Vec<Vec<f64>> = (0..6)
+            .map(|step| {
+                let mut x = base.clone();
+                x[1] += 0.1 * (step % 3) as f64;
+                x
+            })
+            .collect();
+        // Each objective's counts on its own tally, then both on one shared tally.
+        let run = |exact: &EvalTally, sampled: &EvalTally| {
+            let mut a = QaoaObjective::new(&sim).with_tally(exact);
+            let mut b = SampledObjective::new(&sim, 64, ShotEstimator::Mean, 3).with_tally(sampled);
+            for x in &sweep {
+                a.value(x);
+                b.value(x);
+            }
+        };
+        let (alone_a, alone_b, shared) = (
+            EvalTally::default(),
+            EvalTally::default(),
+            EvalTally::default(),
+        );
+        run(&alone_a, &alone_b);
+        run(&shared, &shared);
+        let (a, b) = (alone_a.prefix_stats(), alone_b.prefix_stats());
+        assert!(a.hits > 0 && a.misses > 0 && b.hits > 0 && b.misses > 0);
+        assert_eq!(
+            shared.prefix_stats(),
+            PrefixStats {
+                hits: a.hits + b.hits,
+                misses: a.misses + b.misses,
+                rounds_saved: a.rounds_saved + b.rounds_saved,
+                tail_hits: a.tail_hits + b.tail_hits,
+            }
+        );
+        assert_eq!(alone_a.shots(), 0);
+        assert_eq!(alone_b.shots(), 64 * sweep.len() as u64);
+        assert_eq!(shared.shots(), alone_b.shots());
     }
 
     #[test]

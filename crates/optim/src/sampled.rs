@@ -2,8 +2,8 @@
 //!
 //! A [`SampledObjective`] replaces the exact `⟨C⟩` of
 //! [`crate::objective::QaoaObjective`] with a shot estimate: the forward pass still
-//! evolves `|β,γ⟩` exactly (reusing the [`PrefixCache`] suffix replay, so sweeps pay
-//! one round per point instead of `p`), but the returned value is a
+//! evolves `|β,γ⟩` exactly (resuming from its workspace's prefix checkpoints, so
+//! sweeps pay one round per point instead of `p`), but the returned value is a
 //! [`ShotEstimator`] — sample mean, CVaR-α or the Gibbs soft-max — over `shots`
 //! measurements of the final state.  This is what angle finding against hardware (or
 //! a risk-aware objective) actually optimizes.
@@ -34,15 +34,14 @@
 //! gradient is a deterministic (if noisy) descent signal, which is all the
 //! basin-hopping inner loop needs.
 
-use crate::objective::{Objective, PrefixCacheHome};
+use crate::objective::{reuse_workspace, EvalTally, Objective};
 use juliqaoa_combinatorics::{derive_stream_seed, fold_bits};
-use juliqaoa_core::{Angles, PrefixCache, PrefixStats, Simulator, Workspace};
+use juliqaoa_core::{Angles, Simulator, Workspace};
 use juliqaoa_linalg::Complex64;
 use juliqaoa_sampling::{multinomial, SampleCounts, ShotEstimator, StateSampler};
 use juliqaoa_telemetry::kernels::KERNELS;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Domain tag separating per-evaluation sampling streams from other derived streams
 /// (see `juliqaoa_combinatorics::seeding`).
@@ -67,15 +66,11 @@ pub struct SampledObjective<'a> {
     ws: Workspace,
     /// Class probabilities of the last evaluation (reused buffer).
     class_probs: Vec<f64>,
-    prefix: Option<PrefixCache>,
-    home: Option<&'a PrefixCacheHome>,
     shots: u64,
     estimator: ShotEstimator,
     seed: u64,
     evals: usize,
-    /// Optional shared tally every draw adds to — how a job engine counts shots
-    /// exactly even when drivers hide evaluations inside gradient probes.
-    shot_tally: Option<&'a AtomicU64>,
+    tally: Option<&'a EvalTally>,
 }
 
 impl<'a> SampledObjective<'a> {
@@ -92,51 +87,30 @@ impl<'a> SampledObjective<'a> {
             .validate()
             .expect("estimator parameters are valid");
         SampledObjective {
-            ws: sim.workspace(),
+            ws: reuse_workspace(sim),
             class_probs: Vec::new(),
             sim,
-            prefix: Some(PrefixCache::new()),
-            home: None,
             shots,
             estimator,
             seed,
             evals: 0,
-            shot_tally: None,
+            tally: None,
         }
     }
 
     /// Disables prefix-state reuse on the forward evolution (bit-identical either
     /// way; see [`crate::objective::QaoaObjective::without_prefix_reuse`]).
     pub fn without_prefix_reuse(mut self) -> Self {
-        self.prefix = None;
-        self.home = None;
+        self.ws = self.sim.workspace();
         self
     }
 
-    /// Checks this objective's prefix cache out of `home`, returning it (with its
-    /// reuse counters) when the objective is dropped — the same parking protocol as
-    /// [`crate::objective::QaoaObjective::with_cache_home`], so a job's sampled
-    /// objectives and its readout share one set of checkpoints.  Sampling is
-    /// unaffected: prefix reuse only changes how the forward state is reached,
-    /// bit-identically.
-    pub fn with_cache_home(mut self, home: &'a PrefixCacheHome) -> Self {
-        self.prefix = Some(home.checkout());
-        self.home = Some(home);
+    /// Adds this objective's shots and prefix reuse to `tally` when it is dropped.
+    /// Unlike [`SampledObjective::shots_drawn`], a shared tally survives the
+    /// objective (drivers build one objective per worker and drop them internally).
+    pub fn with_tally(mut self, tally: &'a EvalTally) -> Self {
+        self.tally = Some(tally);
         self
-    }
-
-    /// Adds every draw to `tally`.  Unlike [`SampledObjective::shots_drawn`], a
-    /// shared tally survives the objective (drivers build one objective per worker
-    /// and drop them internally) and counts the evaluations hidden inside
-    /// finite-difference gradient probes.
-    pub fn with_shot_tally(mut self, tally: &'a AtomicU64) -> Self {
-        self.shot_tally = Some(tally);
-        self
-    }
-
-    /// The prefix cache's reuse counters so far (`None` when reuse is disabled).
-    pub fn prefix_stats(&self) -> Option<PrefixStats> {
-        self.prefix.as_ref().map(|c| c.stats())
     }
 
     /// The estimator in use.
@@ -154,7 +128,7 @@ impl<'a> SampledObjective<'a> {
         self.evals as u64 * self.shots
     }
 
-    /// Total simulations (one per evaluation; FD gradients count each probe).
+    /// Total simulations, one per draw (FD gradients count each probe).
     pub fn simulation_count(&self) -> usize {
         self.evals
     }
@@ -176,16 +150,10 @@ impl<'a> SampledObjective<'a> {
     /// With value classes the counts are per class, drawn by one [`multinomial()`]
     /// over the class probabilities; without, they are per state, drawn shot by shot.
     pub fn counts_at(&mut self, x: &[f64]) -> ShotDraw<'a> {
-        let angles = Angles::from_flat(x);
-        match self.prefix.as_mut() {
-            Some(cache) => self.sim.evolve_cached(&angles, &mut self.ws, cache),
-            None => self.sim.evolve_into(&angles, &mut self.ws),
-        }
-        .expect("simulator and angles are mutually consistent");
-        if let Some(tally) = self.shot_tally {
-            // relaxed: shot-count statistic; commutative add read only for reporting.
-            tally.fetch_add(self.shots, Ordering::Relaxed);
-        }
+        self.sim
+            .evolve_into(&Angles::from_flat(x), &mut self.ws)
+            .expect("simulator and angles are mutually consistent");
+        self.evals += 1;
         let seed = self.eval_seed(x);
         let sim: &'a Simulator = self.sim;
         match sim.value_classes() {
@@ -218,8 +186,8 @@ impl<'a> SampledObjective<'a> {
 
 impl Drop for SampledObjective<'_> {
     fn drop(&mut self) {
-        if let (Some(home), Some(cache)) = (self.home, self.prefix.take()) {
-            home.check_in(cache);
+        if let Some(tally) = self.tally {
+            tally.add(self.shots_drawn(), &self.ws);
         }
     }
 }
@@ -232,7 +200,6 @@ impl Objective for SampledObjective<'_> {
     }
 
     fn value(&mut self, x: &[f64]) -> f64 {
-        self.evals += 1;
         let draw = self.counts_at(x);
         -self.estimator.estimate(&draw.counts, draw.values)
     }
@@ -407,16 +374,24 @@ mod tests {
     fn prefix_reuse_never_changes_sampled_values() {
         let sim = small_sim();
         let est = ShotEstimator::Gibbs { eta: 1.0 };
-        let mut cached = SampledObjective::new(&sim, 2048, est, 3);
-        let mut cold = SampledObjective::new(&sim, 2048, est, 3).without_prefix_reuse();
+        let (cached_tally, cold_tally) = (EvalTally::default(), EvalTally::default());
+        let mut cached = SampledObjective::new(&sim, 2048, est, 3).with_tally(&cached_tally);
+        let mut cold = SampledObjective::new(&sim, 2048, est, 3)
+            .without_prefix_reuse()
+            .with_tally(&cold_tally);
         let base = Angles::random(3, &mut StdRng::seed_from_u64(8)).to_flat();
         for step in 0..8 {
             let mut x = base.clone();
             x[2] += 0.1 * (step % 4) as f64;
             assert_eq!(cached.value(&x).to_bits(), cold.value(&x).to_bits());
         }
-        assert!(cached.prefix_stats().expect("cache enabled").hits > 0);
-        assert!(cold.prefix_stats().is_none());
+        drop((cached, cold));
+        assert!(cached_tally.prefix_stats().hits > 0);
+        assert_eq!(
+            cold_tally.prefix_stats(),
+            juliqaoa_core::PrefixStats::default()
+        );
+        assert_eq!(cold_tally.shots(), cached_tally.shots());
     }
 
     #[test]

@@ -16,7 +16,6 @@ pub mod instance_id;
 pub mod maxcut;
 pub mod paper_instances;
 pub mod partition_problem;
-pub mod phase_classes;
 pub mod precompute;
 pub mod sat;
 pub mod synthetic;
@@ -26,10 +25,12 @@ pub use cost::{CostFunction, FnCost};
 pub use densest_subgraph::DensestKSubgraph;
 pub use independent_set::MaxIndependentSet;
 pub use instance_id::{Fnv64, InstanceId};
+/// The phase-class compression simulators build over [`precompute_full`] /
+/// [`precompute_dicke`] outputs; it lives beside the kernels that consume it.
+pub use juliqaoa_linalg::PhaseClasses;
 pub use maxcut::MaxCut;
 pub use paper_instances::{paper_maxcut_instance, paper_sat_instance, paper_sat_instance_with};
 pub use partition_problem::NumberPartitioning;
-pub use phase_classes::{phase_classes, PhaseClasses};
 pub use precompute::{
     degeneracies_dicke, degeneracies_full, precompute_dicke, precompute_full, DegeneracyTable,
 };

@@ -379,7 +379,7 @@ fn spawn_shard(
 /// per-process caches keep their hit rates.  Each child appends to its own
 /// checksummed journal; a child that *crashes* (exit by signal/abort — a
 /// completed run with failed jobs exits with code 1 and is not restarted) is
-/// restarted up to [`MAX_SHARD_RESTARTS`] times and resumes from its own
+/// restarted up to `MAX_SHARD_RESTARTS` times and resumes from its own
 /// journal, re-running only jobs without a `"done"` line.  After all children
 /// settle, shard journals are recovered (torn tails truncated), verified line
 /// by line, stripped of framing and re-appended to the merged journal — FNV

@@ -285,15 +285,6 @@ impl Cluster {
         self.ring.candidates(key)
     }
 
-    /// The ring successor of `index` (hedge target), or `None` with fewer than
-    /// two backends.
-    pub fn successor(&self, index: usize) -> Option<usize> {
-        if self.backends.len() < 2 {
-            return None;
-        }
-        Some((index + 1) % self.backends.len())
-    }
-
     /// Records a successful probe or proxied request: failures reset, circuit
     /// closes.  Returns the transition to trace, if one happened.
     pub fn record_success(&self, index: usize) -> Option<HealthTransition> {

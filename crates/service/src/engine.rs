@@ -16,7 +16,7 @@
 //! Grover-mixer jobs, full or Dicke, run in *class space*: the slot's simulator is
 //! [`Simulator::grover_classes`] over the cached values' degeneracy table, one amplitude
 //! per distinct value (paper §2.4, fair sampling).  The optimizers, objectives, prefix
-//! caches and estimators run unchanged on it; only the readout's two state-level
+//! checkpoints and estimators run unchanged on it; only the readout's two state-level
 //! fields need per-state draws, made inside the sampled classes (see
 //! `class_space_draws`).
 //!
@@ -42,10 +42,11 @@
 //! `prep_coalesced`), so a thundering herd on a cold instance pays one build, not one
 //! per worker.
 //!
-//! Prefix checkpoints belong to the job: each job gets a fresh [`PrefixCacheHome`]
-//! that carries the optimizer's checkpoints to the sampling readout and is dropped
-//! when the job ends.  Prefix reuse is bit-identical by construction, so it changes a
-//! job's cost, never its answer.
+//! Prefix checkpoints belong to each objective's workspace and die with it; a job's
+//! objectives and its sampling readout add their shots and prefix reuse to one
+//! per-job [`EvalTally`], which feeds `JobResult.sampling.shots_total` and the
+//! `engine_prefix_*` counters.  Prefix reuse is bit-identical by construction, so it
+//! changes a job's cost, never its answer.
 
 use crate::lru::LruCache;
 use crate::spec::{
@@ -57,8 +58,8 @@ use juliqaoa_core::{Angles, QaoaError, Simulator, ValueClasses};
 use juliqaoa_linalg::Complex64;
 use juliqaoa_optim::{
     basinhopping_with_control, grid_search_ordered, qaoa_axis_order, random_restart_with_control,
-    BasinHoppingOptions, Objective, OptimizeResult, PrefixCacheHome, QaoaObjective,
-    RandomRestartOptions, RunControl, SampledObjective, ShotDraw,
+    BasinHoppingOptions, EvalTally, Objective, OptimizeResult, QaoaObjective, RandomRestartOptions,
+    RunControl, SampledObjective, ShotDraw,
 };
 use juliqaoa_problems::{
     precompute_dicke, precompute_full, DegeneracyTable, InstanceId, PhaseClasses,
@@ -70,7 +71,6 @@ use rand::SeedableRng;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Errors surfaced by job execution.
@@ -335,21 +335,17 @@ enum JobObjective<'a> {
 impl JobObjective<'_> {
     fn build<'a>(
         sim: &'a Simulator,
-        home: &'a PrefixCacheHome,
         sampling: Option<&SamplingSpec>,
-        shot_tally: &'a AtomicU64,
+        tally: &'a EvalTally,
     ) -> JobObjective<'a> {
         match sampling {
-            None => JobObjective::Exact(QaoaObjective::new(sim).with_cache_home(home)),
-            // Sampled objectives share the job's prefix cache home as exact jobs do
-            // (the forward evolution is identical work) and tally every draw —
-            // including the ones hidden inside FD gradient probes — so the engine's
-            // shots_drawn counter is exact.  Shot streams are derived per
-            // evaluation point, so results stay schedule-independent either way.
+            None => JobObjective::Exact(QaoaObjective::new(sim).with_tally(tally)),
+            // Every draw is tallied — including the ones hidden inside FD gradient
+            // probes — so the engine's shots_drawn counter is exact.  Shot streams
+            // are derived per evaluation point, so results stay
+            // schedule-independent.
             Some(s) => JobObjective::Sampled(
-                SampledObjective::new(sim, s.shots, s.estimator.build(), s.seed)
-                    .with_cache_home(home)
-                    .with_shot_tally(shot_tally),
+                SampledObjective::new(sim, s.shots, s.estimator.build(), s.seed).with_tally(tally),
             ),
         }
     }
@@ -703,9 +699,6 @@ impl Engine {
         }
         let slot = self.simulator_slot(&problem, &spec.mixer, &prepared)?;
         let sim = &slot.sim;
-        // The job's own checkpoints: they carry the optimizer's prefixes to the
-        // readout and are dropped with the job.
-        let home = PrefixCacheHome::with_budget(juliqaoa_core::prefix::default_prefix_budget());
         let prep_ms = prep.finish_span(
             trace,
             spans.as_deref(),
@@ -716,10 +709,10 @@ impl Engine {
         let mut rng = StdRng::seed_from_u64(spec.seed);
         let dim = 2 * spec.p;
         let tau = 2.0 * std::f64::consts::PI;
-        // Exact count of every shot the job draws, including the evaluations the
-        // drivers hide inside finite-difference gradient probes (which
-        // `res.function_evals` does not cover).
-        let shot_tally = AtomicU64::new(0);
+        // Exact count of every shot the job draws and of its prefix reuse, including
+        // the evaluations the drivers hide inside finite-difference gradient probes
+        // (which `res.function_evals` does not cover).
+        let tally = EvalTally::default();
         let sampling = spec.sampling.as_ref();
         let optimize = Stage::start(&self.telemetry.optimize_ms);
         let res: OptimizeResult = match spec.optimizer {
@@ -728,7 +721,7 @@ impl Engine {
                     return Err(ServiceError::Spec("restarts must be at least 1".into()));
                 }
                 random_restart_with_control(
-                    || JobObjective::build(sim, &home, sampling, &shot_tally),
+                    || JobObjective::build(sim, sampling, &tally),
                     dim,
                     &RandomRestartOptions {
                         restarts,
@@ -743,7 +736,7 @@ impl Engine {
                 step_size,
                 temperature,
             } => {
-                let mut objective = JobObjective::build(sim, &home, sampling, &shot_tally);
+                let mut objective = JobObjective::build(sim, sampling, &tally);
                 let x0: Vec<f64> = (0..dim)
                     .map(|_| rand::Rng::gen_range(&mut rng, 0.0..tau))
                     .collect();
@@ -775,7 +768,7 @@ impl Engine {
                 // Deepest round fastest: consecutive grid points share a (p−1)-round
                 // circuit prefix, which the objective's cache replays incrementally.
                 grid_search_ordered(
-                    || JobObjective::build(sim, &home, sampling, &shot_tally),
+                    || JobObjective::build(sim, sampling, &tally),
                     dim,
                     0.0,
                     tau,
@@ -804,8 +797,8 @@ impl Engine {
         // Sample jobs end with a readout at the best angles: the same seeded shot
         // streams the optimizer saw at that point, reported as a histogram plus the
         // best sampled bitstring (the answer a hardware run would hand back).  The
-        // readout shares the job's cache home, so it replays the prefix the optimizer
-        // just left at `res.x` and its reuse counters fold into the job's.
+        // readout evaluates once, so it keeps no prefix checkpoints; its shots fold
+        // into the job's tally.
         let readout = Stage::start(&self.telemetry.sampling_readout_ms);
         let sample_report = match sampling {
             None => None,
@@ -815,8 +808,8 @@ impl Engine {
             Some(s) => {
                 let shot_estimator = s.estimator.build();
                 let mut readout = SampledObjective::new(sim, s.shots, shot_estimator, s.seed)
-                    .with_cache_home(&home)
-                    .with_shot_tally(&shot_tally);
+                    .without_prefix_reuse()
+                    .with_tally(&tally);
                 let draw = readout.counts_at(&res.x);
                 let (counts, values) = (&draw.counts, draw.values);
                 // The finiteness gate above makes this infallible for instances the
@@ -858,9 +851,8 @@ impl Engine {
                     EstimatorSpec::CVaR { alpha } => (Some(alpha), None),
                     EstimatorSpec::Gibbs { eta } => (None, Some(eta)),
                 };
-                // relaxed: the tally's writers finished with the objective drop above;
-                // the count is a reporting statistic either way.
-                let shots_total = shot_tally.load(Ordering::Relaxed);
+                // Every objective, the readout included, has added to the tally.
+                let shots_total = tally.shots();
                 Some(SampleReport {
                     shots: s.shots,
                     sample_seed: s.seed,
@@ -896,10 +888,7 @@ impl Engine {
         // counters, a timed-out one included: its evaluations drew shots too.
         if sampling.is_some() {
             self.counters.sample_jobs.inc();
-            // relaxed: every objective and the readout are dropped; the count is a
-            // reporting statistic either way.
-            let shots = shot_tally.load(Ordering::Relaxed);
-            self.counters.shots_drawn.add(shots);
+            self.counters.shots_drawn.add(tally.shots());
         }
 
         // A job whose deadline expired before the optimizer completed even one
@@ -916,7 +905,7 @@ impl Engine {
 
         // Every objective (and the readout) has been dropped; fold the job's reuse
         // counters into the engine.
-        let pstats = home.stats();
+        let pstats = tally.prefix_stats();
         self.counters.prefix_hits.add(pstats.hits);
         self.counters.prefix_misses.add(pstats.misses);
         self.counters.prefix_rounds_saved.add(pstats.rounds_saved);

@@ -20,8 +20,9 @@
 //! * **`probe_blackhole`** — drop `/healthz` and `/readyz` connections without
 //!   answering, so the router's health prober sees timeouts rather than refusals
 //!   (the failure mode of a wedged, not dead, backend);
-//! * **`slow_response_ms`** — stall every HTTP response, widening the window the
-//!   router's hedged reads are designed to cover;
+//! * **`slow_response_ms`** — stall every HTTP response: a slow-but-live backend,
+//!   which the router must wait out rather than fail over (and which a handler-pool
+//!   chaos test can use to hold connections open);
 //! * **`seed`** — labels the plan (folded into nothing at runtime yet, but recorded
 //!   so two chaos runs can assert they replayed the same plan).
 //!

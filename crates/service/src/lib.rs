@@ -13,7 +13,7 @@
 //!   per-job progress reporting and cooperative cancellation.
 //! * **Route mode** ([`router`]) — a cluster front-end that consistent-hashes jobs by
 //!   `InstanceId` onto backend serve processes ([`cluster`]), with health-checked
-//!   circuit breakers, deterministic seeded failover and optional hedged reads.
+//!   circuit breakers and deterministic seeded failover.
 //!
 //! Serve and route are thin users of one ops layer ([`ops`]): a shared accept loop,
 //! and a route table per tier, declared beside the handlers, that drives dispatch

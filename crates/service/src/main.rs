@@ -13,7 +13,7 @@
 //!                    [--max-body-bytes N]
 //! qaoa-service route --backends host:port,host:port,... [--addr 127.0.0.1:7979]
 //!                    [--probe-interval-ms N] [--probe-timeout-ms N] [--trip-after N]
-//!                    [--backend-timeout-ms N] [--hedge-after-ms N] [--retries N]
+//!                    [--backend-timeout-ms N] [--retries N]
 //!                    [--max-body-bytes N] [--trace-out trace.jsonl] [--trace-ring-cap N]
 //!                    [--read-timeout-ms N] [--write-timeout-ms N]
 //! qaoa-service example-jobs <path> [--count N] [--n QUBITS]
@@ -78,7 +78,7 @@ const USAGE: &str = "usage:
                      [--max-body-bytes N]
   qaoa-service route --backends host:port,host:port,... [--addr 127.0.0.1:7979]
                      [--probe-interval-ms N] [--probe-timeout-ms N] [--trip-after N]
-                     [--backend-timeout-ms N] [--hedge-after-ms N] [--retries N]
+                     [--backend-timeout-ms N] [--retries N]
                      [--max-body-bytes N] [--trace-out trace.jsonl] [--trace-ring-cap N]
                      [--read-timeout-ms N] [--write-timeout-ms N]
   qaoa-service example-jobs <path> [--count N] [--n QUBITS]";
@@ -333,11 +333,6 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
             "--backend-timeout-ms" => {
                 config.backend_timeout_ms =
                     flag_value(args, &mut i, "--backend-timeout-ms", |s| s.parse().ok())?
-            }
-            "--hedge-after-ms" => {
-                config.hedge_after_ms = Some(flag_value(args, &mut i, "--hedge-after-ms", |s| {
-                    s.parse().ok()
-                })?)
             }
             "--retries" => {
                 config.cluster.retry =

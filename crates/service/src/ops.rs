@@ -18,8 +18,8 @@
 //! accept thread, so the loop sees its flag as soon as that connection ends.
 //! Any other stop (an external flag, the end of serve's drain) wakes the
 //! blocked `accept()` by opening one connection to the listener's own address
-//! ([`wake`]), and a connection accepted once the loop is stopped is dropped
-//! unread.  The only poller is [`serve_until`]'s stop watcher, which no request
+//! (`wake`), and a connection accepted once the loop is stopped is dropped
+//! unread.  The only poller is `serve_until`'s stop watcher, which no request
 //! ever waits on.
 
 use crate::http::{read_request_limited, write_error, write_json, Request, DEFAULT_MAX_BODY_BYTES};

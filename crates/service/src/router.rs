@@ -14,8 +14,8 @@
 //!
 //! * **Failover** — a transport error or backend 5xx re-routes the job to the
 //!   next node in ring order, pacing re-attempts with the shared
-//!   [`RetryPolicy`]'s seeded backoff (`delay(job id, attempt)`), so a chaos
-//!   run's failover schedule replays byte-identically.  The router keeps each
+//!   [`crate::retry::RetryPolicy`]'s seeded backoff (`delay(job id, attempt)`),
+//!   so a chaos run's failover schedule replays byte-identically.  The router keeps each
 //!   job's spec, so a backend that dies *after* accepting jobs is handled the
 //!   same way: the next poll that finds the owner dead re-submits the spec to
 //!   the successor (job results are pure functions of their specs, so re-running
@@ -24,14 +24,13 @@
 //!   an older id answers `404`.
 //! * **Health** — a prober thread drives each backend's Up/Degraded/Down
 //!   circuit breaker from periodic `/readyz` probes (see [`crate::cluster`]).
-//! * **Hedged reads** — with `--hedge-after-ms`, an idempotent status/result
-//!   poll that the owner has not answered within the threshold is duplicated to
-//!   the ring successor; the first usable response wins.  Submits are never
-//!   hedged (they are not idempotent across backends).
+//! * **Reads** — a status or result poll goes to the job's owner alone, the one
+//!   backend that holds the job; a slow owner is waited out up to the backend
+//!   timeout, and only an unreachable one triggers failover.
 //!
-//! Router state is first-class observable: per-backend gauges, failover/hedge
-//! counters and route-latency histograms on `GET /metrics`; `route_submit`,
-//! `failover` and `hedge` spans under each job's trace, and `probe` spans plus
+//! Router state is first-class observable: per-backend gauges, failover
+//! counters and route-latency histograms on `GET /metrics`; `route_submit` and
+//! `failover` spans under each job's trace, and `probe` spans plus
 //! `backend_up`/`backend_degraded`/`backend_tripped` events under
 //! [`OPS_TRACE`], in the same span ring serve mode uses (`GET /trace`,
 //! `--trace-out`).
@@ -67,10 +66,6 @@ pub struct RouterConfig {
     pub cluster: ClusterConfig,
     /// Timeout for one proxied request to a backend, in milliseconds.
     pub backend_timeout_ms: u64,
-    /// Hedge threshold for idempotent reads: after this many milliseconds
-    /// without a response from the owner, duplicate the poll to the ring
-    /// successor.  `None` disables hedging.
-    pub hedge_after_ms: Option<u64>,
 }
 
 impl Default for RouterConfig {
@@ -79,7 +74,6 @@ impl Default for RouterConfig {
             ops: OpsConfig::at("127.0.0.1:7979"),
             cluster: ClusterConfig::default(),
             backend_timeout_ms: 10_000,
-            hedge_after_ms: None,
         }
     }
 }
@@ -149,10 +143,6 @@ pub struct RouterStatsBody {
     pub jobs_routed: u64,
     /// Jobs re-routed to another backend after a failure.
     pub failovers: u64,
-    /// Idempotent reads duplicated to a successor after the hedge threshold.
-    pub hedged_reads: u64,
-    /// Hedged reads where the successor's response won.
-    pub hedge_wins: u64,
     /// Backends currently routable.
     pub backends_live: u64,
     /// Per-backend health.
@@ -167,9 +157,6 @@ juliqaoa_telemetry::counter_set! {
     pub struct RouterCounts;
     jobs_routed: "cluster_jobs_routed", "Jobs accepted and placed on a backend.";
     failovers: "cluster_failovers_total", "Jobs re-routed to another backend after a failure.";
-    hedged_reads: "cluster_hedged_reads_total",
-        "Idempotent reads duplicated to a successor after the hedge threshold.";
-    hedge_wins: "cluster_hedge_wins_total", "Hedged reads won by the successor's response.";
 }
 
 juliqaoa_telemetry::histogram_set! {
@@ -178,7 +165,7 @@ juliqaoa_telemetry::histogram_set! {
     route_submit_ms: "route_submit_ms",
         "Milliseconds to place a submission on a backend (failover included).";
     route_read_ms: "route_read_ms",
-        "Milliseconds to answer a proxied status/result read (hedging included).";
+        "Milliseconds to answer a proxied status/result read (failover included).";
 }
 
 /// State shared by the accept loop, proxy threads and the prober.
@@ -321,7 +308,7 @@ impl Tier for RouterState {
     #[rustfmt::skip]
     const ROUTES: &'static [Route<Self>] = &[
         Route::new("POST", "/jobs",            "Place a job on its ring owner", handle_submit),
-        Route::new("GET",  "/jobs/:id",        "Status from the owner (hedged)", handle_read),
+        Route::new("GET",  "/jobs/:id",        "Status from the owner", handle_read),
         Route::new("GET",  "/jobs/:id/result", "The JobResult from the owner", handle_read),
         Route::new("POST", "/jobs/:id/cancel", "Cancellation, sent to the owner", handle_cancel),
         Route::new("GET",  "/metrics",         "Prometheus text exposition", handle_prometheus),
@@ -570,97 +557,6 @@ fn failover_job(state: &RouterState, id: &str) -> Result<usize, String> {
     Ok(index)
 }
 
-/// Issues an idempotent GET against a job's owner, hedging to the ring
-/// successor after the configured latency threshold.  The owner's response is
-/// authoritative; a hedge response only wins if it actually knows the job
-/// (status < 400), so a successor's 404 can never mask a slow-but-correct
-/// owner.
-fn hedged_get(
-    state: &RouterState,
-    owner: usize,
-    trace: TraceId,
-    path: &str,
-) -> std::io::Result<ClientResponse> {
-    let timeout = state.backend_timeout();
-    let owner_addr = state.cluster.backend(owner).addr.clone();
-    let hedge_target = state.config.hedge_after_ms.and_then(|_| {
-        state
-            .cluster
-            .successor(owner)
-            .filter(|&s| s != owner && state.cluster.backend(s).is_live())
-    });
-    let (Some(hedge_after), Some(successor)) = (state.config.hedge_after_ms, hedge_target) else {
-        return client_request(&owner_addr, "GET", path, None, timeout);
-    };
-
-    let (tx, rx) = mpsc::channel::<(bool, std::io::Result<ClientResponse>)>();
-    {
-        let tx = tx.clone();
-        let path = path.to_string();
-        std::thread::spawn(move || {
-            let _ = tx.send((
-                true,
-                client_request(&owner_addr, "GET", &path, None, timeout),
-            ));
-        });
-    }
-    let first = match rx.recv_timeout(Duration::from_millis(hedge_after)) {
-        Ok(outcome) => Some(outcome),
-        Err(mpsc::RecvTimeoutError::Timeout) => None,
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            return Err(std::io::Error::other("owner request thread vanished"))
-        }
-    };
-    if let Some((_, outcome)) = first {
-        // The owner answered within the threshold: no hedge needed.
-        return outcome;
-    }
-
-    state.counters.hedged_reads.inc();
-    let successor_addr = state.cluster.backend(successor).addr.clone();
-    // The hedge span records *that* the threshold fired and where the
-    // duplicate went; its duration is the wait that triggered it.
-    state.ops.spans.record_closed(
-        trace,
-        Some(trace.root_span()),
-        "hedge",
-        hedge_after as f64,
-        vec![
-            ("path".to_string(), path.to_string()),
-            ("backend".to_string(), successor_addr.clone()),
-        ],
-    );
-    {
-        let path = path.to_string();
-        std::thread::spawn(move || {
-            let _ = tx.send((
-                false,
-                client_request(&successor_addr, "GET", &path, None, timeout),
-            ));
-        });
-    }
-    let mut owner_outcome: Option<std::io::Result<ClientResponse>> = None;
-    for _ in 0..2 {
-        match rx.recv() {
-            Ok((from_owner, outcome)) => {
-                if from_owner {
-                    match outcome {
-                        Ok(resp) => return Ok(resp),
-                        Err(e) => owner_outcome = Some(Err(e)),
-                    }
-                } else if let Ok(resp) = outcome {
-                    if resp.status < 400 {
-                        state.counters.hedge_wins.inc();
-                        return Ok(resp);
-                    }
-                }
-            }
-            Err(_) => break,
-        }
-    }
-    owner_outcome.unwrap_or_else(|| Err(std::io::Error::other("no response from owner or hedge")))
-}
-
 /// The job's current owner and trace id; a `404` for an unknown job.
 fn lookup(state: &RouterState, call: &mut Call<'_>) -> Option<(usize, TraceId)> {
     let owner = state
@@ -713,7 +609,8 @@ fn handle_read(state: &RouterState, call: &mut Call<'_>) {
     };
     let path = call.request.path.trim_end_matches('/');
     let (id, stream) = (call.id, &mut *call.stream);
-    match hedged_get(state, owner, trace, path) {
+    let addr = &state.cluster.backend(owner).addr;
+    match client_request(addr, "GET", path, None, state.backend_timeout()) {
         Ok(resp) => {
             state.trace_transition(state.cluster.record_success(owner));
             read.finish(trace);
@@ -869,8 +766,6 @@ fn handle_stats(state: &RouterState, call: &mut Call<'_>) {
         uptime_s: state.ops.started.elapsed().as_secs_f64(),
         jobs_routed: counts.jobs_routed,
         failovers: counts.failovers,
-        hedged_reads: counts.hedged_reads,
-        hedge_wins: counts.hedge_wins,
         backends_live: state.cluster.live_count() as u64,
         backends,
     };

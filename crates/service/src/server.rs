@@ -647,7 +647,7 @@ impl Tier for ServiceState {
 
     fn intercept(&self, request: &Request) -> bool {
         // Chaos hooks: a "slow backend" delays every response by a fixed
-        // amount, which is what exercises a router's hedged reads
+        // amount, so a router's reads must wait out a slow-but-live owner
         // deterministically; a blackholed probe endpoint accepts the
         // connection but never answers — the partition-like failure mode
         // (distinct from a dead process, whose connections are refused) that

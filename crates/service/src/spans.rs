@@ -310,7 +310,7 @@ struct VersionBody {
     pid: u64,
 }
 
-/// The [`VersionBody`] of this process, as a shim-serde [`Value`].
+/// The `VersionBody` of this process, as a shim-serde [`Value`].
 pub fn version_value() -> Value {
     static GIT: OnceLock<Option<String>> = OnceLock::new();
     let git = GIT.get_or_init(|| {

@@ -3,8 +3,8 @@
 //! failover on a dead backend, and the readiness split.
 
 use juliqaoa_service::{
-    JobResult, JobSpec, JobStatusBody, MixerSpec, OpsConfig, OptimizerSpec, ProblemSpec, Router,
-    RouterConfig, RouterStatsBody, Server, ServerConfig, RETAINED_TERMINAL_JOBS,
+    HashRing, JobResult, JobSpec, JobStatusBody, MixerSpec, OpsConfig, OptimizerSpec, ProblemSpec,
+    Router, RouterConfig, RouterStatsBody, Server, ServerConfig, RETAINED_TERMINAL_JOBS,
 };
 use serde::Value;
 use std::io::{Read, Write};
@@ -78,13 +78,9 @@ fn start_backend() -> TestBackend {
     TestBackend { addr, stop, handle }
 }
 
-fn start_router(
-    backends: Vec<String>,
-    hedge_after_ms: Option<u64>,
-) -> (SocketAddr, std::thread::JoinHandle<()>) {
+fn start_router(backends: Vec<String>) -> (SocketAddr, std::thread::JoinHandle<()>) {
     let mut config = RouterConfig {
         ops: OpsConfig::at("127.0.0.1:0"),
-        hedge_after_ms,
         ..RouterConfig::default()
     };
     config.cluster.backends = backends;
@@ -121,8 +117,7 @@ fn poll_until_done(addr: SocketAddr, id: &str) -> JobStatusBody {
 fn router_proxies_jobs_across_backends_and_results_match_direct_runs() {
     let b1 = start_backend();
     let b2 = start_backend();
-    let (router, router_handle) =
-        start_router(vec![b1.addr.to_string(), b2.addr.to_string()], None);
+    let (router, router_handle) = start_router(vec![b1.addr.to_string(), b2.addr.to_string()]);
 
     // Bad specs die at the router with a 400 — no backend round-trip.
     let (status, _) = request(router, "POST", "/jobs", Some("not json"));
@@ -198,8 +193,7 @@ fn router_proxies_jobs_across_backends_and_results_match_direct_runs() {
 fn router_fails_over_reads_when_a_backend_dies_and_serves_no_5xx() {
     let b1 = start_backend();
     let b2 = start_backend();
-    let (router, router_handle) =
-        start_router(vec![b1.addr.to_string(), b2.addr.to_string()], None);
+    let (router, router_handle) = start_router(vec![b1.addr.to_string(), b2.addr.to_string()]);
 
     let specs: Vec<JobSpec> = (0..6).map(|i| spec(&format!("fo-{i}"), i)).collect();
     for s in &specs {
@@ -211,10 +205,25 @@ fn router_fails_over_reads_when_a_backend_dies_and_serves_no_5xx() {
         assert_eq!(poll_until_done(router, &s.id).status, "done");
     }
 
-    // Kill backend 2 outright: its listener closes, so every job it owned has
-    // a dead owner from the router's point of view.
-    b2.stop.store(true, std::sync::atomic::Ordering::SeqCst);
-    b2.handle.join().unwrap();
+    // Kill the backend that owns the most jobs outright: its listener closes,
+    // so every job it owned has a dead owner from the router's point of view.
+    // Placement hashes the (ephemeral) ports, and for about 2% of port pairs
+    // every job lands on one backend, so a fixed victim could own none.
+    let ring = HashRing::new(&[b1.addr.to_string(), b2.addr.to_string()]);
+    let owned_by_b2 = specs
+        .iter()
+        .filter(|s| {
+            let key = s.problem.build().expect("build problem").instance_id.raw();
+            ring.primary(key) == Some(1)
+        })
+        .count();
+    let (victim, survivor) = if 2 * owned_by_b2 >= specs.len() {
+        (b2, b1)
+    } else {
+        (b1, b2)
+    };
+    victim.stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    victim.handle.join().unwrap();
 
     // Every result read must still answer 2xx: owned-by-live reads proxy
     // straight through, owned-by-dead reads re-route the job to the survivor
@@ -273,8 +282,10 @@ fn router_fails_over_reads_when_a_backend_dies_and_serves_no_5xx() {
     let (status, _) = request(router, "POST", "/shutdown", None);
     assert_eq!(status, 200);
     router_handle.join().unwrap();
-    b1.stop.store(true, std::sync::atomic::Ordering::SeqCst);
-    b1.handle.join().unwrap();
+    survivor
+        .stop
+        .store(true, std::sync::atomic::Ordering::SeqCst);
+    survivor.handle.join().unwrap();
 }
 
 #[test]
@@ -395,7 +406,7 @@ fn distributed_trace_spans_router_and_backend() {
 fn router_readyz_requires_a_live_backend() {
     // A router whose only backend does not exist: /healthz is alive, /readyz
     // refuses until a backend is routable (which never happens here).
-    let (router, router_handle) = start_router(vec!["127.0.0.1:1".into()], None);
+    let (router, router_handle) = start_router(vec!["127.0.0.1:1".into()]);
     let (status, _) = request(router, "GET", "/healthz", None);
     assert_eq!(status, 200);
     let deadline = Instant::now() + Duration::from_secs(5);
@@ -509,7 +520,7 @@ const ROUTER_ROUTES: [(&str, &str); 13] = [
 #[test]
 fn the_router_route_table_drives_dispatch_and_the_index() {
     let backend = start_backend();
-    let (router, router_handle) = start_router(vec![backend.addr.to_string()], None);
+    let (router, router_handle) = start_router(vec![backend.addr.to_string()]);
     // A real routed job fills every `:id`: its trace id under `/trace`, its
     // job id everywhere else.
     let json = serde_json::to_string(&spec("rwalk-1", 0)).unwrap();
@@ -582,7 +593,7 @@ fn the_router_route_table_drives_dispatch_and_the_index() {
 #[test]
 fn unaddressable_job_ids_are_refused_at_the_router() {
     let backend = start_backend();
-    let (router, router_handle) = start_router(vec![backend.addr.to_string()], None);
+    let (router, router_handle) = start_router(vec![backend.addr.to_string()]);
     for id in ["a?b", "x/result"] {
         let json = serde_json::to_string(&spec(id, 0)).unwrap();
         let (status, body) = request(router, "POST", "/jobs", Some(&json));
@@ -604,7 +615,7 @@ fn unaddressable_job_ids_are_refused_at_the_router() {
 #[test]
 fn explicit_instances_that_break_their_invariants_are_refused_on_both_tiers() {
     let backend = start_backend();
-    let (router, router_handle) = start_router(vec![backend.addr.to_string()], None);
+    let (router, router_handle) = start_router(vec![backend.addr.to_string()]);
     let job = |problem: &str| {
         format!(
             r#"{{"id":"bad","problem":{problem},"mixer":"transverse_field","p":1,
@@ -723,7 +734,7 @@ fn sequential_reads_wait_on_no_accept_poll() {
     // 10 ms poll read ~10 ms straight to serve and ~20 ms through route); a
     // loop blocked in accept() answers in a fraction of a millisecond.
     let backend = start_backend();
-    let (router, router_handle) = start_router(vec![backend.addr.to_string()], None);
+    let (router, router_handle) = start_router(vec![backend.addr.to_string()]);
     let json = serde_json::to_string(&spec("seq-read", 0)).unwrap();
     assert_eq!(request(router, "POST", "/jobs", Some(&json)).0, 202);
     assert_eq!(poll_until_done(router, "seq-read").status, "done");
@@ -792,7 +803,7 @@ fn route_keeps_only_the_most_recent_finished_jobs() {
         let stop = stop.clone();
         std::thread::spawn(move || server.run_until(&stop).unwrap())
     };
-    let (router, router_handle) = start_router(vec![backend.to_string()], None);
+    let (router, router_handle) = start_router(vec![backend.to_string()]);
 
     let tiny = |i: usize| {
         let mut spec = spec(&format!("r{i}"), 0);

@@ -46,12 +46,10 @@ const ENGINE_STATS_KEYS: [&str; 14] = [
     "sample_jobs",
     "shots_drawn",
 ];
-const ROUTE_STATS_KEYS: [&str; 7] = [
+const ROUTE_STATS_KEYS: [&str; 5] = [
     "uptime_s",
     "jobs_routed",
     "failovers",
-    "hedged_reads",
-    "hedge_wins",
     "backends_live",
     "backends",
 ];
@@ -143,7 +141,7 @@ fn metric_families_and_stats_keys_keep_their_contract() {
     assert_eq!(families(SERVE_FAMILIES).len(), 2 * 44);
     let route_metrics = get(route, "/metrics");
     assert_same_families(&route_metrics, ROUTE_FAMILIES);
-    assert_eq!(families(ROUTE_FAMILIES).len(), 2 * 15);
+    assert_eq!(families(ROUTE_FAMILIES).len(), 2 * 13);
 
     // The `/stats` bodies keep their keys, in order.
     let stats: Value = serde_json::from_str(&get(serve, "/stats")).expect("serve stats");

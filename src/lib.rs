@@ -62,8 +62,7 @@ pub mod prelude {
     pub use crate::listing::{dicke_states, get_exp_value, maxcut, simulate, states};
     pub use juliqaoa_combinatorics::DickeSubspace;
     pub use juliqaoa_core::{
-        adjoint_gradient, adjoint_gradient_cached, Angles, InitialState, PrefixCache, QaoaError,
-        SimulationResult, Simulator, Workspace,
+        adjoint_gradient, Angles, InitialState, QaoaError, SimulationResult, Simulator, Workspace,
     };
     pub use juliqaoa_graphs::{complete_graph, cycle_graph, erdos_renyi, Graph};
     pub use juliqaoa_linalg::Complex64;

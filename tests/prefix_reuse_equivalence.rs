@@ -1,9 +1,10 @@
 //! Bit-identity of prefix-state reuse with cold re-evolution — the correctness
-//! contract of `PrefixCache` / `Simulator::evolve_cached`.
+//! contract of a `Workspace` that keeps prefix checkpoints.
 //!
 //! A resumed evaluation restores a byte copy of an intermediate state and replays the
-//! remaining rounds with the same kernels in the same order, so it must agree with a
-//! cold `evolve_into` **exactly** (`to_bits` equality, not a tolerance), for:
+//! remaining rounds with the same kernels in the same order, so `evolve_into` through
+//! a checkpoint-keeping workspace must agree with it through a plain one **exactly**
+//! (`to_bits` equality, not a tolerance), for:
 //!
 //! * every mixer family (Pauli-X transverse field, custom Pauli-X products, Grover,
 //!   XY ring on the Dicke subspace) and the Grover mixer in class space,
@@ -12,14 +13,27 @@
 //! * evaluation sequences with every reuse shape: exact repeats (full hits), suffix
 //!   sweeps (tail hits), single-coordinate walks (partial prefixes) and unrelated
 //!   jumps (complete misses),
-//! * the cached adjoint gradient's forward pass.
+//! * the adjoint gradient's forward pass.
 
+use juliqaoa::core::prefix::default_prefix_budget;
+use juliqaoa::core::PrefixStats;
 use juliqaoa::linalg::Complex64;
 use juliqaoa::prelude::*;
 use juliqaoa::problems::{degeneracies_full, DensestKSubgraph};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// A workspace for `sim` that keeps prefix checkpoints at the default budget.
+fn reuse_workspace(sim: &Simulator) -> Workspace {
+    sim.workspace().with_prefix_reuse(default_prefix_budget())
+}
+
+fn prefix_stats(ws: &Workspace) -> PrefixStats {
+    ws.prefix_cache()
+        .expect("workspace keeps checkpoints")
+        .stats()
+}
 
 fn assert_states_bit_equal(a: &[Complex64], b: &[Complex64]) -> Result<(), TestCaseError> {
     prop_assert_eq!(a.len(), b.len());
@@ -77,8 +91,7 @@ proptest! {
         walk in proptest::collection::vec((0usize..8, -0.7..0.7f64), 10)
     ) {
         let sim = build_simulator(mixer_choice, seed, dense == 1);
-        let mut cache = sim.prefix_cache();
-        let mut ws_cached = sim.workspace();
+        let mut ws_cached = reuse_workspace(&sim);
         let mut ws_cold = sim.workspace();
 
         // A cumulative random walk over single coordinates produces every reuse
@@ -88,17 +101,15 @@ proptest! {
         for &(coord, delta) in &walk {
             flat[coord % (2 * p)] += delta;
             let angles = Angles::from_flat(&flat);
-            sim.evolve_cached(&angles, &mut ws_cached, &mut cache)
-                .expect("consistent setup");
+            sim.evolve_into(&angles, &mut ws_cached).expect("consistent setup");
             sim.evolve_into(&angles, &mut ws_cold).expect("consistent setup");
             assert_states_bit_equal(&ws_cached.state, &ws_cold.state)?;
 
             // Exact repeat of the same point (the value→gradient pattern).
-            sim.evolve_cached(&angles, &mut ws_cached, &mut cache)
-                .expect("consistent setup");
+            sim.evolve_into(&angles, &mut ws_cached).expect("consistent setup");
             assert_states_bit_equal(&ws_cached.state, &ws_cold.state)?;
         }
-        let stats = cache.stats();
+        let stats = prefix_stats(&ws_cached);
         // The exact repeats alone guarantee reuse whenever any checkpoint exists.
         // The single structurally reuse-free case is p = 1 with a subspace mixer:
         // no interior round to checkpoint and no tail for XY mixers.
@@ -119,8 +130,7 @@ proptest! {
         // The grid-search access pattern: deepest round's β fastest, then its γ.
         let p = 3;
         let sim = build_simulator(mixer_choice, seed, dense == 1);
-        let mut cache = sim.prefix_cache();
-        let mut ws_cached = sim.workspace();
+        let mut ws_cached = reuse_workspace(&sim);
         let mut ws_cold = sim.workspace();
         for outer in 0..3 {
             for inner in 0..4 {
@@ -128,13 +138,12 @@ proptest! {
                 flat[p - 1] += 0.17 * inner as f64; // β_p (fastest)
                 flat[2 * p - 1] += 0.29 * outer as f64; // γ_p
                 let angles = Angles::from_flat(&flat);
-                sim.evolve_cached(&angles, &mut ws_cached, &mut cache)
-                    .expect("consistent setup");
+                sim.evolve_into(&angles, &mut ws_cached).expect("consistent setup");
                 sim.evolve_into(&angles, &mut ws_cold).expect("consistent setup");
                 assert_states_bit_equal(&ws_cached.state, &ws_cold.state)?;
             }
         }
-        let stats = cache.stats();
+        let stats = prefix_stats(&ws_cached);
         prop_assert!(stats.hits >= 10, "sweep must reuse prefixes: {stats:?}");
         // Pauli-X mixers have the eigenbasis tail, Grover the post-phase tail; only
         // the XY subspace mixer replays the final round in full.
@@ -152,14 +161,12 @@ proptest! {
     ) {
         let sim = build_simulator(mixer_choice, seed, false);
         let parsed = Angles::from_flat(&angles[..2 * p]);
-        let mut cache = sim.prefix_cache();
-        let mut ws_cached = sim.workspace();
+        let mut ws_cached = reuse_workspace(&sim);
         let mut ws_cold = sim.workspace();
-        // Warm the cache with a forward evaluation at the same point, then take the
-        // cached-forward gradient; it must equal the cold gradient exactly.
-        sim.evolve_cached(&parsed, &mut ws_cached, &mut cache).expect("consistent setup");
-        let g_cached = adjoint_gradient_cached(&sim, &parsed, &mut ws_cached, &mut cache)
-            .expect("consistent setup");
+        // Warm the checkpoints with a forward evaluation at the same point, then take
+        // the gradient through them; it must equal the cold gradient exactly.
+        sim.evolve_into(&parsed, &mut ws_cached).expect("consistent setup");
+        let g_cached = adjoint_gradient(&sim, &parsed, &mut ws_cached).expect("consistent setup");
         let g_cold = adjoint_gradient(&sim, &parsed, &mut ws_cold).expect("consistent setup");
         prop_assert_eq!(g_cached.expectation.to_bits(), g_cold.expectation.to_bits());
         for (a, b) in g_cached.to_flat().iter().zip(g_cold.to_flat().iter()) {
@@ -168,7 +175,7 @@ proptest! {
         // p = 1 with a subspace mixer has no interior round and no tail to serve the
         // repeat; every other combination must reuse.
         if !(mixer_choice == 2 && p == 1) {
-            prop_assert!(cache.stats().hits > 0, "repeat forward pass must hit");
+            prop_assert!(prefix_stats(&ws_cached).hits > 0, "repeat forward pass must hit");
         }
     }
 }
@@ -181,11 +188,9 @@ fn tiny_budget_caches_degrade_to_cold_evaluation_not_wrong_answers() {
     sim.evolve_into(&angles, &mut ws_cold)
         .expect("consistent setup");
     for budget in [0usize, 1, 1 << 10, 1 << 14, 1 << 30] {
-        let mut cache = PrefixCache::with_budget(budget);
-        let mut ws = sim.workspace();
+        let mut ws = sim.workspace().with_prefix_reuse(budget);
         for _ in 0..3 {
-            sim.evolve_cached(&angles, &mut ws, &mut cache)
-                .expect("consistent setup");
+            sim.evolve_into(&angles, &mut ws).expect("consistent setup");
             for (a, b) in ws.state.iter().zip(ws_cold.state.iter()) {
                 assert_eq!(a.re.to_bits(), b.re.to_bits());
                 assert_eq!(a.im.to_bits(), b.im.to_bits());
