@@ -3,6 +3,8 @@
 //! schedules, Pauli-X expectation and adjoint-gradient calls with their transform
 //! counts, the matrix-free Clique/Ring mixers (build, evolution at two angles,
 //! Hamiltonian apply; against the dense eigendecomposition where that is affordable),
+//! transverse-field MaxCut expectation and adjoint gradient on the full space against
+//! the flip-symmetric half space,
 //! cost-function precomputation (serial loop, `precompute_full`, `degeneracies_full`)
 //! and a constrained problem on its Dicke subspace against the same problem as a
 //! full-space penalty, written to `BENCH_kernels.json` with the git revision and CPU
@@ -16,11 +18,11 @@
 //!
 //! Usage: `cargo run --release -p juliqaoa_bench --bin bench_kernels [output.json]`
 
-use juliqaoa_bench::harness::{git_describe, BenchTimer, Timing};
+use juliqaoa_bench::harness::{git_describe, BenchTimer, Times};
 use juliqaoa_combinatorics::DickeSubspace;
 use juliqaoa_core::{adjoint_gradient, Angles, Simulator};
 use juliqaoa_linalg::{enter_outer_parallelism, vector, walsh, Complex64};
-use juliqaoa_mixers::{build_xy_hamiltonian, CustomMixer, Mixer, XYCoupling};
+use juliqaoa_mixers::{build_xy_hamiltonian, CustomMixer, Mixer, PauliXMixer, XYCoupling};
 use juliqaoa_problems::{
     degeneracies_full, paper_maxcut_instance, precompute_dicke, precompute_full, CostFunction,
     DensestKSubgraph, MaxCut, PhaseClasses,
@@ -28,33 +30,6 @@ use juliqaoa_problems::{
 use juliqaoa_telemetry::kernels;
 use serde::Serialize;
 use std::hint::black_box;
-
-/// One timing, the minimum and the median over its repetitions, in the unit its
-/// field name gives; for a ratio, the ratio of the minima and of the medians.
-#[derive(Serialize)]
-struct Times {
-    min: f64,
-    median: f64,
-}
-
-impl Times {
-    /// `t` in units of `1 / per_second` seconds.
-    fn of(t: Timing, per_second: f64) -> Self {
-        let scale = per_second / NS;
-        Times {
-            min: t.min.as_nanos() as f64 * scale,
-            median: t.median.as_nanos() as f64 * scale,
-        }
-    }
-
-    /// `num / den`, for the minima and for the medians.
-    fn ratio(num: Timing, den: Timing) -> Self {
-        Times {
-            min: num.min.as_secs_f64() / den.min.as_secs_f64(),
-            median: num.median.as_secs_f64() / den.median.as_secs_f64(),
-        }
-    }
-}
 
 const NS: f64 = 1e9;
 const US: f64 = 1e6;
@@ -101,6 +76,26 @@ struct PauliXGradientRow {
     adjoint_gradient_us: Times,
     /// `KERNELS.wht_passes` delta over one `adjoint_gradient` call.
     transforms_per_gradient: u64,
+}
+
+#[derive(Serialize)]
+struct FlipReducedRow {
+    n: usize,
+    p: usize,
+    /// `Simulator::expectation_with`, transverse-field MaxCut on the full `2ⁿ` space.
+    full_expectation_us: Times,
+    /// The same on the flip-symmetric half space (`2ⁿ⁻¹` amplitudes).
+    reduced_expectation_us: Times,
+    /// `reduced_expectation_us / full_expectation_us`.
+    expectation_reduced_over_full: Times,
+    /// `adjoint_gradient` on the full space.
+    full_adjoint_gradient_us: Times,
+    /// `adjoint_gradient` on the half space.
+    reduced_adjoint_gradient_us: Times,
+    /// `reduced_adjoint_gradient_us / full_adjoint_gradient_us`.
+    gradient_reduced_over_full: Times,
+    /// `|⟨C⟩_reduced − ⟨C⟩_full| / |⟨C⟩_full|` at the timed point.
+    expectation_relative_diff: f64,
 }
 
 #[derive(Serialize)]
@@ -158,6 +153,7 @@ struct Snapshot {
     grover_round: Vec<GroverRoundRow>,
     walsh_hadamard: Vec<WalshHadamardRow>,
     pauli_x_gradient: Vec<PauliXGradientRow>,
+    flip_reduced: Vec<FlipReducedRow>,
     xy_mixer: Vec<XyMixerRow>,
     precompute: Vec<PrecomputeRow>,
     constrained_subspace: Vec<ConstrainedSubspaceRow>,
@@ -220,6 +216,56 @@ fn pauli_x_gradient_row(n: usize, p: usize) -> PauliXGradientRow {
         expectation_us: Times::of(expectation, US),
         adjoint_gradient_us: Times::of(gradient, US),
         transforms_per_gradient: transforms,
+    }
+}
+
+/// Transverse-field MaxCut at p = 1 on the full space and on the flip-symmetric half
+/// space the job service runs it in, each pair of sides timed alternately.
+fn flip_reduced_row(n: usize) -> FlipReducedRow {
+    let p = 1;
+    let obj = precompute_full(&MaxCut::new(paper_maxcut_instance(n, 0)));
+    let half = obj[..obj.len() / 2].to_vec();
+    let reduced_mixer = Mixer::PauliX(PauliXMixer::transverse_field_flip_reduced(n));
+    let full = Simulator::new(obj, Mixer::transverse_field(n)).expect("setup");
+    let reduced = Simulator::new(half, reduced_mixer).expect("setup");
+    let angles = Angles::linear_ramp(p, 0.5);
+    let (mut ws_full, mut ws_reduced) = (full.workspace(), reduced.workspace());
+    let timer = BenchTimer::new(match n {
+        ..=14 => 50,
+        15..=16 => 20,
+        17..=18 => 10,
+        _ => 5,
+    });
+    let (full_e, reduced_e) = timer.measure_pair(
+        || drop(black_box(full.expectation_with(&angles, &mut ws_full))),
+        || {
+            drop(black_box(
+                reduced.expectation_with(&angles, &mut ws_reduced),
+            ))
+        },
+    );
+    let (full_g, reduced_g) = timer.measure_pair(
+        || drop(black_box(adjoint_gradient(&full, &angles, &mut ws_full))),
+        || {
+            drop(black_box(adjoint_gradient(
+                &reduced,
+                &angles,
+                &mut ws_reduced,
+            )))
+        },
+    );
+    let exact = full.expectation(&angles).expect("setup");
+    let halved = reduced.expectation(&angles).expect("setup");
+    FlipReducedRow {
+        n,
+        p,
+        full_expectation_us: Times::of(full_e, US),
+        reduced_expectation_us: Times::of(reduced_e, US),
+        expectation_reduced_over_full: Times::ratio(reduced_e, full_e),
+        full_adjoint_gradient_us: Times::of(full_g, US),
+        reduced_adjoint_gradient_us: Times::of(reduced_g, US),
+        gradient_reduced_over_full: Times::ratio(reduced_g, full_g),
+        expectation_relative_diff: (halved - exact).abs() / exact.abs(),
     }
 }
 
@@ -445,6 +491,22 @@ fn main() {
         }
     }
 
+    let mut flip_rows = Vec::new();
+    for n in [14, 16, 18, 20] {
+        let row = flip_reduced_row(n);
+        println!(
+            "flip-reduced p=1 n={n:2}  expectation {:>9.1} -> {:>9.1} µs ({:.2})   \
+             adjoint gradient {:>9.1} -> {:>9.1} µs ({:.2}), medians",
+            row.full_expectation_us.median,
+            row.reduced_expectation_us.median,
+            row.expectation_reduced_over_full.median,
+            row.full_adjoint_gradient_us.median,
+            row.reduced_adjoint_gradient_us.median,
+            row.gradient_reduced_over_full.median
+        );
+        flip_rows.push(row);
+    }
+
     let mut xy_rows = Vec::new();
     for (n, k) in [(10usize, 5usize), (12, 6), (16, 8), (20, 10)] {
         for coupling in [XYCoupling::Clique, XYCoupling::Ring] {
@@ -498,7 +560,8 @@ fn main() {
                       transform on its default and serial schedules (nanoseconds per call; \
                       GB/s computed from the radix-2 traffic), transverse-field MaxCut \
                       expectation and adjoint-gradient calls (µs) with the transforms one \
-                      gradient makes, and matrix-free Clique/Ring XY mixers (build ms, apply \
+                      gradient makes, the same p = 1 calls on the full space against the \
+                      flip-symmetric half space (µs, reduced/full ratios), matrix-free Clique/Ring XY mixers (build ms, apply \
                       µs) against the dense eigendecomposition at n <= 12, MaxCut cost \
                       precomputation (serial loop, precompute_full, degeneracies_full; ms), and \
                       p = 3 Densest-k-Subgraph on the Dicke subspace with the Clique mixer \
@@ -506,7 +569,8 @@ fn main() {
                       time is a {min, median} pair over its repetitions, speedups and ratios \
                       are given for the minima and for the medians, and the two sides of \
                       every comparison row (dense/table, unfused/fused, default/serial, \
-                      subspace/penalty) are timed alternately, one repetition at a time"
+                      full/reduced, subspace/penalty) are timed alternately, one repetition \
+                      at a time"
             .to_string(),
         git: git_describe(),
         cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
@@ -516,6 +580,7 @@ fn main() {
         grover_round: grover_rows,
         walsh_hadamard: wht_rows,
         pauli_x_gradient: gradient_rows,
+        flip_reduced: flip_rows,
         xy_mixer: xy_rows,
         precompute: precompute_rows,
         constrained_subspace: subspace_rows,

@@ -12,10 +12,15 @@
 //! root (so the `git` stamp resolves): with one thread each grid scan is a single
 //! objective, and its reuse counts are exact.
 //!
+//! Every row times both paths over several repetitions, alternating them one
+//! repetition at a time ([`BenchTimer::measure_pair`]), and records the minimum and
+//! the median of each side; a single scan per side follows the host more than the
+//! code.
+//!
 //! `--smoke` runs a tiny configuration for CI: it additionally asserts that prefix
 //! reuse is not slower than full re-evolution (speedup ≥ 1).
 
-use juliqaoa_bench::harness::git_describe;
+use juliqaoa_bench::harness::{git_describe, BenchTimer, Times};
 use juliqaoa_core::{Angles, PrefixStats, Simulator};
 use juliqaoa_mixers::Mixer;
 use juliqaoa_optim::{
@@ -33,9 +38,10 @@ struct GridRow {
     p: usize,
     resolution: usize,
     points: usize,
-    full_reevolution_s: f64,
-    prefix_reuse_s: f64,
-    speedup: f64,
+    repetitions: usize,
+    full_reevolution_s: Times,
+    prefix_reuse_s: Times,
+    speedup: Times,
     prefix_hits: u64,
     prefix_misses: u64,
     rounds_saved: u64,
@@ -57,9 +63,10 @@ struct GradientRow {
     n: usize,
     p: usize,
     gradient_points: usize,
-    full_reevolution_s: f64,
-    prefix_reuse_s: f64,
-    speedup: f64,
+    repetitions: usize,
+    full_reevolution_s: Times,
+    prefix_reuse_s: Times,
+    speedup: Times,
     gradients_identical: bool,
     /// Per-gradient-point latency quantiles (ms) on the full path.
     full_eval_ms_p50: f64,
@@ -127,11 +134,10 @@ fn scan(
     resolution: usize,
     cached: bool,
     evals_ms: &Histogram,
-) -> (OptimizeResult, f64, PrefixStats) {
+) -> (OptimizeResult, PrefixStats) {
     let order = qaoa_axis_order(p);
     let tau = 2.0 * std::f64::consts::PI;
     let tally = EvalTally::default();
-    let started = Instant::now();
     let res = grid_search_ordered(
         || {
             let obj = QaoaObjective::new(sim).with_tally(&tally);
@@ -152,14 +158,19 @@ fn scan(
         &order,
         &RunControl::new(),
     );
-    (res, started.elapsed().as_secs_f64(), tally.prefix_stats())
+    (res, tally.prefix_stats())
 }
 
-fn grid_row(sim: &Simulator, n: usize, p: usize, resolution: usize) -> GridRow {
+fn grid_row(sim: &Simulator, n: usize, p: usize, resolution: usize, reps: usize) -> GridRow {
     let cold_ms = Histogram::latency_ms();
     let warm_ms = Histogram::latency_ms();
-    let (cold, cold_s, _) = scan(sim, p, resolution, false, &cold_ms);
-    let (warm, warm_s, stats) = scan(sim, p, resolution, true, &warm_ms);
+    let (mut cold, mut warm) = (None, None);
+    let (cold_time, warm_time) = BenchTimer::new(reps).measure_pair(
+        || cold = Some(scan(sim, p, resolution, false, &cold_ms).0),
+        || warm = Some(scan(sim, p, resolution, true, &warm_ms)),
+    );
+    let cold = cold.expect("the cold scan ran");
+    let (warm, stats) = warm.expect("the warm scan ran");
     let identical = cold.value.to_bits() == warm.value.to_bits()
         && cold.x.len() == warm.x.len()
         && cold
@@ -173,14 +184,18 @@ fn grid_row(sim: &Simulator, n: usize, p: usize, resolution: usize) -> GridRow {
          {:?} vs {:?}",
         cold.x, warm.x
     );
-    let speedup = cold_s / warm_s;
+    let speedup = Times::ratio(cold_time, warm_time);
     let cold_lat = cold_ms.snapshot();
     let warm_lat = warm_ms.snapshot();
     eprintln!(
-        "grid  n={n:2} p={p} r={resolution:2} ({:>6} pts)  full {cold_s:7.3}s  \
-         prefix {warm_s:7.3}s  speedup {speedup:4.2}x  \
+        "grid  n={n:2} p={p} r={resolution:2} ({:>6} pts)  full {:7.3}s  \
+         prefix {:7.3}s  speedup {:4.2}x (min {:4.2}x)  \
          eval p50 {:.3} -> {:.3} ms  (hits {}, tail {}, rounds saved {})",
         cold.function_evals,
+        cold_time.median.as_secs_f64(),
+        warm_time.median.as_secs_f64(),
+        speedup.median,
+        speedup.min,
         cold_lat.quantile(0.50),
         warm_lat.quantile(0.50),
         stats.hits,
@@ -192,8 +207,9 @@ fn grid_row(sim: &Simulator, n: usize, p: usize, resolution: usize) -> GridRow {
         p,
         resolution,
         points: cold.function_evals,
-        full_reevolution_s: cold_s,
-        prefix_reuse_s: warm_s,
+        repetitions: reps,
+        full_reevolution_s: Times::of(cold_time, 1.0),
+        prefix_reuse_s: Times::of(warm_time, 1.0),
         speedup,
         prefix_hits: stats.hits,
         prefix_misses: stats.misses,
@@ -211,7 +227,7 @@ fn grid_row(sim: &Simulator, n: usize, p: usize, resolution: usize) -> GridRow {
 
 /// Central finite differences at a trail of points; the O(p) gradient the cache turns
 /// into suffix replays (each coordinate perturbation shares its leading rounds).
-fn gradient_row(sim: &Simulator, n: usize, p: usize, points: usize) -> GradientRow {
+fn gradient_row(sim: &Simulator, n: usize, p: usize, points: usize, reps: usize) -> GradientRow {
     let eps = 1e-6;
     let xs: Vec<Vec<f64>> = (0..points)
         .map(|i| {
@@ -222,7 +238,7 @@ fn gradient_row(sim: &Simulator, n: usize, p: usize, points: usize) -> GradientR
             .to_flat()
         })
         .collect();
-    let run = |cached: bool, point_ms: &Histogram| -> (Vec<f64>, f64) {
+    let run = |cached: bool, point_ms: &Histogram| -> Vec<f64> {
         let obj =
             QaoaObjective::with_gradient_method(sim, GradientMethod::FiniteDifference { eps });
         let mut obj = if cached {
@@ -232,7 +248,6 @@ fn gradient_row(sim: &Simulator, n: usize, p: usize, points: usize) -> GradientR
         };
         let mut grads = Vec::with_capacity(points * 2 * p);
         let mut grad = vec![0.0; 2 * p];
-        let started = Instant::now();
         for x in &xs {
             let point_started = Instant::now();
             let v = obj.value_and_gradient(x, &mut grad);
@@ -240,12 +255,15 @@ fn gradient_row(sim: &Simulator, n: usize, p: usize, points: usize) -> GradientR
             grads.push(v);
             grads.extend_from_slice(&grad);
         }
-        (grads, started.elapsed().as_secs_f64())
+        grads
     };
     let cold_ms = Histogram::latency_ms();
     let warm_ms = Histogram::latency_ms();
-    let (cold_grads, cold_s) = run(false, &cold_ms);
-    let (warm_grads, warm_s) = run(true, &warm_ms);
+    let (mut cold_grads, mut warm_grads) = (Vec::new(), Vec::new());
+    let (cold_time, warm_time) = BenchTimer::new(reps).measure_pair(
+        || cold_grads = run(false, &cold_ms),
+        || warm_grads = run(true, &warm_ms),
+    );
     let identical = cold_grads.len() == warm_grads.len()
         && cold_grads
             .iter()
@@ -255,13 +273,17 @@ fn gradient_row(sim: &Simulator, n: usize, p: usize, points: usize) -> GradientR
         identical,
         "prefix reuse changed an FD gradient at n={n} p={p}"
     );
-    let speedup = cold_s / warm_s;
+    let speedup = Times::ratio(cold_time, warm_time);
     let cold_lat = cold_ms.snapshot();
     let warm_lat = warm_ms.snapshot();
     eprintln!(
-        "grad  n={n:2} p={p} ({points} points)        full {cold_s:7.3}s  \
-         prefix {warm_s:7.3}s  speedup {speedup:4.2}x  \
+        "grad  n={n:2} p={p} ({points} points)        full {:7.3}s  \
+         prefix {:7.3}s  speedup {:4.2}x (min {:4.2}x)  \
          point p50 {:.3} -> {:.3} ms",
+        cold_time.median.as_secs_f64(),
+        warm_time.median.as_secs_f64(),
+        speedup.median,
+        speedup.min,
         cold_lat.quantile(0.50),
         warm_lat.quantile(0.50),
     );
@@ -269,8 +291,9 @@ fn gradient_row(sim: &Simulator, n: usize, p: usize, points: usize) -> GradientR
         n,
         p,
         gradient_points: points,
-        full_reevolution_s: cold_s,
-        prefix_reuse_s: warm_s,
+        repetitions: reps,
+        full_reevolution_s: Times::of(cold_time, 1.0),
+        prefix_reuse_s: Times::of(warm_time, 1.0),
         speedup,
         gradients_identical: identical,
         full_eval_ms_p50: cold_lat.quantile(0.50),
@@ -303,23 +326,24 @@ fn main() {
         vec![(12, 4, 40)]
     };
 
+    let reps = if smoke { 3 } else { 7 };
     let mut grid_rows = Vec::new();
     for &(n, p, resolution) in &grid_configs {
         let sim = simulator(n);
-        grid_rows.push(grid_row(&sim, n, p, resolution));
+        grid_rows.push(grid_row(&sim, n, p, resolution, reps));
     }
     let mut grad_rows = Vec::new();
     for &(n, p, points) in &grad_configs {
         let sim = simulator(n);
-        grad_rows.push(gradient_row(&sim, n, p, points));
+        grad_rows.push(gradient_row(&sim, n, p, points, reps));
     }
 
     if smoke {
         for row in &grid_rows {
             assert!(
-                row.speedup >= 1.0,
+                row.speedup.median >= 1.0,
                 "smoke: prefix reuse must not be slower (got {:.2}x at p={})",
-                row.speedup,
+                row.speedup.median,
                 row.p
             );
         }
@@ -329,7 +353,9 @@ fn main() {
         description: "prefix-state reuse in angle sweeps: suffix-major grid search and \
                       finite-difference gradients with prefix-checkpoint suffix replay vs full \
                       re-evolution (MaxCut G(n,0.5), transverse-field mixer); best points \
-                      and gradients asserted byte-identical between the two paths"
+                      and gradients asserted byte-identical between the two paths; each \
+                      time (s) and speedup is a {min, median} pair over `repetitions` runs \
+                      of each path, the two paths alternating one run at a time"
             .to_string(),
         git: git_describe(),
         cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),

@@ -10,12 +10,18 @@
 //!
 //! Also prints the paper's headline single-point comparison at n = 6.
 //!
+//! `juliqaoa_time` is the unreduced simulator, the one the paper's Figure 4a times.
+//! `juliqaoa_flip_reduced_time` is the same evaluation on the bit-flip-symmetric half
+//! space the job service runs transverse-field MaxCut in
+//! (`PauliXMixer::transverse_field_flip_reduced` over the first `2ⁿ⁻¹` objective
+//! values).  Times print in scientific notation.
+//!
 //! Run with: `cargo run -p juliqaoa-bench --release --bin fig4a [-- --n-max 16]`
 
 use juliqaoa_bench::{BenchTimer, Series};
 use juliqaoa_circuit::{maxcut_qaoa_expectation_gate_sim, DenseSimulator};
 use juliqaoa_core::{Angles, Simulator};
-use juliqaoa_mixers::Mixer;
+use juliqaoa_mixers::{Mixer, PauliXMixer};
 use juliqaoa_problems::{paper_maxcut_instance, precompute_full, MaxCut};
 use std::hint::black_box;
 
@@ -65,6 +71,7 @@ fn main() {
     let angles = Angles::new(vec![0.4], vec![0.7]);
 
     let mut t_core = Series::new("juliqaoa_time");
+    let mut t_reduced = Series::new("juliqaoa_flip_reduced_time");
     let mut t_gate = Series::new("gate_circuit_time");
     let mut t_dense = Series::new("dense_operator_time");
     let mut m_core = Series::new("juliqaoa_mem");
@@ -84,6 +91,18 @@ fn main() {
         });
         let core_bytes = ws.bytes() + obj.len() * std::mem::size_of::<f64>() * 2;
 
+        // The same evaluation on the flip-symmetric half space.
+        let reduced_mixer = Mixer::PauliX(PauliXMixer::transverse_field_flip_reduced(n));
+        let reduced = Simulator::new(obj[..obj.len() / 2].to_vec(), reduced_mixer).expect("setup");
+        let mut ws_reduced = reduced.workspace();
+        let reduced_time = timer.measure(|| {
+            black_box(
+                reduced
+                    .expectation_with(&angles, &mut ws_reduced)
+                    .expect("setup"),
+            );
+        });
+
         // Gate-level baseline: rebuilds and runs the circuit per evaluation.
         let gate_time = timer.measure(|| {
             black_box(maxcut_qaoa_expectation_gate_sim(
@@ -97,6 +116,7 @@ fn main() {
             + obj.len() * std::mem::size_of::<f64>();
 
         t_core.push(n as f64, core_time.min.as_secs_f64());
+        t_reduced.push(n as f64, reduced_time.min.as_secs_f64());
         t_gate.push(n as f64, gate_time.min.as_secs_f64());
         m_core.push(n as f64, core_bytes as f64);
         m_gate.push(n as f64, gate_bytes as f64);
@@ -121,7 +141,10 @@ fn main() {
     }
 
     println!("## CPU time (s)");
-    println!("{}", Series::render_table("n", &[t_core, t_gate, t_dense]));
+    println!(
+        "{}",
+        Series::render_table_scientific("n", &[t_core, t_reduced, t_gate, t_dense])
+    );
     println!("## working-set memory (bytes)");
     println!("{}", Series::render_table("n", &[m_core, m_gate, m_dense]));
 

@@ -72,6 +72,35 @@ impl BenchTimer {
     }
 }
 
+/// A [`Timing`] as numbers for a snapshot file, the minimum and the median in the
+/// unit its field name gives; for a ratio, the ratio of the minima and of the
+/// medians.
+#[derive(Clone, Copy, Debug, serde::Serialize)]
+pub struct Times {
+    /// The fastest repetition (or the ratio of the fastest).
+    pub min: f64,
+    /// The median repetition (or the ratio of the medians).
+    pub median: f64,
+}
+
+impl Times {
+    /// `t` in units of `1 / per_second` seconds (`1e3` for milliseconds).
+    pub fn of(t: Timing, per_second: f64) -> Self {
+        Times {
+            min: t.min.as_secs_f64() * per_second,
+            median: t.median.as_secs_f64() * per_second,
+        }
+    }
+
+    /// `num / den`, for the minima and for the medians.
+    pub fn ratio(num: Timing, den: Timing) -> Self {
+        Times {
+            min: num.min.as_secs_f64() / den.min.as_secs_f64(),
+            median: num.median.as_secs_f64() / den.median.as_secs_f64(),
+        }
+    }
+}
+
 /// A labelled data series printed as aligned text — the textual stand-in for one curve
 /// of a paper figure.
 #[derive(Clone, Debug, Default)]
@@ -99,10 +128,22 @@ impl Series {
     /// Renders a group of series as an aligned table with one row per x value; series
     /// are matched row-by-row (they are expected to share x grids).
     pub fn render_table(x_label: &str, series: &[Series]) -> String {
+        Self::render(x_label, series, |y| format!("{y:.6}"))
+    }
+
+    /// [`Series::render_table`] with the values in scientific notation, for series
+    /// spanning several orders of magnitude (times from nanoseconds to seconds).
+    pub fn render_table_scientific(x_label: &str, series: &[Series]) -> String {
+        Self::render(x_label, series, |y| format!("{y:.6e}"))
+    }
+
+    /// Each column is as wide as its label, and at least 22 characters.
+    fn render(x_label: &str, series: &[Series], value: impl Fn(f64) -> String) -> String {
+        let widths: Vec<usize> = series.iter().map(|s| s.label.len().max(22)).collect();
         let mut out = String::new();
         out.push_str(&format!("{:>10}", x_label));
-        for s in series {
-            out.push_str(&format!("  {:>22}", s.label));
+        for (s, w) in series.iter().zip(&widths) {
+            out.push_str(&format!("  {:>w$}", s.label));
         }
         out.push('\n');
         let rows = series.iter().map(|s| s.points.len()).max().unwrap_or(0);
@@ -112,11 +153,12 @@ impl Series {
                 .find_map(|s| s.points.get(row).map(|&(x, _)| x))
                 .unwrap_or(f64::NAN);
             out.push_str(&format!("{x:>10.3}"));
-            for s in series {
-                match s.points.get(row) {
-                    Some(&(_, y)) => out.push_str(&format!("  {y:>22.6}")),
-                    None => out.push_str(&format!("  {:>22}", "-")),
-                }
+            for (s, w) in series.iter().zip(&widths) {
+                let cell = s
+                    .points
+                    .get(row)
+                    .map_or("-".to_string(), |&(_, y)| value(y));
+                out.push_str(&format!("  {cell:>w$}"));
             }
             out.push('\n');
         }
@@ -150,10 +192,12 @@ mod tests {
         a.push(2.0, 20.0);
         let mut b = Series::new("beta");
         b.push(1.0, 0.5);
-        let table = Series::render_table("p", &[a, b]);
+        let table = Series::render_table("p", &[a, b.clone()]);
         assert!(table.contains("alpha"));
         assert!(table.contains("beta"));
         assert!(table.contains("20.000000"));
+        let scientific = Series::render_table_scientific("p", &[b.clone()]);
+        assert!(scientific.contains("5.000000e-1"), "{scientific}");
         // Missing second point of `beta` renders as a dash.
         assert!(table.lines().nth(2).unwrap().contains('-'));
     }

@@ -9,5 +9,5 @@
 pub mod harness;
 pub mod jobs;
 
-pub use harness::{git_describe, BenchTimer, Series, Timing};
+pub use harness::{git_describe, BenchTimer, Series, Times, Timing};
 pub use jobs::write_job_file;

@@ -69,6 +69,20 @@ impl PhaseClasses {
         })
     }
 
+    /// The compression of the first `len` states: the same distinct values and the
+    /// first `len` class indices.  A class with no member among those states keeps
+    /// its entry (a flip-symmetric objective has none: every value a state with the
+    /// top bit set takes, its complement in the first half takes too, and first).
+    ///
+    /// # Panics
+    /// Panics if `len` exceeds [`Self::len`].
+    pub fn head(&self, len: usize) -> Self {
+        PhaseClasses {
+            distinct: self.distinct.clone(),
+            class_idx: self.class_idx[..len].to_vec(),
+        }
+    }
+
     /// The distinct objective values, in order of first appearance.
     pub fn distinct_values(&self) -> &[f64] {
         &self.distinct
@@ -149,6 +163,20 @@ mod tests {
     #[test]
     fn empty_input_is_rejected() {
         assert!(PhaseClasses::build(&[]).is_none());
+    }
+
+    #[test]
+    fn the_head_of_a_symmetric_diagonal_equals_its_own_compression() {
+        // The cut values of the 6-cycle are complement-symmetric, so the first half
+        // of the states already shows every value, in the same first-appearance order.
+        let obj: Vec<f64> = (0u32..64)
+            .map(|x| (x ^ (((x >> 1) | (x << 5)) & 0x3f)).count_ones() as f64)
+            .collect();
+        let full = PhaseClasses::build(&obj).unwrap();
+        let head = full.head(32);
+        assert_eq!(head.len(), 32);
+        assert_eq!(head.class_indices(), &full.class_indices()[..32]);
+        assert_eq!(Some(head), PhaseClasses::build(&obj[..32]));
     }
 
     #[test]

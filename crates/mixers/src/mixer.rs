@@ -76,7 +76,16 @@ impl Mixer {
     /// A short descriptive name for logs and benchmark output.
     pub fn name(&self) -> String {
         match self {
-            Mixer::PauliX(m) => format!("pauli_x({} terms, n={})", m.terms().len(), m.n()),
+            Mixer::PauliX(m) => format!(
+                "pauli_x({} terms, n={}{})",
+                m.terms().len(),
+                m.n(),
+                if m.is_flip_reduced() {
+                    ", flip-reduced"
+                } else {
+                    ""
+                }
+            ),
             Mixer::Grover(m) => format!("grover(dim={})", m.dim()),
             Mixer::XY(m) => m.name().to_string(),
             Mixer::Subspace(m) => m.name().to_string(),
@@ -411,6 +420,42 @@ mod tests {
             vector::apply_phases(&mut expected, px.eigenvalues(), beta);
             radix2_reference(&mut expected);
             assert_bits_eq(&evolved, &expected, &format!("evolve n={n}"));
+        }
+    }
+
+    #[test]
+    fn flip_reduced_mixers_act_on_symmetric_states_as_the_full_ones_do() {
+        for n in 1..=9 {
+            for px in [
+                PauliXMixer::transverse_field(n),
+                PauliXMixer::uniform_products(n, &[1, n.min(2)]),
+            ] {
+                let reduced = Mixer::PauliX(px.flip_reduced());
+                let mixer = Mixer::PauliX(px);
+                assert_eq!(reduced.dim(), 1 << (n - 1));
+                assert!(reduced.name().contains("flip-reduced"));
+                let (dim, half) = (1 << n, 1 << (n - 1));
+                // ψ(x) = ψ(x̄): the second half mirrors the first, reversed.
+                let head = random_like_state(half);
+                let mut psi: Vec<Complex64> =
+                    head.iter().chain(head.iter().rev()).copied().collect();
+                normalize(&mut psi);
+                let mut phi: Vec<Complex64> =
+                    psi[..half].iter().map(|z| z.scale(2f64.sqrt())).collect();
+                let (mut scratch, mut half_scratch) =
+                    (vec![Complex64::ZERO; dim], vec![Complex64::ZERO; half]);
+                let (mut h_psi, mut h_phi) = (psi.clone(), phi.clone());
+                mixer.apply_evolution(0.613, &mut psi, &mut scratch);
+                reduced.apply_evolution(0.613, &mut phi, &mut half_scratch);
+                mixer.apply_hamiltonian(&mut h_psi, &mut scratch);
+                reduced.apply_hamiltonian(&mut h_phi, &mut half_scratch);
+                for (full, red) in [(&psi, &phi), (&h_psi, &h_phi)] {
+                    for x in 0..half {
+                        assert!((full[x] - full[dim - 1 - x]).abs() < 1e-12, "n={n}");
+                        assert!((full[x].scale(2f64.sqrt()) - red[x]).abs() < 1e-12, "n={n}");
+                    }
+                }
+            }
         }
     }
 

@@ -6,6 +6,30 @@
 //! therefore evaluates the diagonal
 //! `λ(z) = Σ_t c_t · (−1)^{popcount(z ∧ mask_t)}`
 //! once for all `2ⁿ` states; evolution afterwards is `H^{⊗n} · e^{-iβ·diag(λ)} · H^{⊗n}`.
+//!
+//! # The flip-reduced form
+//!
+//! Every X-string commutes with the global flip `X^{⊗n}`, and so does `|+⟩`.  When the
+//! objective is flip-symmetric too (`C(x) = C(x̄)`, MaxCut's case), the QAOA state
+//! satisfies `ψ(x) = ψ(x̄)` after every round (Shaydulin, Hadfield, Hogg & Safro,
+//! "Classical symmetries and the Quantum Approximate Optimization Algorithm", Quantum
+//! Inf. Process. 20, 359 (2021)), and half of every `2ⁿ` buffer repeats the other
+//! half.  [`PauliXMixer::flip_reduced`] runs the mixer on the unit vector
+//! `φ(x′) = √2·ψ(x′, 0)` of `2ⁿ⁻¹` amplitudes, `x′` the low `n − 1` bits:
+//!
+//! * a symmetric state's `n`-qubit Hadamard transform vanishes at odd-weight `y`, and
+//!   at `y = (y′, parity(y′))` it equals the normalised `(n − 1)`-qubit transform of
+//!   `φ` at `y′`;
+//! * so the evolution is `walsh_hadamard` on `n − 1` qubits, the diagonal
+//!   `λ(y′, parity(y′))` (for the transverse field `n − 2(|y′| + parity(y′))`), and
+//!   the transform again, exact for every X-string mixer;
+//! * `|+⟩` becomes the uniform state on `n − 1` qubits, and inner products, norms
+//!   and `⟨C⟩ = Σ_{x′} C(x′, 0)·|φ(x′)|²` equal their full-space values.
+//!
+//! The simulator, the adjoint gradient and prefix checkpoints therefore run unchanged
+//! on vectors half as long; the caller supplies the objective's first half (the
+//! top-bit-clear states) and, when it measures, maps each drawn `x′` to `x′` or `x̄′`
+//! by a fair coin.
 
 use juliqaoa_combinatorics::{bits, GosperIter};
 use juliqaoa_linalg::{vector, Complex64, PhaseClasses};
@@ -35,7 +59,8 @@ pub struct PauliXMixer {
     n: usize,
     terms: Vec<XTerm>,
     /// `λ(z)` for every computational basis state `z`, i.e. the mixer eigenvalues in the
-    /// Hadamard basis.  Length `2ⁿ`.
+    /// Hadamard basis.  Length `2ⁿ`, or `2ⁿ⁻¹` in the flip-reduced form, whose entry
+    /// `y′` is `λ(y′, parity(y′))`.
     eigenvalues: Vec<f64>,
     /// Distinct-eigenvalue compression of the diagonal ([`PhaseClasses`], `None` when
     /// the spectrum has too many distinct values for the table path to pay).  The
@@ -50,6 +75,12 @@ impl PauliXMixer {
     /// Panics if `n ≥ 32`, if a term's mask references qubits outside `0..n`, or if a
     /// mask is zero (an identity term).
     pub fn from_terms(n: usize, terms: Vec<XTerm>) -> Self {
+        Self::build(n, terms, false)
+    }
+
+    /// Validates the terms and computes the diagonal over the full space or, when
+    /// `flip_reduced`, over the `2ⁿ⁻¹` indices `y′` at `(y′, parity(y′))`.
+    fn build(n: usize, terms: Vec<XTerm>, flip_reduced: bool) -> Self {
         assert!(n < 32, "full-space Pauli-X mixers limited to n < 32 qubits");
         let full_mask = (1u64 << n) - 1;
         for t in &terms {
@@ -63,7 +94,13 @@ impl PauliXMixer {
                 "identity terms only shift the spectrum; drop them"
             );
         }
-        let eigenvalues = compute_eigenvalues(n, &terms);
+        let eigenvalues = if flip_reduced {
+            assert!(n >= 1, "a flip-reduced mixer needs at least one qubit");
+            let top = n - 1;
+            compute_eigenvalues(top, &terms, |y| y | (u64::from(y.count_ones() & 1) << top))
+        } else {
+            compute_eigenvalues(n, &terms, |z| z)
+        };
         let diag_classes = PhaseClasses::build(&eigenvalues);
         PauliXMixer {
             n,
@@ -73,17 +110,35 @@ impl PauliXMixer {
         }
     }
 
+    /// The same mixer on the bit-flip-symmetric subspace, as `2ⁿ⁻¹` amplitudes
+    /// `φ(x′) = √2·ψ(x′, 0)` (see the module docs): its diagonal is
+    /// `λ(y′, parity(y′))`, computed from the terms, and its transforms run on
+    /// `n − 1` qubits.  Exact for every X-string mixer; meaningful only for states
+    /// with `ψ(x) = ψ(x̄)`, which a flip-symmetric objective keeps from `|+⟩` on.
+    ///
+    /// # Panics
+    /// Panics if the mixer is already flip-reduced or has no qubits.
+    pub fn flip_reduced(&self) -> Self {
+        assert!(!self.is_flip_reduced(), "the mixer is already flip-reduced");
+        Self::build(self.n, self.terms.clone(), true)
+    }
+
+    /// Whether this is the [`PauliXMixer::flip_reduced`] form.
+    pub(crate) fn is_flip_reduced(&self) -> bool {
+        self.eigenvalues.len() < 1 << self.n
+    }
+
     /// The standard transverse-field mixer `Σ_i X_i` of Farhi et al.
     ///
     /// Matches `mixer_X([1], n)` from Listing 1.
     pub fn transverse_field(n: usize) -> Self {
-        let terms = (0..n)
-            .map(|i| XTerm {
-                coefficient: 1.0,
-                mask: 1u64 << i,
-            })
-            .collect();
-        Self::from_terms(n, terms)
+        Self::from_terms(n, transverse_terms(n))
+    }
+
+    /// `transverse_field(n).flip_reduced()`, without computing the full diagonal
+    /// first.
+    pub fn transverse_field_flip_reduced(n: usize) -> Self {
+        Self::build(n, transverse_terms(n), true)
     }
 
     /// A mixer summing *all* products of `X` of each order in `orders` with unit
@@ -111,9 +166,9 @@ impl PauliXMixer {
         self.n
     }
 
-    /// Dimension of the space the mixer acts on (`2ⁿ`).
+    /// Dimension of the space the mixer acts on: `2ⁿ`, or `2ⁿ⁻¹` flip-reduced.
     pub fn dim(&self) -> usize {
-        1 << self.n
+        self.eigenvalues.len()
     }
 
     /// The mixer terms.
@@ -121,7 +176,8 @@ impl PauliXMixer {
         &self.terms
     }
 
-    /// The pre-computed Hadamard-basis eigenvalues `λ(z)`.
+    /// The pre-computed Hadamard-basis eigenvalues `λ(z)` (flip-reduced: `λ(y′,
+    /// parity(y′))` at index `y′`).
     pub fn eigenvalues(&self) -> &[f64] {
         &self.eigenvalues
     }
@@ -157,15 +213,31 @@ impl PauliXMixer {
     }
 }
 
-/// Evaluates the Hadamard-basis diagonal of a sum of X-strings, in parallel over states.
-fn compute_eigenvalues(n: usize, terms: &[XTerm]) -> Vec<f64> {
-    let size = 1usize << n;
+/// The single-qubit terms `X_i` of the transverse field, unit coefficients.
+fn transverse_terms(n: usize) -> Vec<XTerm> {
+    (0..n)
+        .map(|i| XTerm {
+            coefficient: 1.0,
+            mask: 1u64 << i,
+        })
+        .collect()
+}
+
+/// Evaluates the Hadamard-basis diagonal of a sum of X-strings at `state(i)` for every
+/// index `i < 2^qubits`, in parallel over indices.
+fn compute_eigenvalues(
+    qubits: usize,
+    terms: &[XTerm],
+    state: impl Fn(u64) -> u64 + Sync,
+) -> Vec<f64> {
+    let size = 1usize << qubits;
     (0..size)
         .into_par_iter()
-        .map(|z| {
+        .map(|i| {
+            let z = state(i as u64);
             terms
                 .iter()
-                .map(|t| t.coefficient * bits::parity_sign(z as u64 & t.mask))
+                .map(|t| t.coefficient * bits::parity_sign(z & t.mask))
                 .sum()
         })
         .collect()
@@ -278,6 +350,55 @@ mod tests {
             assert_eq!(a.re.to_bits(), b.re.to_bits());
             assert_eq!(a.im.to_bits(), b.im.to_bits());
         }
+    }
+
+    #[test]
+    fn flip_reduced_spectrum_reads_the_full_one_at_even_weight() {
+        for m in [
+            PauliXMixer::transverse_field(7),
+            PauliXMixer::uniform_products(7, &[1, 2]),
+            PauliXMixer::from_terms(
+                7,
+                vec![
+                    XTerm {
+                        coefficient: 0.3,
+                        mask: 0b1000011,
+                    },
+                    XTerm {
+                        coefficient: -1.7,
+                        mask: 0b0110000,
+                    },
+                ],
+            ),
+        ] {
+            let reduced = m.flip_reduced();
+            assert!(reduced.is_flip_reduced() && !m.is_flip_reduced());
+            assert_eq!((reduced.n(), reduced.dim()), (7, 64));
+            for (y, &lambda) in reduced.eigenvalues().iter().enumerate() {
+                let z = y | ((y.count_ones() as usize & 1) << 6);
+                assert_eq!(lambda.to_bits(), m.eigenvalues()[z].to_bits());
+            }
+        }
+        // The transverse field's reduced diagonal is n − 2(|y′| + parity(y′)).
+        let tf = PauliXMixer::transverse_field_flip_reduced(5);
+        assert_eq!(
+            tf.eigenvalues(),
+            PauliXMixer::transverse_field(5)
+                .flip_reduced()
+                .eigenvalues()
+        );
+        for (y, &lambda) in tf.eigenvalues().iter().enumerate() {
+            let w = y.count_ones() as f64;
+            assert_eq!(lambda, 5.0 - 2.0 * (w + w % 2.0));
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn reducing_twice_panics() {
+        let _ = PauliXMixer::transverse_field(4)
+            .flip_reduced()
+            .flip_reduced();
     }
 
     #[test]

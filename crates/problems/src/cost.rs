@@ -5,6 +5,14 @@
 //! convenience method [`CostFunction::evaluate_bits`] accepts the explicit 0/1 arrays the
 //! paper's listings use.  QAOA conventionally *maximizes* the objective; minimization
 //! problems simply negate their values (as Listing 3 in the paper describes).
+//!
+//! A cost function may also *declare* a symmetry the simulator can exploit:
+//! [`CostFunction::flip_symmetric`] states that `C(x) = C(x̄)` for every state, where
+//! `x̄` complements all `n` bits.  MaxCut and number partitioning declare it, and
+//! [`Negated`] and [`Offset`] forward their inner function's declaration.  Nothing
+//! infers it from values: a scan can only confirm it for the states it saw.  A service
+//! running such an objective under a Pauli-X mixer simulates half the space (see
+//! `juliqaoa_mixers::pauli_x`).
 
 use juliqaoa_combinatorics::bits;
 
@@ -27,6 +35,14 @@ pub trait CostFunction: Sync {
     /// A short human-readable name, used in logs and benchmark output.
     fn name(&self) -> &str {
         "cost"
+    }
+
+    /// Whether `C(x) = C(x̄)` holds, bit for bit, for every state `x`, with `x̄` the
+    /// complement of all `num_qubits()` bits.  A declaration, never a measurement:
+    /// the default is `false`, and an implementation returns `true` only when its
+    /// arithmetic makes the two evaluations identical.
+    fn flip_symmetric(&self) -> bool {
+        false
     }
 }
 
@@ -79,6 +95,10 @@ impl<C: CostFunction> CostFunction for Negated<C> {
     fn name(&self) -> &str {
         self.0.name()
     }
+
+    fn flip_symmetric(&self) -> bool {
+        self.0.flip_symmetric()
+    }
 }
 
 /// A cost function shifted by a constant offset; used to make mixed-sign objectives
@@ -101,6 +121,10 @@ impl<C: CostFunction> CostFunction for Offset<C> {
 
     fn name(&self) -> &str {
         self.inner.name()
+    }
+
+    fn flip_symmetric(&self) -> bool {
+        self.inner.flip_symmetric()
     }
 }
 
@@ -132,6 +156,21 @@ mod tests {
         };
         assert_eq!(c.evaluate(0), 0.0);
         assert_eq!(c.evaluate(7), 7.0);
+    }
+
+    #[test]
+    fn symmetry_is_declared_never_inferred() {
+        // A closure that happens to be symmetric still declares nothing.
+        let even = FnCost::new(4, "weight parity", |x: u64| (x.count_ones() % 2) as f64);
+        assert!(!even.flip_symmetric());
+        let cut = crate::MaxCut::new(juliqaoa_graphs::cycle_graph(4));
+        assert!(Negated(cut.clone()).flip_symmetric());
+        assert!(Offset {
+            inner: cut,
+            offset: 1.5
+        }
+        .flip_symmetric());
+        assert!(!Negated(even).flip_symmetric());
     }
 
     #[test]

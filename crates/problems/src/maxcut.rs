@@ -50,6 +50,12 @@ impl CostFunction for MaxCut {
     fn name(&self) -> &str {
         "maxcut"
     }
+
+    /// A cut and its complement cut the same edges, and `cut_weight` sums them in
+    /// edge order either way, so the two values are the same bits.
+    fn flip_symmetric(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -73,6 +73,12 @@ impl CostFunction for NumberPartitioning {
     fn name(&self) -> &str {
         "number_partitioning"
     }
+
+    /// Complementing every bit negates every term of the imbalance; the rounded sum
+    /// of negated terms is the negated sum, and its square is the same bits.
+    fn flip_symmetric(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -60,16 +60,20 @@ pub struct BatchSummary {
 }
 
 /// Loads a job file: either `{"jobs": [...]}` or a bare JSON array of specs.
+///
+/// The first non-blank character picks the form, so a parse error is the error of
+/// the form the text takes (an unknown optimizer kind, say), never the other
+/// form's complaint about the top-level shape.
 pub fn load_job_file(path: impl AsRef<Path>) -> Result<Vec<JobSpec>, ServiceError> {
     let path = path.as_ref();
     let text = std::fs::read_to_string(path)
         .map_err(|e| ServiceError::Io(format!("reading {}: {e}", path.display())))?;
-    let jobs = if let Ok(file) = serde_json::from_str::<JobFile>(&text) {
-        file.jobs
-    } else {
+    let parsed = if text.trim_start().starts_with('[') {
         serde_json::from_str::<Vec<JobSpec>>(&text)
-            .map_err(|e| ServiceError::Io(format!("parsing {}: {e}", path.display())))?
+    } else {
+        serde_json::from_str::<JobFile>(&text).map(|file| file.jobs)
     };
+    let jobs = parsed.map_err(|e| ServiceError::Io(format!("parsing {}: {e}", path.display())))?;
     let mut seen = HashSet::new();
     for job in &jobs {
         if !seen.insert(job.id.as_str()) {
@@ -906,6 +910,25 @@ mod tests {
         // Bare-array form.
         std::fs::write(&path, serde_json::to_string(&jobs).unwrap()).unwrap();
         assert_eq!(load_job_file(&path).unwrap(), jobs);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_job_file_error_names_the_real_fault() {
+        let path = temp_path("misspelt.json");
+        let mut job = serde_json::to_string(&tiny_jobs(1)[0]).unwrap();
+        let optimizer = job.find("\"optimizer\"").unwrap();
+        let end = optimizer + job[optimizer..].find('}').unwrap() + 1;
+        job.replace_range(
+            optimizer..end,
+            r#""optimizer":{"kind":"grid_search","resolution":4}"#,
+        );
+        for text in [format!(r#"{{"jobs": [{job}]}}"#), format!("  [{job}]")] {
+            std::fs::write(&path, &text).unwrap();
+            let err = load_job_file(&path).unwrap_err().to_string();
+            assert!(err.contains("grid_search"), "{err}");
+            assert!(!err.contains("expected array"), "{err}");
+        }
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -20,6 +20,15 @@
 //! fields need per-state draws, made inside the sampled classes (see
 //! `class_space_draws`).
 //!
+//! Transverse-field jobs on a declared flip-symmetric objective (MaxCut, see
+//! `CostFunction::flip_symmetric`) run in the *flip-reduced* space: the slot's
+//! simulator holds the first half of the cached values (the top-bit-clear states), the
+//! matching half of their phase classes and `PauliXMixer::flip_reduced`, and every
+//! kernel, the adjoint gradient, prefix checkpoints and per-class sampling run on
+//! `2ⁿ⁻¹` amplitudes, unchanged.  The instance cache stays full-size, and the readout
+//! sends each drawn state `x′` to `x′` or its complement by a fair coin per shot (see
+//! `StateFields`), so the result reports the same distributions and `dim = 2ⁿ`.
+//!
 //! Sample jobs draw each evaluation's shots as per-class counts whenever the
 //! simulator has value classes (class space, or the phase classes of a full-state or
 //! Dicke objective; see `SampledObjective`), so the estimate is `O(classes)` per
@@ -32,7 +41,8 @@
 //!    [`InstanceId`]);
 //! 2. the **simulator slot cache**: per `(instance, mixer)` pair, an immutable shared
 //!    [`Simulator`], so repeat jobs skip re-cloning the `2ⁿ` objective and rebuilding
-//!    the mixer (for Grover jobs, the class table and weighted mixer).
+//!    the mixer (for Grover jobs, the class table and weighted mixer; for
+//!    flip-reduced jobs, half of each).
 //!
 //! Each cache is one [`LruCache`] behind one mutex, bounded to the engine's entry
 //! capacity and [`DEFAULT_CACHE_BYTES`]; a job takes a cache lock a handful of times,
@@ -56,6 +66,7 @@ use crate::spec::{
 use juliqaoa_combinatorics::{derive_stream_seed, fold_bits, DickeSubspace};
 use juliqaoa_core::{Angles, QaoaError, Simulator, ValueClasses};
 use juliqaoa_linalg::Complex64;
+use juliqaoa_mixers::{Mixer, PauliXMixer};
 use juliqaoa_optim::{
     basinhopping_with_control, grid_search_ordered, qaoa_axis_order, random_restart_with_control,
     BasinHoppingOptions, EvalTally, Objective, OptimizeResult, QaoaObjective, RandomRestartOptions,
@@ -64,7 +75,7 @@ use juliqaoa_optim::{
 use juliqaoa_problems::{
     precompute_dicke, precompute_full, DegeneracyTable, InstanceId, PhaseClasses,
 };
-use juliqaoa_sampling::{estimator, multinomial, IndexMap, SampleCounts};
+use juliqaoa_sampling::{binomial, estimator, multinomial, IndexMap, SampleCounts};
 use juliqaoa_telemetry::{SpanCollector, Stage};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -237,6 +248,9 @@ struct SimSlot {
     /// The degeneracy table a class-space (Grover) simulator was built from; class `c`
     /// of the simulator is entry `c`.  The readout draws member states from it.
     classes: Option<DegeneracyTable>,
+    /// Whether `sim` runs flip-reduced: its state `x′` stands for the pair `x′`, `x̄′`
+    /// of a flip-symmetric objective (see [`Engine::simulator_slot`]).
+    flip_reduced: bool,
 }
 
 impl SimSlot {
@@ -443,24 +457,47 @@ impl Engine {
         }
         // Build outside the lock.  Two workers racing on one key may both build, and
         // the last insert wins; slots hold no mutable state, so either copy serves.
-        let (sim, classes) = match mixer_spec {
+        let slot = match mixer_spec {
             // Every Grover job runs in class space over the values' degeneracy table,
             // which the slot keeps for the readout's within-class draws.
             MixerSpec::Grover => {
                 let values = prepared.values.iter().map(|&v| (v, 1));
                 let table = DegeneracyTable::from_entries(values);
-                (Simulator::grover_classes(&table)?, Some(table))
+                SimSlot {
+                    sim: Simulator::grover_classes(&table)?,
+                    classes: Some(table),
+                    flip_reduced: false,
+                }
             }
-            _ => {
-                let sim = Simulator::from_parts(
+            // A declared flip-symmetric objective under the transverse field keeps
+            // ψ(x) = ψ(x̄) in every round, so the slot simulates the top-bit-clear
+            // half: the first half of the values and of their classes.
+            MixerSpec::TransverseField
+                if problem.subspace_k.is_none() && problem.cost.flip_symmetric() =>
+            {
+                let half = prepared.values.len() / 2;
+                let mixer = PauliXMixer::transverse_field_flip_reduced(problem.n);
+                SimSlot {
+                    sim: Simulator::from_parts(
+                        prepared.values[..half].to_vec(),
+                        prepared.classes.as_ref().map(|c| c.head(half)),
+                        vec![Mixer::PauliX(mixer)],
+                    )?,
+                    classes: None,
+                    flip_reduced: true,
+                }
+            }
+            _ => SimSlot {
+                sim: Simulator::from_parts(
                     prepared.values.clone(),
                     prepared.classes.clone(),
                     vec![mixer_spec.build(problem).map_err(ServiceError::Spec)?],
-                )?;
-                (sim, None)
-            }
+                )?,
+                classes: None,
+                flip_reduced: false,
+            },
         };
-        let slot = Arc::new(SimSlot { sim, classes });
+        let slot = Arc::new(slot);
         let weight = slot.weight();
         self.sims
             .lock()
@@ -824,9 +861,11 @@ impl Engine {
                 };
                 let (best_outcome, best_objective) = estimator::best_sampled(counts, values);
                 // A histogram over value classes counts values; the state-level
-                // fields draw member states inside the sampled classes.
-                let (best_state, distinct_outcomes) = match (&slot.classes, sim.value_classes()) {
-                    (Some(table), _) => class_space_draws(
+                // fields draw member states inside the sampled classes.  A
+                // flip-reduced slot's drawn states stand for complement pairs, which
+                // `StateFields` splits.
+                let (best_state, distinct_outcomes) = match &slot.classes {
+                    Some(table) => class_space_draws(
                         &prepared.values,
                         table,
                         counts,
@@ -834,15 +873,31 @@ impl Engine {
                         &res.x,
                         s.seed,
                     ),
-                    (None, Some(ValueClasses::Indexed(classes))) => member_draws(
-                        readout.state(),
-                        classes.class_indices(),
-                        &draw,
-                        best_objective,
-                        &res.x,
-                        s.seed,
-                    ),
-                    _ => (best_outcome, counts.distinct_outcomes() as u64),
+                    None => {
+                        let mask = prepared.values.len() - 1;
+                        let mut fields = StateFields::new(
+                            slot.flip_reduced
+                                .then(|| (mask, flip_stream(s.seed, &res.x))),
+                        );
+                        match sim.value_classes() {
+                            Some(ValueClasses::Indexed(classes)) => member_draws(
+                                readout.state(),
+                                classes.class_indices(),
+                                &draw,
+                                best_objective,
+                                &res.x,
+                                s.seed,
+                                &mut fields,
+                            ),
+                            _ => {
+                                for (state, shots) in counts.iter_nonzero() {
+                                    let best = values[state] == best_objective;
+                                    fields.record(state, shots, best);
+                                }
+                            }
+                        }
+                        (fields.best_state, fields.distinct)
+                    }
                 };
                 drop(readout);
                 let exact_expectation = sim.expectation(&Angles::from_flat(&res.x))?;
@@ -977,18 +1032,75 @@ fn member_stream(seed: u64, x: &[f64], class: usize) -> StdRng {
     StdRng::seed_from_u64(derive_stream_seed(seed, MEMBER_DOMAIN, stream))
 }
 
+/// Domain tag for the complement coins of a flip-reduced readout.
+const FLIP_DOMAIN: u64 = 0xF11B;
+
+/// The stream of a flip-reduced readout's complement coins at readout point `x`.
+fn flip_stream(seed: u64, x: &[f64]) -> StdRng {
+    let stream = fold_bits(x.iter().map(|v| v.to_bits()));
+    StdRng::seed_from_u64(derive_stream_seed(seed, FLIP_DOMAIN, stream))
+}
+
+/// The two state-level readout fields of a full-state or Dicke job, accumulated over
+/// the simulator states a readout drew: the dense index of the best sampled feasible
+/// state (the lowest-index one of the best sampled value) and the count of distinct
+/// feasible states sampled.
+///
+/// On a flip-reduced slot, simulator state `x′ < 2ⁿ⁻¹` stands for `x′` and its
+/// complement `x̄′`, which a full-state draw finds equally likely.  Each of the `m`
+/// shots on `x′` therefore goes to `x′` or `x̄′` by a fair coin: `Bin(m, ½)` of them
+/// stay on `x′`, drawn from the readout's `flip_stream`.  Both fields are then
+/// distributed exactly as a full-state draw's.
+struct StateFields {
+    best_state: usize,
+    distinct: u64,
+    /// The all-ones mask `2ⁿ − 1` that complements a state, and the coin stream, on a
+    /// flip-reduced slot.
+    flips: Option<(usize, StdRng)>,
+}
+
+impl StateFields {
+    fn new(flips: Option<(usize, StdRng)>) -> Self {
+        StateFields {
+            best_state: usize::MAX,
+            distinct: 0,
+            flips,
+        }
+    }
+
+    /// Records `shots > 0` drawn on simulator state `state`, whose value is the best
+    /// sampled one when `best`.
+    fn record(&mut self, state: usize, shots: u64, best: bool) {
+        let kept = match &mut self.flips {
+            Some((_, coins)) => binomial(shots, 0.5, coins),
+            None => shots,
+        };
+        self.split(state, shots, kept, best);
+    }
+
+    /// Records `kept` of `shots` on `state` and the rest on its complement.
+    fn split(&mut self, state: usize, shots: u64, kept: u64, best: bool) {
+        let complement = self.flips.as_ref().map_or(0, |(mask, _)| state ^ mask);
+        self.distinct += u64::from(kept > 0) + u64::from(kept < shots);
+        if best {
+            // `state < 2ⁿ⁻¹ ≤ complement`: the complement is the lower only if alone.
+            let lowest = if kept > 0 { state } else { complement };
+            self.best_state = self.best_state.min(lowest);
+        }
+    }
+}
+
 /// The two state-level readout fields of a full-state or Dicke job whose simulator
-/// groups states into phase classes, as `(dense index of the best sampled state,
-/// distinct states sampled)`.  `draw` counts shots per class of `class_idx`.
+/// groups states into phase classes, recorded into `fields`.  `draw` counts shots per
+/// class of `class_idx`.
 ///
 /// Class `c`'s `k_c` shots land on its members in proportion to `|ψ_x|²`: one
 /// [`multinomial()`] over the members in index order, from a stream derived from the
 /// sampling seed, the readout point `x` and `c` (as in `class_space_draws`).  Its
 /// chain stops once the class's shots run out, so a class never costs more than its
-/// member count.  Distinct outcomes are the members drawn at least once, and the best
-/// state is the lowest-index member drawn among the classes of value `best_value`:
-/// both fields are distributed exactly as a full-state draw's.  Listing the members
-/// is the one `O(2ⁿ)` pass of the readout.
+/// member count.  Every member drawn is recorded, and a member of a class of value
+/// `best_value` is a best-state candidate, so both fields are distributed exactly as
+/// a full-state draw's.  Listing the members is the one `O(2ⁿ)` pass of the readout.
 fn member_draws(
     state: &[Complex64],
     class_idx: &[u16],
@@ -996,7 +1108,8 @@ fn member_draws(
     best_value: f64,
     x: &[f64],
     seed: u64,
-) -> (usize, u64) {
+    fields: &mut StateFields,
+) {
     // The sampled classes' members, each class in index order.
     let mut members: Vec<Vec<u32>> = vec![Vec::new(); draw.counts.dim()];
     for (i, &c) in class_idx.iter().enumerate() {
@@ -1004,22 +1117,17 @@ fn member_draws(
             members[c as usize].push(i as u32);
         }
     }
-    let mut distinct = 0;
-    let mut best_state = usize::MAX;
     let mut probs = Vec::new();
     for (class, shots) in draw.counts.iter_nonzero() {
         let members = &members[class];
         probs.clear();
         probs.extend(members.iter().map(|&i| state[i as usize].norm_sqr()));
         let drawn = multinomial(&probs, shots, &mut member_stream(seed, x, class));
-        distinct += drawn.distinct_outcomes() as u64;
-        if draw.values[class] == best_value {
-            if let Some((first, _)) = drawn.iter_nonzero().next() {
-                best_state = best_state.min(members[first] as usize);
-            }
+        let best = draw.values[class] == best_value;
+        for (member, shots) in drawn.iter_nonzero() {
+            fields.record(members[member] as usize, shots, best);
         }
     }
-    (best_state, distinct)
 }
 
 /// The two state-level readout fields of a class-space (Grover) job, as
@@ -1201,6 +1309,146 @@ mod tests {
         assert_eq!(engine.cached_simulators(), 1);
         let weight = engine.sims.lock().unwrap().total_weight();
         assert!(weight < 4096, "class-space slot weighs {weight}");
+    }
+
+    /// The simulator slot a job ran on.
+    fn slot_of(engine: &Engine, job: &JobSpec) -> Arc<SimSlot> {
+        let key = (job.problem.build().unwrap().instance_id, job.mixer);
+        lookup(&engine.sims, &key).expect("the job's slot is cached")
+    }
+
+    #[test]
+    fn transverse_field_maxcut_runs_flip_reduced_and_reports_the_full_dimension() {
+        let engine = Engine::new(8);
+        let job = quick_job("tf", 3, 9);
+        let result = engine.run_job(&job, &RunControl::new()).unwrap();
+        let slot = slot_of(&engine, &job);
+        assert!(slot.flip_reduced);
+        assert_eq!((slot.sim.dim(), result.dim), (1 << 6, 1 << 7));
+        // The reduced ⟨C⟩ is the full-space one at the returned angles.
+        let problem = job.problem.build().unwrap();
+        let full = Simulator::new(
+            precompute_full(problem.cost.as_ref()),
+            job.mixer.build(&problem).unwrap(),
+        )
+        .unwrap();
+        let exact = full
+            .expectation(&Angles::from_flat(&result.angles))
+            .unwrap();
+        assert!((exact - result.expectation).abs() <= 1e-12 * exact.abs());
+
+        // Grover-on-MaxCut stays in class space, and transverse-field k-SAT (not
+        // declared symmetric) on the full space.
+        for (problem, mixer, dim) in [
+            (
+                ProblemSpec::MaxCutGnp { n: 7, instance: 3 },
+                MixerSpec::Grover,
+                None,
+            ),
+            (
+                ProblemSpec::KSatRandom {
+                    n: 7,
+                    k: 3,
+                    density: 4.0,
+                    instance: 0,
+                },
+                MixerSpec::TransverseField,
+                Some(1 << 7),
+            ),
+        ] {
+            let engine = Engine::new(8);
+            let job = JobSpec {
+                problem,
+                mixer,
+                ..quick_job("full", 0, 9)
+            };
+            assert_eq!(
+                engine.run_job(&job, &RunControl::new()).unwrap().dim,
+                1 << 7
+            );
+            let slot = slot_of(&engine, &job);
+            assert!(!slot.flip_reduced);
+            assert_eq!(slot.classes.is_some(), dim.is_none());
+            if let Some(dim) = dim {
+                assert_eq!(slot.sim.dim(), dim);
+            }
+        }
+    }
+
+    #[test]
+    fn flip_reduced_readout_fields_are_distributed_as_full_state_draws() {
+        // n = 4 MaxCut with distinct weights, so values tie only across complements.
+        let graph = juliqaoa_graphs::Graph::from_weighted_edges(
+            4,
+            &[
+                (0, 1, 1.0),
+                (1, 2, 2.5),
+                (2, 3, 0.75),
+                (0, 3, 1.5),
+                (0, 2, 3.25),
+            ],
+        );
+        let values = precompute_full(&juliqaoa_problems::MaxCut::new(graph));
+        let angles = Angles::new(vec![0.37], vec![0.81]);
+        let full = Simulator::new(values.clone(), Mixer::transverse_field(4)).unwrap();
+        let reduced = Simulator::new(
+            values[..8].to_vec(),
+            Mixer::PauliX(PauliXMixer::transverse_field_flip_reduced(4)),
+        )
+        .unwrap();
+        let probs = |sim: &Simulator| -> Vec<f64> {
+            let mut ws = sim.workspace();
+            sim.evolve_into(&angles, &mut ws).unwrap();
+            ws.state.iter().map(|z| z.norm_sqr()).collect()
+        };
+        let (p_full, p_reduced) = (probs(&full), probs(&reduced));
+        let best_of = |drawn: &[usize]| {
+            drawn
+                .iter()
+                .map(|&x| values[x])
+                .fold(f64::NEG_INFINITY, f64::max)
+        };
+        // Exact law of (best state, distinct states) over every 3-shot sequence.
+        let shots = 3u32;
+        let mut want: HashMap<(usize, u64), f64> = HashMap::new();
+        for seq in 0..16usize.pow(shots) {
+            let drawn: Vec<usize> = (0..shots).map(|k| seq / 16usize.pow(k) % 16).collect();
+            let prob: f64 = drawn.iter().map(|&x| p_full[x]).product();
+            let best = best_of(&drawn);
+            let best_state = *drawn.iter().filter(|&&x| values[x] == best).min().unwrap();
+            let distinct = drawn.iter().collect::<HashSet<_>>().len() as u64;
+            *want.entry((best_state, distinct)).or_default() += prob;
+        }
+        // The reduced law: every 3-shot sequence over x′ and every coin sequence, fed
+        // through `StateFields` as per-state (shots, kept) splits.
+        let mut got: HashMap<(usize, u64), f64> = HashMap::new();
+        for seq in 0..8usize.pow(shots) {
+            let drawn: Vec<usize> = (0..shots).map(|k| seq / 8usize.pow(k) % 8).collect();
+            let prob: f64 = drawn.iter().map(|&x| p_reduced[x]).product();
+            let best = best_of(&drawn);
+            for coins in 0..1usize << shots {
+                let mut fields = StateFields::new(Some((15, StdRng::seed_from_u64(0))));
+                for (x, &value) in values[..8].iter().enumerate() {
+                    let on_x = (0..shots as usize).filter(|&k| drawn[k] == x);
+                    let shots_x = on_x.clone().count() as u64;
+                    let kept = on_x.filter(|&k| coins >> k & 1 == 1).count() as u64;
+                    if shots_x > 0 {
+                        fields.split(x, shots_x, kept, value == best);
+                    }
+                }
+                let key = (fields.best_state, fields.distinct);
+                *got.entry(key).or_default() += prob / f64::from(1u32 << shots);
+            }
+        }
+        assert_eq!(
+            want.keys().collect::<HashSet<_>>(),
+            got.keys().collect::<HashSet<_>>()
+        );
+        for (key, p) in &want {
+            assert!((p - got[key]).abs() < 1e-12, "{key:?}: {p} vs {}", got[key]);
+        }
+        // The complement side is reachable: some best states have the top bit set.
+        assert!(want.keys().any(|&(best, _)| best >= 8));
     }
 
     #[test]
